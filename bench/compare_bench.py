@@ -110,6 +110,13 @@ TRACKED_PAIRS = [
     ("BM_Sha256ThroughputDispatched", "BM_Sha256ThroughputScalar", 0.95,
      False),
     ("BM_IngestBandwidth", "BM_IngestBandwidthScalarSha", 0.95, False),
+    # Update-complexity criterion: a one-key map commit reuses every
+    # untouched subtree, so its cost grows with the tree's height, not its
+    # size. At 100x the entries it must keep >= 0.2x the throughput (an
+    # O(N) re-chunk of every entry gives ~0.01x; O(height) gives ~0.4x).
+    # The ratio is CPU-only work on both sides but its level moves with
+    # cache behaviour, so floor only.
+    ("BM_MapCommit/100000", "BM_MapCommit/1000", 0.2, False),
 ]
 
 

@@ -64,6 +64,9 @@ struct ForkBaseServer::Session {
   // of a kBundlePart/kBundleEnd and nothing else races it.
   FrameParser parser;
   bool hello_done = false;
+  /// Admitted past max_sessions: its first frame (the client's HELLO) is
+  /// answered with the shed error, then the session closes.
+  bool shed = false;
   std::unique_ptr<BundleImporter> importer;  ///< live during an upload
   /// GC quarantine for this connection's pushes: registered at the first
   /// OFFER or BUNDLE_BEGIN and held until disconnect, it records every
@@ -210,8 +213,12 @@ int64_t ForkBaseServer::SweepDeadlines(
         session->connected_millis + options_.handshake_timeout_millis;
     if (now >= at) {
       deadline_disconnects_.fetch_add(1);
-      FailSessionWith(session, Status::DeadlineExceeded(
-                                   "no HELLO within the handshake deadline"));
+      if (session->shed) {
+        ShedSession(session);
+      } else {
+        FailSessionWith(session, Status::DeadlineExceeded(
+                                     "no HELLO within the handshake deadline"));
+      }
       return -1;
     }
     consider(at);
@@ -366,16 +373,24 @@ void ForkBaseServer::AcceptPending() {
     sessions_accepted_.fetch_add(1);
     if (options_.max_sessions > 0 && session_count >= options_.max_sessions) {
       // Graceful shed: the client's HELLO round trip reads a structured
-      // "come back later" instead of a refused or hung connection.
+      // "come back later" instead of a refused or hung connection. The
+      // reply waits for the HELLO (see HandleFrame): closing before it
+      // arrives could fail the client's HELLO write, and the client would
+      // never read the queued reply.
       sessions_shed_.fetch_add(1);
-      EnqueueBytes(session,
-                   EncodeFrame(Verb::kError,
-                               EncodeError(Status::Unavailable(
-                                               "server at session capacity"),
-                                           options_.shed_retry_after_millis)));
-      session->closing.store(true);
+      session->shed = true;
     }
   }
+}
+
+void ForkBaseServer::ShedSession(const std::shared_ptr<Session>& session) {
+  EnqueueBytes(session,
+               EncodeFrame(Verb::kError,
+                           EncodeError(Status::Unavailable(
+                                           "server at session capacity"),
+                                       options_.shed_retry_after_millis)));
+  session->closing.store(true);
+  session->outbox_cv.notify_all();
 }
 
 void ForkBaseServer::ReadInput(const std::shared_ptr<Session>& session) {
@@ -438,6 +453,10 @@ void ForkBaseServer::ProcessFrames(const std::shared_ptr<Session>& session) {
 
 void ForkBaseServer::HandleFrame(const std::shared_ptr<Session>& session,
                                  Frame frame) {
+  if (session->shed) {
+    ShedSession(session);
+    return;
+  }
   if (!session->hello_done) {
     if (frame.verb != Verb::kHello) {
       FailSession(session,

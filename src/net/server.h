@@ -178,6 +178,9 @@ class ForkBaseServer {
   /// disconnects are the server's own doing, not the client's.
   void FailSessionWith(const std::shared_ptr<Session>& session,
                        const Status& error);
+  /// Answers a session admitted past max_sessions with the kUnavailable
+  /// shed error (carrying the retry-after hint) and closes it on flush.
+  void ShedSession(const std::shared_ptr<Session>& session);
   /// Immediate teardown for sessions whose socket is not draining: drops
   /// the undeliverable outbox, wakes any blocked producer, closes next
   /// loop pass.

@@ -26,6 +26,22 @@ Status TreeBuilder::AddIndexEntry(size_t level, const IndexEntry& e) {
   return Status::OK();
 }
 
+bool TreeBuilder::AlignedThrough(size_t level) const {
+  for (size_t l = 0; l <= level && l < levels_.size(); ++l) {
+    if (levels_[l].buffer_entries > 0) return false;
+  }
+  return true;
+}
+
+Status TreeBuilder::AddSubtree(size_t level, const IndexEntry& e) {
+  if (finished_) return Status::InvalidArgument("builder already finished");
+  if (!AlignedThrough(level)) {
+    return Status::InvalidArgument("AddSubtree on a builder with open nodes");
+  }
+  entries_added_ += e.count;
+  return AddIndexEntry(level + 1, e);
+}
+
 Status TreeBuilder::AddEntry(Slice entry_bytes, Slice key) {
   if (finished_) return Status::InvalidArgument("builder already finished");
   if (levels_.empty()) {
@@ -103,7 +119,6 @@ Status TreeBuilder::CloseNode(size_t level) {
   e.child = chunk.hash();
   e.count = lv.buffer_count;
   e.key = lv.last_key;
-  ++lv.nodes_closed;
   ++nodes_written_;
   lv.buffer.clear();
   lv.buffer_count = 0;
@@ -133,11 +148,13 @@ StatusOr<TreeInfo> TreeBuilder::Finish() {
   // up. The loop re-reads levels_.size() because closes can create levels.
   for (size_t level = 0; level < levels_.size(); ++level) {
     Level& lv = levels_[level];
-    // Collapse rule: a level that never closed a node and holds exactly one
-    // pending index entry is redundant — its single child is the root.
-    // (Such a level is necessarily the topmost: lower levels only push
-    // upward when they close nodes.)
-    if (level > 0 && lv.nodes_closed == 0 && lv.buffer_entries == 1) {
+    // Collapse rule: the topmost level holding exactly one index entry is
+    // redundant — its single child is the root. Only the topmost level
+    // qualifies: AddSubtree can fill upper levels before a lower one ever
+    // closes, so a lower single-entry level must close like any other.
+    // (In a pure streaming build the topmost level is exactly the one that
+    // never closed a node, so the two readings agree.)
+    if (level > 0 && level + 1 == levels_.size() && lv.buffer_entries == 1) {
       FB_RETURN_IF_ERROR(FlushPending());
       TreeInfo info;
       info.root = lv.first_pending.child;

@@ -10,6 +10,9 @@
 // (structural invariance), and builds of overlapping record sets share all
 // chunks outside the divergence region (recursive identity): the chunk
 // store's idempotent Put turns that sharing into physical deduplication.
+// Incremental updates go further: AddSubtree hands the builder a whole
+// untouched subtree of an earlier build as its index entry, which is what a
+// re-stream of its entries would have produced (see PosTree::ApplyKeyedOps).
 #ifndef FORKBASE_POSTREE_BUILDER_H_
 #define FORKBASE_POSTREE_BUILDER_H_
 
@@ -59,6 +62,24 @@ class TreeBuilder {
   /// Appends raw bytes to a kBlobLeaf tree (each byte is one entry).
   Status AddBytes(Slice bytes);
 
+  /// True iff no node is open at any level <= `level`: the next entry fed
+  /// at `level` would start a fresh node there.
+  bool AlignedThrough(size_t level) const;
+
+  /// Appends a whole existing subtree whose root sits at `level` (0 = leaf)
+  /// by feeding its index entry `e` straight into level+1; `e.count` adds
+  /// to entries_added(). Splitters reset at every node start, so streaming
+  /// the subtree's entries would rebuild exactly that node and push exactly
+  /// `e`; this skips the load, re-chunk and re-hash. Preconditions:
+  ///   * AlignedThrough(level) — otherwise the node's bytes would join an
+  ///     open node (checked; InvalidArgument);
+  ///   * `e` comes from a tree built with this builder's config;
+  ///   * the node is not the last of its level in that tree (its own
+  ///     splitter closed it), or it is the last, nothing follows it, and
+  ///     entries_added() > 0 (Finish closes it as before; into an empty
+  ///     builder the collapse rule might pick a descendant as the root).
+  Status AddSubtree(size_t level, const IndexEntry& e);
+
   /// Closes all open nodes and returns the root. The builder is then spent.
   StatusOr<TreeInfo> Finish();
 
@@ -72,7 +93,6 @@ class TreeBuilder {
     uint64_t buffer_entries = 0;  ///< entries in the open node
     std::string last_key;         ///< max key in the open node
     IndexEntry first_pending;     ///< first entry of the open node (collapse)
-    uint64_t nodes_closed = 0;
   };
 
   /// Closes the open node at `level`, stages its chunk for a batched write,
@@ -82,7 +102,8 @@ class TreeBuilder {
   /// the staging buffer fills and before Finish() returns, so every chunk a
   /// returned TreeInfo references is resident.
   Status FlushPending();
-  /// Feeds an index entry into level `level` (≥1).
+  /// Feeds an index entry into level `level` (≥1), creating it and any
+  /// missing level below it on demand.
   Status AddIndexEntry(size_t level, const IndexEntry& e);
   ChunkType TypeOfLevel(size_t level) const {
     return level == 0 ? leaf_type_ : ChunkType::kMeta;

@@ -25,15 +25,16 @@ AsyncChunkBatch StartFrontier(const ChunkStore* store,
 }
 
 // Consumes one frontier's read. Metas: children are appended to `next` for
-// the following round. Leaves: entries are appended to `out`. Only
-// differing paths ever reach this function, which is what bounds the loads
-// to O(D log N); the batch turns each round's loads into one store call
-// instead of one per node.
-Status ExpandFrontier(AsyncChunkBatch batch,
-                      std::vector<NodeRef>* next,
-                      std::vector<std::pair<std::string, std::string>>* out,
+// the following round. Leaves: the chunk is kept in `leaves` and its entries
+// are appended to `out` as views into it, so the merge-scan compares slices
+// and copies bytes only for real deltas. Only differing paths ever reach
+// this function, which is what bounds the loads to O(D log N); the batch
+// turns each round's loads into one store call instead of one per node.
+Status ExpandFrontier(AsyncChunkBatch batch, std::vector<NodeRef>* next,
+                      std::vector<Chunk>* leaves, std::vector<EntryView>* out,
                       DiffMetrics* metrics) {
   auto chunks = batch.Take();
+  std::vector<EntryView> entries;
   for (size_t i = 0; i < chunks.size(); ++i) {
     if (!chunks[i].ok()) return chunks[i].status();
     const Chunk& chunk = *chunks[i];
@@ -48,13 +49,11 @@ Status ExpandFrontier(AsyncChunkBatch batch,
       }
       continue;
     }
-    std::vector<EntryView> entries;
-    if (!ParseLeafEntries(chunk.type(), chunk.payload(), &entries)) {
+    leaves->push_back(chunk);
+    if (!ParseLeafEntries(chunk.type(), leaves->back().payload(), &entries)) {
       return Status::Corruption("malformed leaf payload");
     }
-    for (const auto& e : entries) {
-      out->emplace_back(e.key.ToString(), e.value.ToString());
-    }
+    out->insert(out->end(), entries.begin(), entries.end());
   }
   return Status::OK();
 }
@@ -129,7 +128,8 @@ StatusOr<std::vector<KeyDelta>> DiffKeyed(const PosTree& left,
 
   std::vector<NodeRef> la{{left.root(), std::string()}};
   std::vector<NodeRef> lb{{right.root(), std::string()}};
-  std::vector<std::pair<std::string, std::string>> ea, eb;
+  std::vector<Chunk> leaves;  // keeps the payloads behind ea/eb alive
+  std::vector<EntryView> ea, eb;
 
   // Descend level by level. Each round first prunes equal-hash pairs from
   // the two (level-aligned) frontiers WITHOUT loading them, then loads only
@@ -145,15 +145,15 @@ StatusOr<std::vector<KeyDelta>> DiffKeyed(const PosTree& left,
     if (expand_b) batch_b = StartFrontier(rs, lb);
     if (expand_a) {
       std::vector<NodeRef> na;
-      FB_RETURN_IF_ERROR(ExpandFrontier(std::move(batch_a), &na, &ea,
-                                        metrics));
+      FB_RETURN_IF_ERROR(
+          ExpandFrontier(std::move(batch_a), &na, &leaves, &ea, metrics));
       la = std::move(na);
       --da;
     }
     if (expand_b) {
       std::vector<NodeRef> nb;
-      FB_RETURN_IF_ERROR(ExpandFrontier(std::move(batch_b), &nb, &eb,
-                                        metrics));
+      FB_RETURN_IF_ERROR(
+          ExpandFrontier(std::move(batch_b), &nb, &leaves, &eb, metrics));
       lb = std::move(nb);
       --db;
     }
@@ -162,16 +162,18 @@ StatusOr<std::vector<KeyDelta>> DiffKeyed(const PosTree& left,
   size_t i = 0, j = 0;
   while (i < ea.size() || j < eb.size()) {
     if (metrics) ++metrics->entries_compared;
-    if (j == eb.size() ||
-        (i < ea.size() && ea[i].first < eb[j].first)) {
-      deltas.push_back(KeyDelta{ea[i].first, ea[i].second, std::nullopt});
+    if (j == eb.size() || (i < ea.size() && ea[i].key < eb[j].key)) {
+      deltas.push_back(
+          KeyDelta{ea[i].key.ToString(), ea[i].value.ToString(), std::nullopt});
       ++i;
-    } else if (i == ea.size() || eb[j].first < ea[i].first) {
-      deltas.push_back(KeyDelta{eb[j].first, std::nullopt, eb[j].second});
+    } else if (i == ea.size() || eb[j].key < ea[i].key) {
+      deltas.push_back(
+          KeyDelta{eb[j].key.ToString(), std::nullopt, eb[j].value.ToString()});
       ++j;
     } else {
-      if (ea[i].second != eb[j].second) {
-        deltas.push_back(KeyDelta{ea[i].first, ea[i].second, eb[j].second});
+      if (ea[i].value != eb[j].value) {
+        deltas.push_back(KeyDelta{ea[i].key.ToString(), ea[i].value.ToString(),
+                                  eb[j].value.ToString()});
       }
       ++i;
       ++j;

@@ -202,6 +202,127 @@ StatusOr<std::vector<std::pair<std::string, std::string>>> PosTree::Entries()
   return out;
 }
 
+namespace {
+
+// One incremental keyed update: a key-ordered walk of the old tree from its
+// root that hands every untouched subtree to the builder as its old index
+// entry (TreeBuilder::AddSubtree) and streams entries only through leaves
+// that hold an op, or that follow one until a new node boundary coincides
+// with an old one (the builder is aligned again). Child i of a node owns
+// the keys in (split key of child i-1, split key of child i]; the last child
+// of the rightmost node at each level also owns every key past the old
+// maximum, so appends land in (and re-stream) the rightmost leaf.
+class KeyedUpdate {
+ public:
+  KeyedUpdate(const ChunkStore* store, ChunkType leaf_type,
+              const std::vector<KeyedOp>& ops, TreeBuilder* builder)
+      : store_(store), leaf_type_(leaf_type), ops_(ops), builder_(builder) {}
+
+  Status Run(const Hash256& root) {
+    // The walk needs each node's level before visiting it, so first descend
+    // toward the first op to learn the height. The chunks on that path are
+    // the first ones the walk loads anyway; they are kept for it.
+    Hash256 id = root;
+    for (;;) {
+      FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(id));
+      path_.emplace_back(id, chunk);
+      if (chunk.type() != ChunkType::kMeta) break;
+      std::vector<IndexEntry> children;
+      if (!ParseIndexEntries(chunk.payload(), &children) || children.empty()) {
+        return Status::Corruption("malformed index node");
+      }
+      size_t i = 0;
+      while (!ops_.empty() && i + 1 < children.size() &&
+             Slice(children[i].key) < Slice(ops_[0].key)) {
+        ++i;
+      }
+      id = children[i].child;
+    }
+    return Visit(path_[0].second, path_.size() - 1, /*owns_tail=*/true);
+  }
+
+ private:
+  StatusOr<Chunk> Load(const Hash256& id) {
+    for (const auto& [path_id, chunk] : path_) {
+      if (path_id == id) return chunk;
+    }
+    return store_->Get(id);
+  }
+
+  Status Emit(const KeyedOp& op) {
+    if (!op.value.has_value()) return Status::OK();  // delete: drop the key
+    std::string entry = leaf_type_ == ChunkType::kMapLeaf
+                            ? EncodeMapEntry(op.key, *op.value)
+                            : EncodeSetEntry(op.key);
+    return builder_->AddEntry(entry, op.key);
+  }
+
+  // `node` sits at `level` (0 = leaf); `owns_tail` marks the rightmost node
+  // of its level in the old tree.
+  Status Visit(const Chunk& node, size_t level, bool owns_tail) {
+    if (level == 0) return VisitLeaf(node, owns_tail);
+    if (node.type() != ChunkType::kMeta) {
+      return Status::Corruption("leaf above the leaf level");
+    }
+    std::vector<IndexEntry> children;
+    if (!ParseIndexEntries(node.payload(), &children) || children.empty()) {
+      return Status::Corruption("malformed index node");
+    }
+    for (size_t i = 0; i < children.size(); ++i) {
+      const IndexEntry& child = children[i];
+      const bool tail = owns_tail && i + 1 == children.size();
+      const bool touched =
+          next_op_ < ops_.size() &&
+          (tail || Slice(ops_[next_op_].key) <= Slice(child.key));
+      // The old rightmost node was closed by Finish, not by its splitter;
+      // it is reusable only behind existing content, where Finish closes
+      // it the same way again (into an empty builder the collapse rule may
+      // instead pick one of its descendants as the root).
+      if (!touched && builder_->AlignedThrough(level - 1) &&
+          !(tail && builder_->entries_added() == 0)) {
+        FB_RETURN_IF_ERROR(builder_->AddSubtree(level - 1, child));
+        continue;
+      }
+      FB_ASSIGN_OR_RETURN(Chunk chunk, Load(child.child));
+      FB_RETURN_IF_ERROR(Visit(chunk, level - 1, tail));
+    }
+    return Status::OK();
+  }
+
+  Status VisitLeaf(const Chunk& leaf, bool owns_tail) {
+    if (leaf.type() != leaf_type_) {
+      return Status::Corruption("unexpected chunk type at the leaf level");
+    }
+    std::vector<EntryView> entries;
+    if (!ParseLeafEntries(leaf.type(), leaf.payload(), &entries)) {
+      return Status::Corruption("malformed leaf payload");
+    }
+    for (const EntryView& entry : entries) {
+      while (next_op_ < ops_.size() && Slice(ops_[next_op_].key) < entry.key) {
+        FB_RETURN_IF_ERROR(Emit(ops_[next_op_++]));
+      }
+      if (next_op_ < ops_.size() && Slice(ops_[next_op_].key) == entry.key) {
+        FB_RETURN_IF_ERROR(Emit(ops_[next_op_++]));  // replaces the entry
+      } else {
+        FB_RETURN_IF_ERROR(builder_->AddEntry(entry.raw, entry.key));
+      }
+    }
+    while (owns_tail && next_op_ < ops_.size()) {
+      FB_RETURN_IF_ERROR(Emit(ops_[next_op_++]));
+    }
+    return Status::OK();
+  }
+
+  const ChunkStore* store_;
+  ChunkType leaf_type_;
+  const std::vector<KeyedOp>& ops_;
+  TreeBuilder* builder_;
+  size_t next_op_ = 0;
+  std::vector<std::pair<Hash256, Chunk>> path_;  ///< root-to-leaf, see Run
+};
+
+}  // namespace
+
 StatusOr<TreeInfo> PosTree::ApplyKeyedOps(std::vector<KeyedOp> ops) const {
   if (leaf_type_ != ChunkType::kMapLeaf && leaf_type_ != ChunkType::kSetLeaf) {
     return Status::InvalidArgument("ApplyKeyedOps requires a keyed tree");
@@ -220,43 +341,8 @@ StatusOr<TreeInfo> PosTree::ApplyKeyedOps(std::vector<KeyedOp> ops) const {
   }
 
   TreeBuilder builder(const_cast<ChunkStore*>(store_), leaf_type_, config_);
-  auto emit = [&](Slice key, Slice value) -> Status {
-    std::string entry = leaf_type_ == ChunkType::kMapLeaf
-                            ? EncodeMapEntry(key, value)
-                            : EncodeSetEntry(key);
-    return builder.AddEntry(entry, key);
-  };
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
-  size_t op_index = 0;
-  while (!cursor.done()) {
-    const EntryView& entry = cursor.entry();
-    // Emit ops for keys strictly before the current entry.
-    while (op_index < unique_ops.size() &&
-           Slice(unique_ops[op_index].key) < entry.key) {
-      const KeyedOp& op = unique_ops[op_index++];
-      if (op.value.has_value()) {
-        FB_RETURN_IF_ERROR(emit(op.key, *op.value));
-      }
-      // delete of a non-existent key: no-op
-    }
-    if (op_index < unique_ops.size() &&
-        Slice(unique_ops[op_index].key) == entry.key) {
-      const KeyedOp& op = unique_ops[op_index++];
-      if (op.value.has_value()) {
-        FB_RETURN_IF_ERROR(emit(op.key, *op.value));
-      }
-      // deletion: skip the old entry
-    } else {
-      FB_RETURN_IF_ERROR(builder.AddEntry(entry.raw, entry.key));
-    }
-    FB_RETURN_IF_ERROR(cursor.Next());
-  }
-  while (op_index < unique_ops.size()) {
-    const KeyedOp& op = unique_ops[op_index++];
-    if (op.value.has_value()) {
-      FB_RETURN_IF_ERROR(emit(op.key, *op.value));
-    }
-  }
+  KeyedUpdate update(store_, leaf_type_, unique_ops, &builder);
+  FB_RETURN_IF_ERROR(update.Run(root_));
   return builder.Finish();
 }
 

@@ -86,10 +86,19 @@ class PosTree {
   /// Materializes all entries as (key, value) pairs (non-blob).
   StatusOr<std::vector<std::pair<std::string, std::string>>> Entries() const;
 
-  /// Applies sorted-agnostic keyed ops (they are sorted and deduped by key,
-  /// last-wins) producing a new tree. Unchanged regions share chunks.
+  /// Applies keyed ops given in any order (sorted and deduped by key, last
+  /// wins), producing a new tree bit-identical to a from-scratch BuildKeyed
+  /// of the result. Subtrees that hold no op are reused through their old
+  /// index entry — never loaded, re-chunked or re-hashed — so the cost is
+  /// O((changed leaves + resync) · height) chunk loads and writes, where
+  /// resync is the few leaves after an edit that are streamed until a new
+  /// node boundary meets an old one. The tree must have been built with
+  /// config(), or reused nodes would not match a rebuild.
   StatusOr<TreeInfo> ApplyKeyedOps(std::vector<KeyedOp> ops) const;
 
+  /// Positional splices still stream every entry of the old tree through a
+  /// fresh builder: O(N) per call, whatever the size of the edit.
+  ///
   /// Replaces `remove` elements at `start` with `inserts` (list trees).
   StatusOr<TreeInfo> SpliceElements(
       uint64_t start, uint64_t remove,

@@ -393,15 +393,23 @@ Status FTable::Validate() const {
   }
   FB_RETURN_IF_ERROR(rows_.Validate());
   const size_t ncols = columns_.size();
+  // DecodeRow's checks (ncols cells, no trailing bytes) on slices: only the
+  // key cell is compared, so no cell is copied.
   return rows_.ForEach([&](Slice key, Slice value) -> Status {
-    std::vector<std::string> cells;
-    if (!DecodeRow(value, ncols, &cells)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
+    Decoder dec(value);
+    Slice cell, key_cell;
+    bool well_formed = true;
+    for (size_t i = 0; i < ncols && well_formed; ++i) {
+      well_formed = dec.GetLengthPrefixed(&cell);
+      if (i == key_column_) key_cell = cell;
     }
-    if (cells[key_column_] != key.ToString()) {
-      return Status::Corruption("row key does not match primary-key cell");
+    if (well_formed && dec.AtEnd()) {
+      if (key_cell != key) {
+        return Status::Corruption("row key does not match primary-key cell");
+      }
+      return Status::OK();
     }
-    return Status::OK();
+    return Status::Corruption("malformed row for key " + key.ToString());
   });
 }
 

@@ -511,6 +511,30 @@ TEST(ServerTest, SessionCapShedsNewConnectionsGracefully) {
   (*server)->Stop();
 }
 
+TEST(ServerTest, SessionCapShedReplyAnswersEveryHello) {
+  // The shed reply answers the HELLO instead of racing it: were the session
+  // closed before its HELLO arrived, the client's write could fail and the
+  // connect would report an I/O error instead of the structured shed.
+  ForkBase db(std::make_shared<MemChunkStore>());
+  ForkBaseServer::Options options;
+  options.max_sessions = 1;
+  options.shed_retry_after_millis = 250;
+  auto server = ForkBaseServer::Start(&db, TestAddress("cap-loop"), options);
+  ASSERT_TRUE(server.ok());
+  auto first = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(first.ok());
+  constexpr int kAttempts = 200;
+  for (int i = 0; i < kAttempts; ++i) {
+    auto extra = ForkBaseClient::Connect((*server)->address());
+    ASSERT_FALSE(extra.ok()) << "attempt " << i;
+    ASSERT_EQ(extra.status().code(), StatusCode::kUnavailable)
+        << "attempt " << i << ": " << extra.status().ToString();
+  }
+  EXPECT_EQ((*server)->stats().sessions_shed, uint64_t{kAttempts});
+  EXPECT_TRUE(first->Put("k", "v", "master", "a", "m").ok());
+  (*server)->Stop();
+}
+
 TEST(ServerTest, IngressLimitedUploadCompletes) {
   ForkBase db(std::make_shared<MemChunkStore>());
   ForkBaseServer::Options options;

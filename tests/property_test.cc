@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "chunk/mem_chunk_store.h"
@@ -275,6 +276,287 @@ TEST(BlobSpliceFuzz, RandomSplicesMatchReferenceString) {
     ASSERT_EQ(out, reference) << "round " << round;
   }
   ASSERT_TRUE(tree.Validate().ok());
+}
+
+// ------------------------------------- Incremental keyed updates (O(height))
+
+// Small nodes: a few thousand entries already build trees of height 4+, with
+// subtrees reused at level >= 2 and single-child nodes on the right spine.
+TreeConfig SmallNodes() {
+  TreeConfig config;
+  config.leaf = SplitConfig{16, 6, 64, 512};
+  config.index = SplitConfig{16, 6, 64, 512};
+  return config;
+}
+
+using Model = std::map<std::string, std::string>;
+
+// An incremental update must be bit-identical to a from-scratch build of the
+// same records: same root, count and height, and a valid tree.
+void ExpectMatchesRebuild(ChunkStore* store, ChunkType type,
+                          const TreeConfig& config, const Model& model,
+                          const TreeInfo& info, const std::string& what) {
+  std::vector<std::pair<std::string, std::string>> kvs(model.begin(),
+                                                       model.end());
+  auto rebuilt = PosTree::BuildKeyed(store, type, kvs, config);
+  ASSERT_TRUE(rebuilt.ok()) << what;
+  EXPECT_EQ(info.root, rebuilt->root) << what;
+  EXPECT_EQ(info.count, rebuilt->count) << what;
+  EXPECT_EQ(info.height, rebuilt->height) << what;
+  EXPECT_TRUE(PosTree(store, type, info.root, config).Validate().ok()) << what;
+}
+
+// One random op batch over `model`, of one of several shapes: point edits,
+// bulk edits, appends past the max key, delete-to-empty, growth, shrink, and
+// deletion of a key prefix or suffix. Ops may repeat a key (last wins).
+std::vector<KeyedOp> RandomBatch(Rng& rng, const Model& model, bool is_set,
+                                 size_t key_len, uint64_t* append_seq) {
+  std::vector<std::string> keys;
+  keys.reserve(model.size());
+  for (const auto& [k, v] : model) keys.push_back(k);
+  auto value = [&]() -> std::string {
+    return is_set ? std::string() : rng.NextString(rng.Uniform(24));
+  };
+  auto present = [&]() { return keys[rng.Uniform(keys.size())]; };
+  auto fresh = [&]() { return rng.NextString(key_len); };
+  std::vector<KeyedOp> ops;
+  switch (rng.Uniform(7)) {
+    case 0:  // a few mixed point ops
+    case 1: {  // up to 2,000 mixed ops
+      const size_t n = rng.Uniform(2) ? 1 + rng.Uniform(20)
+                                      : 1 + rng.Uniform(2000);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t kind = rng.Uniform(4);
+        if (kind == 0 && !keys.empty()) {
+          ops.push_back({present(), value()});  // update
+        } else if (kind == 1 && !keys.empty()) {
+          ops.push_back({present(), std::nullopt});  // delete present
+        } else if (kind == 2) {
+          ops.push_back({fresh(), std::nullopt});  // delete (likely) absent
+        } else {
+          ops.push_back({fresh(), value()});  // insert
+        }
+      }
+      break;
+    }
+    case 2: {  // appends past the max key ('~' sorts after [a-z0-9])
+      const size_t n = 1 + rng.Uniform(rng.Uniform(2) ? 3 : 300);
+      for (size_t i = 0; i < n; ++i) {
+        ops.push_back({"~" + std::to_string(1000000 + (*append_seq)++),
+                       value()});
+      }
+      break;
+    }
+    case 3:  // delete to empty
+      for (const auto& k : keys) ops.push_back({k, std::nullopt});
+      break;
+    case 4: {  // growth
+      const size_t n = 1 + rng.Uniform(2000);
+      for (size_t i = 0; i < n; ++i) ops.push_back({fresh(), value()});
+      break;
+    }
+    case 5:  // shrink: drop ~90% of the keys
+      for (const auto& k : keys) {
+        if (rng.Uniform(10) != 0) ops.push_back({k, std::nullopt});
+      }
+      break;
+    default: {  // drop a key prefix or suffix, plus one edit beyond it
+      const size_t pivot = keys.empty() ? 0 : rng.Uniform(keys.size());
+      const bool prefix = rng.Uniform(2) == 0;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if ((i < pivot) == prefix) ops.push_back({keys[i], std::nullopt});
+      }
+      ops.push_back({fresh(), value()});
+      break;
+    }
+  }
+  if (ops.empty()) ops.push_back({fresh(), std::nullopt});
+  if (rng.Uniform(4) == 0) {  // the same key twice: the later op wins
+    ops.push_back({ops[rng.Uniform(ops.size())].key,
+                   rng.Uniform(2) ? std::optional<std::string>(value())
+                                  : std::nullopt});
+  }
+  return ops;
+}
+
+TEST(IncrementalUpdate, RandomBatchesMatchRebuild) {
+  // 16 chains x 13 batches = 208 cases over maps and sets, default and small
+  // nodes, short and long keys, starting sizes 0 to 30k.
+  constexpr int kChains = 16;
+  constexpr int kBatches = 13;
+  int cases = 0;
+  for (int chain = 0; chain < kChains; ++chain) {
+    Rng rng(9000 + chain);
+    const bool is_set = chain % 2 == 1;
+    const ChunkType type = is_set ? ChunkType::kSetLeaf : ChunkType::kMapLeaf;
+    const TreeConfig config =
+        chain % 4 < 2 ? TreeConfig::ForEntries() : SmallNodes();
+    // Long keys: few entries per node, so tall trees with many narrow index
+    // nodes. Kept under the index level's min_bytes, and with default nodes
+    // only: an index entry that alone passes min_bytes would close a node by
+    // itself at every level whenever its key holds a pattern.
+    const bool long_keys = chain % 8 == 5;
+    const size_t key_len = long_keys ? 200 : 8 + rng.Uniform(9);
+    static constexpr size_t kStartSizes[] = {0, 50, 2000, 30000};
+    size_t start = kStartSizes[chain / 4];
+    if (long_keys) start = std::min<size_t>(start, 2000);
+    if (start > 0) start = start / 2 + rng.Uniform(start / 2 + 1);
+
+    MemChunkStore store;
+    Model model;
+    while (model.size() < start) {
+      model[rng.NextString(key_len)] = is_set ? "" : rng.NextString(16);
+    }
+    std::vector<std::pair<std::string, std::string>> kvs(model.begin(),
+                                                         model.end());
+    auto built = PosTree::BuildKeyed(&store, type, kvs, config);
+    ASSERT_TRUE(built.ok());
+    PosTree tree(&store, type, built->root, config);
+    uint64_t append_seq = 0;
+    for (int batch = 0; batch < kBatches; ++batch) {
+      auto ops = RandomBatch(rng, model, is_set, key_len, &append_seq);
+      for (const auto& op : ops) {
+        if (op.value) {
+          model[op.key] = *op.value;
+        } else {
+          model.erase(op.key);
+        }
+      }
+      const std::string what = "chain " + std::to_string(chain) + " batch " +
+                               std::to_string(batch) + " (" +
+                               std::to_string(ops.size()) + " ops, " +
+                               std::to_string(model.size()) + " keys)";
+      auto info = tree.ApplyKeyedOps(std::move(ops));
+      ASSERT_TRUE(info.ok()) << what << ": " << info.status().ToString();
+      ExpectMatchesRebuild(&store, type, config, model, *info, what);
+      if (HasFailure()) return;
+      tree = PosTree(&store, type, info->root, config);
+      ++cases;
+    }
+  }
+  EXPECT_GE(cases, 200);
+}
+
+// Counts chunk loads, to pin the update's complexity.
+class CountingStore : public MemChunkStore {
+ public:
+  StatusOr<Chunk> Get(const Hash256& id) const override {
+    ++gets;
+    return MemChunkStore::Get(id);
+  }
+  mutable uint64_t gets = 0;
+};
+
+TEST(IncrementalUpdate, OneKeyUpdateCostsHeightNotSize) {
+  // A one-key update rewrites the edited root-to-leaf path (plus, rarely, a
+  // neighbour until node boundaries resynchronize) and loads about as many
+  // chunks. A full re-chunk of this tree would write ~1,300 nodes.
+  CountingStore store;
+  auto kvs = RandomKvs(100000, 5);
+  auto built = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+  ASSERT_TRUE(built.ok());
+  PosTree tree(&store, ChunkType::kMapLeaf, built->root);
+  ASSERT_GE(built->height, 3u);
+  Rng rng(6);
+  constexpr int kUpdates = 200;
+  // Edits move index split points, so the height can change between
+  // updates; the bound is against each update's own height.
+  uint64_t written = 0, heights = 0;
+  for (int i = 0; i < kUpdates; ++i) {
+    store.gets = 0;
+    auto info = tree.ApplyKeyedOps({KeyedOp{
+        kvs[rng.Uniform(kvs.size())].first, "v" + std::to_string(i)}});
+    ASSERT_TRUE(info.ok());
+    EXPECT_LE(store.gets, 3u * info->height) << "update " << i;
+    written += info->nodes_written;
+    heights += info->height;
+    tree = PosTree(&store, ChunkType::kMapLeaf, info->root);
+  }
+  EXPECT_LE(double(written) / kUpdates, double(heights) / kUpdates + 1.0);
+}
+
+TEST(IncrementalUpdate, ReuseAboveLevelOneDoesNotCollapseToNewLeaf) {
+  // Keep only the root's first child X (a level >= 2 subtree, reused whole)
+  // and add one key past the old maximum (a single new leaf). The new leaf's
+  // level-1 node holds one entry but is not the topmost level, so it must
+  // close; collapsing there would return the lone leaf as the root.
+  MemChunkStore store;
+  const TreeConfig config = SmallNodes();
+  Model model;
+  Rng rng(17);
+  while (model.size() < 3000) model[rng.NextString(12)] = rng.NextString(16);
+  std::vector<std::pair<std::string, std::string>> kvs(model.begin(),
+                                                       model.end());
+  auto built = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs, config);
+  ASSERT_TRUE(built.ok());
+  ASSERT_GE(built->height, 4u) << "X must sit at level >= 2";
+  auto root = store.Get(built->root);
+  ASSERT_TRUE(root.ok());
+  std::vector<IndexEntry> children;
+  ASSERT_TRUE(ParseIndexEntries(root->payload(), &children));
+  ASSERT_GE(children.size(), 2u);
+  const IndexEntry& x = children[0];
+
+  std::vector<KeyedOp> ops;
+  for (auto it = model.upper_bound(x.key); it != model.end();) {
+    ops.push_back({it->first, std::nullopt});
+    it = model.erase(it);
+  }
+  ops.push_back({"~past-the-max", std::string("v")});
+  model["~past-the-max"] = "v";
+
+  PosTree tree(&store, ChunkType::kMapLeaf, built->root, config);
+  auto info = tree.ApplyKeyedOps(std::move(ops));
+  ASSERT_TRUE(info.ok());
+  ExpectMatchesRebuild(&store, ChunkType::kMapLeaf, config, model, *info,
+                       "reuse X + one new leaf");
+  EXPECT_EQ(info->height, built->height);
+  EXPECT_EQ(info->count, x.count + 1);
+}
+
+TEST(IncrementalUpdate, SingleChildTailAloneRebuildsLikeScratch) {
+  // The old tree's last node on a level can have one child (Finish closed
+  // it). Delete every key before it and it is all that is left: a scratch
+  // build of its entries collapses that single-child level away, so the
+  // update must not hand the node over whole.
+  const TreeConfig config = SmallNodes();
+  int checked = 0;
+  for (uint64_t seed = 0; seed < 200 && checked < 5; ++seed) {
+    MemChunkStore store;
+    Model model;
+    Rng rng(seed);
+    const size_t n = 200 + rng.Uniform(3000);
+    while (model.size() < n) model[rng.NextString(10)] = rng.NextString(8);
+    std::vector<std::pair<std::string, std::string>> kvs(model.begin(),
+                                                         model.end());
+    auto built = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs, config);
+    ASSERT_TRUE(built.ok());
+    // Walk the right spine below the root for a one-child index node.
+    uint64_t tail_count = 0;
+    Hash256 id = built->root;
+    for (bool at_root = true; tail_count == 0; at_root = false) {
+      auto chunk = store.Get(id);
+      ASSERT_TRUE(chunk.ok());
+      if (chunk->type() != ChunkType::kMeta) break;
+      std::vector<IndexEntry> children;
+      ASSERT_TRUE(ParseIndexEntries(chunk->payload(), &children));
+      if (!at_root && children.size() == 1) tail_count = children[0].count;
+      id = children.back().child;
+    }
+    if (tail_count == 0) continue;
+    std::vector<KeyedOp> ops;
+    while (model.size() > tail_count) {
+      ops.push_back({model.begin()->first, std::nullopt});
+      model.erase(model.begin());
+    }
+    PosTree tree(&store, ChunkType::kMapLeaf, built->root, config);
+    auto info = tree.ApplyKeyedOps(std::move(ops));
+    ASSERT_TRUE(info.ok());
+    ExpectMatchesRebuild(&store, ChunkType::kMapLeaf, config, model, *info,
+                         "seed " + std::to_string(seed));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 5) << "too few trees with a one-child tail node";
 }
 
 }  // namespace

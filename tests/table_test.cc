@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "chunk/mem_chunk_store.h"
+#include "postree/tree.h"
 #include "types/table.h"
+#include "util/codec.h"
 #include "util/datagen.h"
 #include "util/random.h"
 
@@ -204,6 +206,41 @@ TEST(FTableTest, ValidateDetectsRowTampering) {
   ASSERT_TRUE(table.rows().tree().ReachableChunks(&chunks).ok());
   ASSERT_TRUE(store.TamperForTesting(chunks[chunks.size() / 2], 7, 0x02));
   EXPECT_FALSE(table.Validate().ok());
+}
+
+// Attaches a 2-column table (key column 0) whose row map holds `rows` as
+// stored, bypassing the encoder, so Validate sees exactly these bytes.
+FTable AttachRawRows(MemChunkStore* store,
+                     std::vector<std::pair<std::string, std::string>> rows) {
+  auto tree = PosTree::BuildKeyed(store, ChunkType::kMapLeaf, rows);
+  EXPECT_TRUE(tree.ok());
+  std::string header;
+  PutVarint64(&header, 2);
+  PutLengthPrefixed(&header, "id");
+  PutLengthPrefixed(&header, "name");
+  PutVarint64(&header, 0);
+  header.append(reinterpret_cast<const char*>(tree->root.bytes.data()), 32);
+  Chunk chunk = Chunk::Make(ChunkType::kTableMeta, header);
+  EXPECT_TRUE(store->Put(chunk).ok());
+  auto table = FTable::Attach(store, chunk.hash());
+  EXPECT_TRUE(table.ok());
+  return *table;
+}
+
+TEST(FTableTest, ValidateChecksEveryRowAgainstTheSchema) {
+  MemChunkStore store;
+  const std::string good = FTable::EncodeRow({"r1", "x"});
+  EXPECT_TRUE(AttachRawRows(&store, {{"r1", good}}).Validate().ok());
+  // One cell short of the schema.
+  EXPECT_FALSE(AttachRawRows(&store, {{"r1", FTable::EncodeRow({"r1"})}})
+                   .Validate()
+                   .ok());
+  // Bytes past the last cell.
+  EXPECT_FALSE(AttachRawRows(&store, {{"r1", good + "z"}}).Validate().ok());
+  // Key cell differs from the row key.
+  EXPECT_FALSE(AttachRawRows(&store, {{"r1", FTable::EncodeRow({"r2", "x"})}})
+                   .Validate()
+                   .ok());
 }
 
 TEST(FTableTest, RowCodecRejectsMalformed) {
