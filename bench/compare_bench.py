@@ -10,7 +10,8 @@ bench/baseline.json in two ways:
    more than --threshold percent below the baseline ratio, and must stay
    above the pair's hard floor where one is set (the PR acceptance
    criteria: async scans >= 1.5x sync on a latency-bound store, grouped
-   4-thread commits >= 1x the 4 independent scalar commits). Ratios are
+   4-thread commits >= 1x the 4 independent scalar commits, a lone
+   grouped commit >= 0.9x a scalar one). Ratios are
    machine-independent, so this gate is meaningful on any runner.
 
 2. ABSOLUTE DRIFT (warns by default, fails with --strict): per-benchmark
@@ -67,8 +68,15 @@ TRACKED_PAIRS = [
     # floor only, no baseline comparison.
     ("BM_MapScanTieredEvicting/real_time",
      "BM_MapScanTieredColdSync/real_time", 0.5, False),
+    # Group-commit criteria: ForkBase::Put (the one commit path) against a
+    # bench-local scalar FNode write + head set. Four racing writers must
+    # share syncs at least as well as four independent scalar commits; a
+    # lone writer leads a group of one and must keep >= 0.9x the scalar
+    # reference (no handoff to a drain thread).
     ("CommitBench/FNodeCommit/1/real_time/threads:4",
      "CommitBench/FNodeCommit/0/real_time/threads:4", 1.0, False),
+    ("CommitBench/FNodeCommit/1/real_time/threads:1",
+     "CommitBench/FNodeCommit/0/real_time/threads:1", 0.9, False),
     # Sync-subsystem criterion: after negotiation a steady-state push
     # exports only the delta past the receiver's frontier, which must stay
     # well ahead of re-exporting the head's whole closure. Both sides are

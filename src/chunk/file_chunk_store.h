@@ -101,8 +101,8 @@ class FileChunkStore : public ChunkStore {
     /// synchronous semantics, which is also faster on page-cache-warm
     /// data) makes GetManyAsync fall back to the inline path and
     /// SupportsAsyncGet() false, so pipelined readers never speculate.
-    /// ForkBase::OpenPersistent turns prefetch on for the production
-    /// stack, where cold reads have latency worth hiding.
+    /// ForkBase::Open turns prefetch on for the production stack, where
+    /// cold reads have latency worth hiding.
     uint32_t prefetch_threads = 0;
     /// fsync the segment after every flushed append run. Upgrades Put's
     /// durability from crash-safe (survives the process dying) to

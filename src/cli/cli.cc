@@ -136,8 +136,6 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
             "unbounded hot tier)");
       }
       ctx->config.tier.hot_bytes_budget = n << 20;
-    } else if (a == "--group-commit") {
-      ctx->config.commit.group_commit = true;
     } else if (a == "--fsync") {
       ctx->config.fsync = true;
     } else if (a == "--maintenance-threads") {
@@ -755,7 +753,7 @@ std::string CliUsage() {
   return
       "forkbase_cli [--db DIR] [--branch B] [--author A] [-m MSG]\n"
       "             [--prefetch-threads N] [--prefetch-depth N]\n"
-      "             [--cache-mb N] [--group-commit] [--fsync]\n"
+      "             [--cache-mb N] [--fsync]\n"
       "             [--maintenance-threads N] [--segment-kb N]\n"
       "             [--tier-cold DIR] [--tier-policy write-through|write-back]\n"
       "             [--tier-hot-budget-mb N]\n"
@@ -812,11 +810,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   if (ctx.positional.empty() || ctx.positional[0] == "help") {
     out << CliUsage();
     return 0;
-  }
-  if (ctx.positional[0] == "serve") {
-    // Concurrent sessions committing to one branch need the queue's
-    // linearized head chaining, not compare-and-fail.
-    ctx.config.commit.group_commit = true;
   }
   auto db_or = ForkBase::Open(ctx.db_dir, ctx.config);
   if (!db_or.ok()) {

@@ -10,9 +10,9 @@
 // synchronous, so pipelined bytes just wait in the parser) and resumes when
 // the worker posts the reply. Writes ride the existing store/commit-queue
 // stack: reads go straight to ForkBase's const surface, commits go through
-// Put/PutIf and therefore through the group-commit queue when the instance
-// has one — N sessions committing to one branch get the queue's linear
-// chaining, not last-writer-wins.
+// Put/PutIf and therefore through the group-commit queue — N sessions
+// committing to one branch get the queue's linear chaining, not
+// last-writer-wins.
 //
 // Sync verbs (kHeads/kOffer/kBundle*/kUpdateHead/kPullDelta) make the same
 // server the replication peer: see net/sync.h for the client half.

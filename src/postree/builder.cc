@@ -20,7 +20,12 @@ Status TreeBuilder::AddIndexEntry(size_t level, const IndexEntry& e) {
   lv.last_key = e.key;
   if (lv.buffer_entries == 0) lv.first_pending = e;
   ++lv.buffer_entries;
-  if (lv.splitter->AddEntry(bytes)) {
+  // A lone entry never closes an index node. An entry that reaches the
+  // split bounds by itself (a key of ~220+ bytes) would otherwise close a
+  // one-entry node at every level, each pushing one entry into a new level
+  // above, without end. Short-key entries never reach the bounds alone, so
+  // their trees are unaffected.
+  if (lv.splitter->AddEntry(bytes) && lv.buffer_entries > 1) {
     return CloseNode(level);
   }
   return Status::OK();

@@ -1,38 +1,30 @@
 #include "store/commit_queue.h"
 
-#include <map>
+#include <algorithm>
 #include <utility>
 
 #include "store/fnode.h"
 
 namespace forkbase {
 
-CommitQueue::CommitQueue(ChunkStore* store, BranchTable* branches,
-                         std::atomic<uint64_t>* clock,
-                         std::atomic<uint64_t>* commits, size_t max_batch)
-    : store_(store),
-      branches_(branches),
-      clock_(clock),
-      commits_(commits),
-      max_batch_(max_batch == 0 ? 1 : max_batch) {}
-
-CommitQueue::~CommitQueue() { pool_.Shutdown(); }
+CommitQueue::CommitQueue(ChunkStore* store, BranchTable* branches)
+    : store_(store), branches_(branches) {}
 
 StatusOr<Hash256> CommitQueue::Commit(Request req) {
-  auto entry = std::make_unique<Entry>();
-  entry->req = std::move(req);
-  return Enqueue(std::move(entry));
+  Entry entry;
+  entry.req = std::move(req);
+  return Enqueue(&entry);
 }
 
 StatusOr<Hash256> CommitQueue::AdvanceHead(const std::string& key,
                                            const std::string& branch,
                                            const Hash256& expected,
                                            const Hash256& target) {
-  auto entry = std::make_unique<Entry>();
-  entry->req.key = key;
-  entry->req.branch = branch;
-  entry->advance = std::make_pair(expected, target);
-  return Enqueue(std::move(entry));
+  Entry entry;
+  entry.req.key = key;
+  entry.req.branch = branch;
+  entry.advance = std::make_pair(expected, target);
+  return Enqueue(&entry);
 }
 
 CommitQueue::Stats CommitQueue::stats() const {
@@ -43,125 +35,114 @@ CommitQueue::Stats CommitQueue::stats() const {
   return s;
 }
 
-StatusOr<Hash256> CommitQueue::Enqueue(std::unique_ptr<Entry> entry) {
-  std::future<StatusOr<Hash256>> done = entry->done.get_future();
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(entry));
-    if (!drain_scheduled_) {
-      drain_scheduled_ = true;
-      schedule = true;
-    }
+StatusOr<Hash256> CommitQueue::Enqueue(Entry* entry) {
+  std::unique_lock<std::mutex> lock(mu_);
+  queue_.push_back(entry);
+  if (leader_active_) {
+    entry->cv.wait(lock, [entry] { return entry->done || entry->leader; });
+    if (entry->done) return std::move(*entry->result);
+  } else {
+    leader_active_ = true;
   }
-  if (schedule) pool_.Submit([this] { Drain(); });
-  return done.get();
+  // Leader. The queue front is this entry: a fresh leader found the queue
+  // empty, and a retiring leader hands off to the front.
+  const size_t n = std::min(queue_.size(), kMaxBatch);
+  std::vector<Entry*> batch(queue_.begin(), queue_.begin() + n);
+  queue_.erase(queue_.begin(), queue_.begin() + n);
+  lock.unlock();
+
+  Drain(batch);
+
+  lock.lock();
+  for (Entry* member : batch) {
+    member->done = true;
+    // Notified under mu_: the follower cannot return (and destroy its
+    // entry) before the notify completes.
+    if (member != entry) member->cv.notify_one();
+  }
+  if (queue_.empty()) {
+    leader_active_ = false;
+  } else {
+    queue_.front()->leader = true;
+    queue_.front()->cv.notify_one();
+  }
+  return std::move(*entry->result);
 }
 
-void CommitQueue::Drain() {
-  for (;;) {
-    std::vector<std::unique_ptr<Entry>> batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (queue_.empty()) {
-        // The empty-check and the flag reset share one critical section
-        // with Commit's enqueue+check, so a request can never slip between
-        // "drain gave up" and "no drain scheduled".
-        drain_scheduled_ = false;
-        return;
-      }
-      const size_t n = std::min(queue_.size(), max_batch_);
-      batch.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+void CommitQueue::Drain(const std::vector<Entry*>& batch) {
+  // Build the group's FNodes in enqueue order. Heads committed earlier in
+  // this batch are visible to later requests through `uids` (the newest
+  // landed entry of the same key and branch wins), even though nothing is
+  // published to the branch table yet.
+  std::vector<std::optional<Hash256>> uids(batch.size());  // nullopt=raced
+  auto head_at_drain = [&](size_t i) -> std::optional<Hash256> {
+    const Request& req = batch[i]->req;
+    while (i-- > 0) {
+      if (uids[i] && batch[i]->req.key == req.key &&
+          batch[i]->req.branch == req.branch) {
+        return uids[i];
       }
     }
+    auto head = branches_->Head(req.key, req.branch);
+    if (head.ok()) return *head;
+    return std::nullopt;
+  };
 
-    // Build the group's FNodes in enqueue order. Heads committed earlier in
-    // this batch are visible to later requests through `pending_heads`,
-    // even though nothing is published to the branch table yet.
-    std::map<std::pair<std::string, std::string>, Hash256> pending_heads;
-    auto head_at_drain =
-        [&](const std::string& key,
-            const std::string& branch) -> std::optional<Hash256> {
-      auto pending = pending_heads.find({key, branch});
-      if (pending != pending_heads.end()) return pending->second;
-      auto head = branches_->Head(key, branch);
-      if (head.ok()) return *head;
-      return std::nullopt;
-    };
-
-    std::vector<Chunk> chunks;          // commit entries only
-    std::vector<std::optional<Hash256>> uids(batch.size());  // nullopt=raced
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Request& req = batch[i]->req;
-      if (batch[i]->advance) {
-        // Compare-and-advance: only valid if the head (including earlier
-        // entries of this very batch) is still where the caller saw it.
-        const auto& [expected, target] = *batch[i]->advance;
-        auto current = head_at_drain(req.key, req.branch);
-        if (current && *current == expected) {
-          uids[i] = target;
-          pending_heads[{req.key, req.branch}] = target;
-        }
-        continue;
-      }
-      if (req.expected_head) {
-        auto current = head_at_drain(req.key, req.branch);
-        if (!current || *current != *req.expected_head) {
-          continue;  // raced: uids[i] stays empty, no chunk is written
-        }
-      }
-      FNode node;
-      node.key = req.key;
-      node.value = req.value;
-      if (req.bases) {
-        node.bases = *req.bases;
-      } else if (auto head = head_at_drain(req.key, req.branch)) {
-        node.bases.push_back(*head);
-      }
-      node.author = req.author;
-      node.message = req.message;
-      node.logical_time = clock_->fetch_add(1) + 1;
-      Chunk chunk = node.ToChunk();
-      uids[i] = chunk.hash();
-      pending_heads[{req.key, req.branch}] = chunk.hash();
-      chunks.push_back(std::move(chunk));
+  std::vector<Chunk> chunks;  // commit entries only
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Request& req = batch[i]->req;
+    if (batch[i]->advance) {
+      // Compare-and-advance: only valid if the head (including earlier
+      // entries of this very batch) is still where the caller saw it.
+      const auto& [expected, target] = *batch[i]->advance;
+      auto current = head_at_drain(i);
+      if (current && *current == expected) uids[i] = target;
+      continue;
     }
-
-    // One record run, one flush for the whole group.
-    Status landed = store_->PutMany(chunks);
-    if (landed.ok()) {
-      landed_batches_.fetch_add(1);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!uids[i]) continue;  // raced advance: no head change
-        branches_->SetHead(batch[i]->req.key, batch[i]->req.branch,
-                           *uids[i]);
-        if (batch[i]->advance) {
-          landed_advances_.fetch_add(1);
-        } else {
-          commits_->fetch_add(1);
-          landed_commits_.fetch_add(1);
-        }
-      }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (uids[i]) {
-          batch[i]->done.set_value(*uids[i]);
-        } else {
-          batch[i]->done.set_value(Status::AlreadyExists(
-              "head moved past the expected version; recompute and retry"));
-        }
-      }
-    } else {
-      // No head moved: every follower sees the same failure and no reader
-      // can observe a head whose FNode may not be on disk. Advances fail
-      // too — applying them ahead of failed commits would reorder
-      // publishes relative to enqueue order.
-      for (auto& entry : batch) {
-        entry->done.set_value(landed);
+    if (req.expected_head) {
+      auto current = head_at_drain(i);
+      if (!current || *current != *req.expected_head) {
+        continue;  // raced: uids[i] stays empty, no chunk is written
       }
     }
+    // The request is spent once its FNode is built; only key and branch
+    // are read again (to publish the head).
+    FNode node;
+    node.key = req.key;
+    node.value = std::move(req.value);
+    if (req.bases) {
+      node.bases = std::move(*req.bases);
+    } else if (auto head = head_at_drain(i)) {
+      node.bases.push_back(*head);
+    }
+    node.author = std::move(req.author);
+    node.message = std::move(req.message);
+    node.logical_time = ++clock_;
+    Chunk chunk = node.ToChunk();
+    uids[i] = chunk.hash();
+    chunks.push_back(std::move(chunk));
+  }
+
+  // One record run, one flush for the whole group.
+  Status landed = store_->PutMany(chunks);
+  if (!landed.ok()) {
+    // No head moved: every follower sees the same failure and no reader
+    // can observe a head whose FNode may not be on disk. Advances fail
+    // too — applying them ahead of failed commits would reorder publishes
+    // relative to enqueue order.
+    for (Entry* entry : batch) entry->result = landed;
+    return;
+  }
+  landed_batches_.fetch_add(1);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!uids[i]) {
+      batch[i]->result = Status::AlreadyExists(
+          "head moved past the expected version; recompute and retry");
+      continue;
+    }
+    branches_->SetHead(batch[i]->req.key, batch[i]->req.branch, *uids[i]);
+    (batch[i]->advance ? landed_advances_ : landed_commits_).fetch_add(1);
+    batch[i]->result = *uids[i];
   }
 }
 

@@ -1,29 +1,32 @@
-// Group-commit queue — the write half of the async I/O pipeline.
+// Group-commit queue — the one write path of every ForkBase.
 //
-// Concurrent ForkBase::Commit calls enqueue a commit request and block on a
-// future; a single drain task (on a one-thread WorkerPool, the same
-// primitive the read prefetcher uses) pops everything queued, builds the
-// FNode chunks in enqueue order, lands them with ONE ChunkStore::PutMany —
-// on FileChunkStore that is one record run, one fwrite and one flush for
-// the whole group — then publishes the branch heads in the same order and
-// wakes every follower with its version uid.
+// Leader/follower group commit in the style of RocksDB's WriteThread: a
+// ForkBase::Commit call enqueues its request; the caller that finds no
+// active leader becomes the leader, takes the group queued at that moment
+// (up to kMaxBatch entries, its own first), and drains it on its own
+// thread: builds the FNode chunks in enqueue order, lands them with ONE
+// ChunkStore::PutMany — on FileChunkStore that is one record run, one
+// fwrite and one flush for the whole group — then publishes the branch
+// heads in the same order, wakes every follower of the group with its
+// result, and hands leadership to the oldest waiting entry. Callers that
+// arrive while a leader is draining wait and land together in the next
+// group. A lone writer leads a group of one and never waits; the queue
+// owns no thread.
 //
-// Two semantic consequences, both strictly stronger than the scalar path:
+// Two semantic consequences:
 //   * same-branch chaining: a Put enqueued without explicit bases resolves
 //     its parent at drain time, against heads that include earlier commits
-//     of the same drain — so N racing Puts to one branch form a chain of N
+//     of the same group — so N racing Puts to one branch form a chain of N
 //     versions instead of racing read-modify-write and losing updates;
 //   * durability order: heads are published only after PutMany returned,
 //     and PutMany flushes before returning, so a crash never leaves a head
-//     pointing at an unwritten FNode (same contract as the scalar path,
-//     at one flush per group instead of per commit).
+//     pointing at an unwritten FNode, at one flush per group.
 #ifndef FORKBASE_STORE_COMMIT_QUEUE_H_
 #define FORKBASE_STORE_COMMIT_QUEUE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -32,7 +35,6 @@
 #include "chunk/chunk_store.h"
 #include "store/branch_table.h"
 #include "types/value.h"
-#include "util/worker_pool.h"
 
 namespace forkbase {
 
@@ -47,24 +49,25 @@ class CommitQueue {
     std::optional<std::vector<Hash256>> bases;
     /// Precondition for explicit-bases commits: only land if the branch
     /// head at drain time still equals this (Merge's dst head — the value
-    /// it merged against). On mismatch the entry fails with
-    /// kAlreadyExists and the caller recomputes, so a merge can never
-    /// orphan a commit that landed after its head read.
+    /// it merged against — or PutIf's expected head). On mismatch the
+    /// entry fails with kAlreadyExists and the caller recomputes, so a
+    /// merge can never orphan a commit that landed after its head read.
     std::optional<Hash256> expected_head;
     std::string branch;
     std::string author;
     std::string message;
   };
 
-  /// All pointers are borrowed from the owning ForkBase and must outlive
-  /// the queue. `max_batch` caps the FNode run landed per PutMany.
-  CommitQueue(ChunkStore* store, BranchTable* branches,
-              std::atomic<uint64_t>* clock, std::atomic<uint64_t>* commits,
-              size_t max_batch);
-  ~CommitQueue();  // drains everything already enqueued, then joins
+  /// Max entries (FNodes plus head advances) landed per group.
+  static constexpr size_t kMaxBatch = 128;
+
+  /// Both pointers are borrowed from the owning ForkBase and must outlive
+  /// the queue.
+  CommitQueue(ChunkStore* store, BranchTable* branches);
 
   /// Enqueues and blocks until the group containing this request is
-  /// durably written and its head published. Returns the version uid.
+  /// durably written and its head published — leading that group when no
+  /// other caller is. Returns the version uid.
   StatusOr<Hash256> Commit(Request req);
 
   /// Queue-ordered compare-and-advance of a branch head: publishes
@@ -87,36 +90,38 @@ class CommitQueue {
   Stats stats() const;
 
  private:
+  /// Lives on its caller's stack for the duration of Enqueue.
   struct Entry {
     Request req;
     /// Set for AdvanceHead entries: (expected, target). Such entries
     /// write no chunk; they only participate in head-publish ordering.
     std::optional<std::pair<Hash256, Hash256>> advance;
-    std::promise<StatusOr<Hash256>> done;
+    /// Written by the group's leader before it sets `done`.
+    std::optional<StatusOr<Hash256>> result;
+    bool done = false;    ///< guarded by mu_: the group landed (or failed)
+    bool leader = false;  ///< guarded by mu_: leadership was handed here
+    std::condition_variable cv;
   };
 
-  StatusOr<Hash256> Enqueue(std::unique_ptr<Entry> entry);
+  StatusOr<Hash256> Enqueue(Entry* entry);
 
-  /// Runs on the pool thread; loops until the queue is observed empty.
-  void Drain();
+  /// Lands one group and fills every entry's `result`. Runs on the
+  /// leader's thread, outside mu_; only one drain runs at a time.
+  void Drain(const std::vector<Entry*>& batch);
 
   ChunkStore* const store_;
   BranchTable* const branches_;
-  std::atomic<uint64_t>* const clock_;
-  std::atomic<uint64_t>* const commits_;
-  const size_t max_batch_;
+  /// Logical commit clock. Only the current leader touches it; the
+  /// leadership handoff under mu_ orders successive drains.
+  uint64_t clock_ = 0;
 
   std::mutex mu_;
-  std::deque<std::unique_ptr<Entry>> queue_;
-  bool drain_scheduled_ = false;
+  std::deque<Entry*> queue_;
+  bool leader_active_ = false;
 
   std::atomic<uint64_t> landed_commits_{0};
   std::atomic<uint64_t> landed_batches_{0};
   std::atomic<uint64_t> landed_advances_{0};
-
-  // Last member: its destructor runs first and executes any scheduled
-  // drain before the queue state above can be torn down.
-  WorkerPool pool_{1};
 };
 
 }  // namespace forkbase

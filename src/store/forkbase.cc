@@ -8,7 +8,6 @@
 #include "chunk/caching_chunk_store.h"
 #include "chunk/file_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
-#include "store/commit_queue.h"
 #include "store/gc.h"
 #include "store/merge_engine.h"
 
@@ -40,17 +39,8 @@ Status PinReachableForSweep(ChunkStore* store, const Hash256& target) {
 
 }  // namespace
 
-ForkBase::ForkBase(std::shared_ptr<ChunkStore> store)
-    : ForkBase(std::move(store), Options{}) {}
-
-ForkBase::ForkBase(std::shared_ptr<ChunkStore> store, const Options& options)
-    : store_(std::move(store)) {
-  if (options.group_commit) {
-    commit_queue_ = std::make_unique<CommitQueue>(
-        store_.get(), &branch_table_, &clock_, &commits_,
-        options.group_commit_max_batch);
-  }
-}
+ForkBase::ForkBase(std::shared_ptr<ChunkStore> store, const Config::Commit&)
+    : store_(std::move(store)) {}
 
 ForkBase::~ForkBase() = default;
 
@@ -127,7 +117,7 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
   auto cache = std::make_shared<CachingChunkStore>(std::move(backing),
                                                    config.cache_bytes);
   CachingChunkStore* cache_raw = cache.get();
-  auto db = std::make_unique<ForkBase>(std::move(cache), config.commit);
+  auto db = std::make_unique<ForkBase>(std::move(cache));
   db->tiered_store_ = std::move(tiered);
   db->cache_store_ = cache_raw;
   db->hot_file_store_ = hot_raw;
@@ -136,62 +126,20 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
   return db;
 }
 
-ForkBase::Config ForkBase::OpenOptions::ToConfig() const {
-  Config config;
-  config.cache_bytes = cache_bytes;
-  config.prefetch_threads = prefetch_threads;
-  config.fsync = fsync;
-  config.tier.cold_dir = tier_cold_dir;
-  config.tier.write_back = tier_write_back;
-  config.tier.hot_bytes_budget = hot_bytes_budget;
-  config.commit = options;
-  return config;
-}
-
-StatusOr<std::unique_ptr<ForkBase>> ForkBase::OpenPersistent(
-    const std::string& dir, size_t cache_bytes) {
-  Config config;
-  config.cache_bytes = cache_bytes;
-  return Open(dir, config);
-}
-
-StatusOr<std::unique_ptr<ForkBase>> ForkBase::OpenPersistent(
-    const std::string& dir, const OpenOptions& open_options) {
-  return Open(dir, open_options.ToConfig());
-}
-
 StatusOr<Hash256> ForkBase::Commit(const std::string& key, const Value& value,
                                    std::optional<std::vector<Hash256>> bases,
                                    const std::string& branch,
                                    const PutMeta& meta,
                                    std::optional<Hash256> expected_head) {
-  if (commit_queue_) {
-    CommitQueue::Request req;
-    req.key = key;
-    req.value = value;
-    req.bases = std::move(bases);
-    req.expected_head = expected_head;
-    req.branch = branch;
-    req.author = meta.author;
-    req.message = meta.message;
-    return commit_queue_->Commit(std::move(req));
-  }
-  FNode node;
-  node.key = key;
-  node.value = value;
-  if (bases) {
-    node.bases = std::move(*bases);
-  } else {
-    auto head = branch_table_.Head(key, branch);
-    if (head.ok()) node.bases.push_back(*head);
-  }
-  node.author = meta.author;
-  node.message = meta.message;
-  node.logical_time = clock_.fetch_add(1) + 1;
-  FB_ASSIGN_OR_RETURN(Hash256 uid, node.Write(store_.get()));
-  branch_table_.SetHead(key, branch, uid);
-  commits_.fetch_add(1);
-  return uid;
+  CommitQueue::Request req;
+  req.key = key;
+  req.value = value;
+  req.bases = std::move(bases);
+  req.expected_head = expected_head;
+  req.branch = branch;
+  req.author = meta.author;
+  req.message = meta.message;
+  return commit_queue_.Commit(std::move(req));
 }
 
 StatusOr<Hash256> ForkBase::Put(const std::string& key, const Value& value,
@@ -215,15 +163,6 @@ StatusOr<Hash256> ForkBase::PutIf(const std::string& key, const Value& value,
                                   const PutMeta& meta) {
   auto lease = AcquireWriteLease();
   if (key.empty()) return Status::InvalidArgument("empty key");
-  if (!commit_queue_) {
-    // Scalar path: single-writer semantics, so checking before the write
-    // is exact (no drain can interleave).
-    auto head = branch_table_.Head(key, branch);
-    if (!head.ok() || *head != expected_head) {
-      return Status::AlreadyExists(
-          "head moved past the expected version; recompute and retry");
-    }
-  }
   return Commit(key, value, std::vector<Hash256>{expected_head}, branch, meta,
                 expected_head);
 }
@@ -240,23 +179,7 @@ StatusOr<Hash256> ForkBase::AdvanceHead(const std::string& key,
   if (gc_sweep_active()) {
     FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), target));
   }
-  return AdvanceHeadLeased(key, branch, expected, target);
-}
-
-StatusOr<Hash256> ForkBase::AdvanceHeadLeased(const std::string& key,
-                                              const std::string& branch,
-                                              const Hash256& expected,
-                                              const Hash256& target) {
-  if (commit_queue_) {
-    return commit_queue_->AdvanceHead(key, branch, expected, target);
-  }
-  auto head = branch_table_.Head(key, branch);
-  if (!head.ok() || *head != expected) {
-    return Status::AlreadyExists(
-        "head moved past the expected version; recompute and retry");
-  }
-  branch_table_.SetHead(key, branch, target);
-  return target;
+  return commit_queue_.AdvanceHead(key, branch, expected, target);
 }
 
 StatusOr<Hash256> ForkBase::PutBlob(const std::string& key, Slice bytes,
@@ -619,10 +542,11 @@ StatusOr<Hash256> ForkBase::Merge(const std::string& key,
                                   const std::string& dst_branch,
                                   const std::string& src_branch,
                                   MergePolicy policy, const PutMeta& meta) {
-  // With group commit, a fast-forward is a queue-ordered compare-and-
-  // advance; when it loses a race against a commit in the drain, the whole
-  // merge is recomputed against the new head. Bounded retries: contention
-  // this sustained means the caller should be merging less eagerly.
+  // A fast-forward is a queue-ordered compare-and-advance and a merge
+  // commit carries its dst head as the expected head; when either loses a
+  // race against a commit in the drain, the whole merge is recomputed
+  // against the new head. Bounded retries: contention this sustained means
+  // the caller should be merging less eagerly.
   auto lease = AcquireWriteLease();
   constexpr int kMaxRaceRetries = 16;
   for (int attempt = 0; attempt < kMaxRaceRetries; ++attempt) {
@@ -633,9 +557,10 @@ StatusOr<Hash256> ForkBase::Merge(const std::string& key,
     FB_ASSIGN_OR_RETURN(Hash256 base_uid, CommonAncestor(dst_head, src_head));
     if (base_uid == src_head) return dst_head;  // src already in dst history
     if (base_uid == dst_head) {
-      // Fast-forward: dst is an ancestor of src. AdvanceHead is queue-
-      // ordered under group commit and a plain compare-and-set otherwise.
-      auto advanced = AdvanceHeadLeased(key, dst_branch, dst_head, src_head);
+      // Fast-forward: dst is an ancestor of src. The target is src's live
+      // head, so unlike the public AdvanceHead it needs no sweep pin.
+      auto advanced =
+          commit_queue_.AdvanceHead(key, dst_branch, dst_head, src_head);
       if (advanced.ok()) return *advanced;
       if (advanced.status().code() != StatusCode::kAlreadyExists) {
         return advanced.status();
@@ -654,10 +579,8 @@ StatusOr<Hash256> ForkBase::Merge(const std::string& key,
     }
     auto committed = Commit(key, merged,
                             std::vector<Hash256>{dst_head, src_head},
-                            dst_branch, merge_meta,
-                            commit_queue_ ? std::optional<Hash256>(dst_head)
-                                          : std::nullopt);
-    if (commit_queue_ && !committed.ok() &&
+                            dst_branch, merge_meta, dst_head);
+    if (!committed.ok() &&
         committed.status().code() == StatusCode::kAlreadyExists) {
       continue;  // a commit landed after our head read: remerge against it
     }
@@ -775,7 +698,8 @@ ForkBaseStats ForkBase::Stat() const {
   for (const auto& key : keys) {
     stats.branches += branch_table_.Branches(key).size();
   }
-  stats.commits = commits_.load();
+  stats.commit_queue = commit_queue_.stats();
+  stats.commits = stats.commit_queue.commits;
   stats.gc_sweeps = gc_sweeps_.load();
   stats.gc_swept_chunks = gc_swept_chunks_.load();
   stats.gc_swept_bytes = gc_swept_bytes_.load();
@@ -787,14 +711,6 @@ ForkBaseStats ForkBase::Stat() const {
     cache.evictions = cs.evictions;
     cache.resident_bytes = cs.resident_bytes;
     stats.cache = cache;
-  }
-  if (commit_queue_) {
-    auto qs = commit_queue_->stats();
-    ForkBaseStats::CommitQueueCounters queue;
-    queue.commits = qs.commits;
-    queue.batches = qs.batches;
-    queue.advances = qs.advances;
-    stats.commit_queue = queue;
   }
   if (hot_file_store_) {
     // Fold both file stores' maintenance counters into one section: the
@@ -870,11 +786,9 @@ std::vector<std::pair<std::string, std::string>> ForkBaseStats::ToKeyValues()
     add("cache_evictions", cache->evictions);
     add("cache_resident_bytes", cache->resident_bytes);
   }
-  if (commit_queue) {
-    add("commit_queue_commits", commit_queue->commits);
-    add("commit_queue_batches", commit_queue->batches);
-    add("commit_queue_advances", commit_queue->advances);
-  }
+  add("commit_queue_commits", commit_queue.commits);
+  add("commit_queue_batches", commit_queue.batches);
+  add("commit_queue_advances", commit_queue.advances);
   if (maintenance) {
     add("maintenance_erased_chunks", maintenance->erased_chunks);
     add("maintenance_tombstone_records", maintenance->tombstone_records);

@@ -19,6 +19,7 @@
 #include "postree/diff.h"
 #include "postree/merge.h"
 #include "store/branch_table.h"
+#include "store/commit_queue.h"
 #include "store/fnode.h"
 #include "types/blob.h"
 #include "types/list.h"
@@ -63,10 +64,11 @@ struct ObjectDiff {
 };
 
 /// Aggregate storage statistics (the demo's Stat view) — the single stats
-/// surface of a ForkBase instance. Per-layer sections (read cache, group-
-/// commit queue, file-store maintenance, tier) are present exactly when
-/// the instance has that layer; the CLI `stat` command and the server's
-/// STAT verb both render the one ToKeyValues() serialization.
+/// surface of a ForkBase instance. The commit-queue section is always
+/// present; the other per-layer sections (read cache, file-store
+/// maintenance, tier) are present exactly when the instance has that
+/// layer. The CLI `stat` command and the server's STAT verb both render
+/// the one ToKeyValues() serialization.
 struct ForkBaseStats {
   ChunkStoreStats chunks;
   uint64_t keys = 0;
@@ -78,11 +80,6 @@ struct ForkBaseStats {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t resident_bytes = 0;
-  };
-  struct CommitQueueCounters {
-    uint64_t commits = 0;   ///< commit entries durably landed via the queue
-    uint64_t batches = 0;   ///< drain groups (PutMany runs)
-    uint64_t advances = 0;  ///< fast-forward head advances applied
   };
   struct Maintenance {
     uint64_t erased_chunks = 0;
@@ -119,8 +116,8 @@ struct ForkBaseStats {
   uint64_t gc_sweeps = 0;
   uint64_t gc_swept_chunks = 0;
   uint64_t gc_swept_bytes = 0;
+  CommitQueue::Stats commit_queue;
   std::optional<Cache> cache;
-  std::optional<CommitQueueCounters> commit_queue;
   std::optional<Maintenance> maintenance;
   std::optional<Tier> tier;
 
@@ -131,7 +128,6 @@ struct ForkBaseStats {
 };
 
 class CachingChunkStore;
-class CommitQueue;
 class FileChunkStore;
 class TieredChunkStore;
 
@@ -140,15 +136,14 @@ class ForkBase {
   static constexpr const char* kDefaultBranch = "master";
 
   /// Unified configuration of a ForkBase instance — the one set of knobs
-  /// behind Open(), with the layer-specific sections nested. Replaces the
-  /// former Options/OpenOptions split.
+  /// behind Open(), with the layer-specific sections nested.
   struct Config {
     size_t cache_bytes = 64ull << 20;  ///< sharded LRU read-cache budget
     /// Background readers in the FileChunkStore (async scan prefetch);
     /// 0 = fully synchronous I/O.
     uint32_t prefetch_threads = 1;
-    /// fsync every append run (power-loss durability). Pair with
-    /// commit.group_commit so concurrent writers share one sync.
+    /// fsync every append run (power-loss durability). Concurrent writers
+    /// share one sync per commit group.
     bool fsync = false;
     /// Worker threads for background segment rewrites, per file store
     /// (hot and cold each get their own pool). Segment rewrites are
@@ -200,64 +195,34 @@ class ForkBase {
       uint64_t hot_bytes_budget = 0;
     };
 
-    /// Commit-pipeline section (also the direct-construction options).
-    struct Commit {
-      /// Batch concurrent Commit/Put calls into single PutMany runs
-      /// behind a group-commit queue (see store/commit_queue.h). Off by
-      /// default: the scalar path keeps its existing single-threaded
-      /// semantics and spawns no thread. With the queue on, racing
-      /// same-branch Puts chain into a linear history instead of
-      /// last-writer-wins.
-      bool group_commit = false;
-      /// Max FNodes landed per PutMany drain when group_commit is on.
-      size_t group_commit_max_batch = 128;
-    };
+    /// Empty since commits have one path (the leader/follower group
+    /// commit of store/commit_queue.h) and no knobs. Kept only because
+    /// perfbench/fbbench.cc still constructs `ForkBase(store,
+    /// config.commit)`; delete it with the next change to perfbench.
+    struct Commit {};
 
     Tier tier;
     Commit commit;
   };
-  /// Legacy name for the commit section, kept so direct construction
-  /// (`ForkBase(store, Options{...})`) compiles unchanged.
-  using Options = Config::Commit;
 
-  /// @param store shared chunk storage (memory or file backed)
-  explicit ForkBase(std::shared_ptr<ChunkStore> store);
-  ForkBase(std::shared_ptr<ChunkStore> store, const Options& options);
+  /// @param store shared chunk storage (memory or file backed); the
+  /// second parameter is the empty Config::Commit and is ignored.
+  explicit ForkBase(std::shared_ptr<ChunkStore> store,
+                    const Config::Commit& = {});
   ~ForkBase();
 
   /// Opens a production-shaped instance at `path`: a sharded-index
   /// FileChunkStore (with async prefetch workers) under a sharded LRU
   /// read cache, optionally tiered. This is the stack the CLI and the
-  /// server use, and the only non-deprecated open path; tests that need a
-  /// bare backend keep constructing ForkBase directly.
+  /// server use, and the only open path; tests that need a bare backend
+  /// construct ForkBase directly.
   static StatusOr<std::unique_ptr<ForkBase>> Open(const std::string& path);
   static StatusOr<std::unique_ptr<ForkBase>> Open(const std::string& path,
                                                   const Config& config);
 
-  /// Deprecated spelling of Config, kept so existing callers compile.
-  struct OpenOptions {
-    size_t cache_bytes = 64ull << 20;
-    uint32_t prefetch_threads = 1;
-    bool fsync = false;
-    std::string tier_cold_dir;
-    bool tier_write_back = false;
-    uint64_t hot_bytes_budget = 0;
-    Options options;  ///< group-commit etc.
-
-    /// The equivalent unified Config.
-    Config ToConfig() const;
-  };
-
-  [[deprecated("use ForkBase::Open(path, ForkBase::Config)")]]
-  static StatusOr<std::unique_ptr<ForkBase>> OpenPersistent(
-      const std::string& dir, size_t cache_bytes = 64ull << 20);
-  [[deprecated("use ForkBase::Open(path, ForkBase::Config)")]]
-  static StatusOr<std::unique_ptr<ForkBase>> OpenPersistent(
-      const std::string& dir, const OpenOptions& open_options);
-
   ChunkStore* store() { return store_.get(); }
   const ChunkStore* store() const { return store_.get(); }
-  /// The tiered layer of an OpenPersistent stack opened with a cold tier
+  /// The tiered layer of an Open stack opened with a cold tier
   /// (null otherwise) — the CLI surfaces its tier_stats() and tests drive
   /// flushes through it.
   TieredChunkStore* tiered() { return tiered_store_.get(); }
@@ -274,7 +239,7 @@ class ForkBase {
 
   /// Conditional Put (compare-and-set): commits `value` with
   /// `expected_head` as its parent iff the branch head still equals
-  /// `expected_head` at commit time (drain time under group commit).
+  /// `expected_head` when its commit group drains.
   /// kAlreadyExists when the head has moved — the server's COMMIT verb and
   /// optimistic clients retry from a fresh head.
   StatusOr<Hash256> PutIf(const std::string& key, const Value& value,
@@ -283,8 +248,8 @@ class ForkBase {
                           const PutMeta& meta = PutMeta{});
 
   /// Fast-forward publish: sets the head of (key, branch) to `target` iff
-  /// it still equals `expected` (queue-ordered under group commit, so it
-  /// cannot interleave with a drain). Returns `target` on success;
+  /// it still equals `expected` (queue-ordered, so it cannot interleave
+  /// with a drain). Returns `target` on success;
   /// kAlreadyExists when the head moved. Used by Merge's fast-forward path
   /// and by the sync server to apply pushed branch heads.
   StatusOr<Hash256> AdvanceHead(const std::string& key,
@@ -473,17 +438,13 @@ class ForkBase {
     return gc_active_.load(std::memory_order_acquire) > 0;
   }
 
-  /// Lease-free bodies of Put/AdvanceHead for callers that ALREADY hold
+  /// Lease-free body of Put for callers that ALREADY hold
   /// AcquireWriteLease() — shared_mutex does not support recursive shared
   /// locking (it can deadlock against a queued exclusive waiter), so code
-  /// holding the lease must call these instead of the locking verbs.
+  /// holding the lease must call this instead of the locking verb.
   StatusOr<Hash256> PutLeased(const std::string& key, const Value& value,
                               const std::string& branch = kDefaultBranch,
                               const PutMeta& meta = PutMeta{});
-  StatusOr<Hash256> AdvanceHeadLeased(const std::string& key,
-                                      const std::string& branch,
-                                      const Hash256& expected,
-                                      const Hash256& target);
 
   /// Per-object statistics (the demo's Stat verb): value type, logical
   /// entry count and physical tree shape of a branch head.
@@ -497,12 +458,10 @@ class ForkBase {
       const std::string& branch = kDefaultBranch) const;
 
  private:
-  /// `bases` nullopt = commit on top of the branch head at commit time
-  /// (Put); explicit bases record a merge's parents, with `expected_head`
-  /// as the drain-time precondition that the merged-against head has not
-  /// moved (group commit only — kAlreadyExists means recompute). Routes
-  /// through the group-commit queue when enabled, else writes and
-  /// publishes inline.
+  /// `bases` nullopt = commit on top of the branch head at drain time
+  /// (Put); explicit bases record a merge's or PutIf's parents, with
+  /// `expected_head` as the drain-time precondition that the head has not
+  /// moved (kAlreadyExists means recompute). Lands through commit_queue_.
   StatusOr<Hash256> Commit(const std::string& key, const Value& value,
                            std::optional<std::vector<Hash256>> bases,
                            const std::string& branch, const PutMeta& meta,
@@ -521,8 +480,7 @@ class ForkBase {
   FileChunkStore* cold_file_store_ = nullptr;
   Config config_;
   BranchTable branch_table_;
-  std::atomic<uint64_t> clock_{0};
-  std::atomic<uint64_t> commits_{0};
+  CommitQueue commit_queue_{store_.get(), &branch_table_};
   /// The GC write lease (see AcquireWriteLease). mutable: const readers
   /// never take it, but the lease getters are const so a const ForkBase&
   /// can still be swept against.
@@ -531,9 +489,6 @@ class ForkBase {
   std::atomic<uint64_t> gc_sweeps_{0};
   std::atomic<uint64_t> gc_swept_chunks_{0};
   std::atomic<uint64_t> gc_swept_bytes_{0};
-  // Declared last: destroyed first, so a draining group commit can still
-  // reach the store, branch table and counters above.
-  std::unique_ptr<CommitQueue> commit_queue_;
 };
 
 /// Renders an ObjectDiff as the CLI's diff listing ("+ key", "- key",

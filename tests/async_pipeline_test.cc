@@ -302,9 +302,7 @@ TEST(AsyncDiffGcTest, PipelinedDiffAndMarkMatchMemoryStore) {
 }
 
 TEST(GroupCommitTest, SingleThreadedSemanticsUnchanged) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
 
   auto v1 = db.Put("k", Value::String("one"));
   ASSERT_TRUE(v1.ok());
@@ -321,9 +319,7 @@ TEST(GroupCommitTest, SingleThreadedSemanticsUnchanged) {
 }
 
 TEST(GroupCommitTest, FastForwardAdvancesThroughQueue) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   ASSERT_TRUE(db.PutMap("ff", {{"a", "1"}}).ok());
   ASSERT_TRUE(db.Branch("ff", "side").ok());
   ASSERT_TRUE(db.UpdateMap("ff", {KeyedOp{"b", "2"}}, "side").ok());
@@ -344,9 +340,7 @@ TEST(GroupCommitTest, RacingMergesAndPutsLoseNoCommit) {
   // commit otherwise). Every returned uid must stay reachable from the
   // final master head through the bases DAG — the queue's ordered
   // compare-and-advance must never discard a landed commit.
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   ASSERT_TRUE(db.PutMap("race", {{"seed", "0"}}).ok());
   ASSERT_TRUE(db.Branch("race", "side").ok());
 
@@ -401,9 +395,7 @@ TEST(GroupCommitTest, RacingMergesAndPutsLoseNoCommit) {
 }
 
 TEST(GroupCommitTest, MergeRecordsBothParents) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   ASSERT_TRUE(db.PutMap("m", {{"a", "1"}, {"b", "2"}}).ok());
   ASSERT_TRUE(db.Branch("m", "side").ok());
   ASSERT_TRUE(db.UpdateMap("m", {KeyedOp{"a", "10"}}).ok());

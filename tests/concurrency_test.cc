@@ -312,20 +312,17 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
 }
 
 TEST(ConcurrencyTest, GroupCommitSameBranchLinearizesRacingPuts) {
-  // N threads hammer Put on ONE key+branch. With the group-commit queue,
-  // bases are resolved at drain time, so every commit chains onto the
-  // previous one: the final history must contain all N*M versions, ending
-  // at the published head — a linearizable total order, not
-  // last-writer-wins.
+  // N threads hammer Put on ONE key+branch of a default store. Bases are
+  // resolved at drain time, so every commit chains onto the previous one:
+  // the final history must contain all N*M versions, ending at the
+  // published head — a linearizable total order, not last-writer-wins.
   const std::string dir = ::testing::TempDir() + "/fb_group_same_branch";
   std::filesystem::remove_all(dir);
-  constexpr int kWriters = 4;
-  constexpr int kCommits = 50;
+  constexpr int kWriters = 8;
+  constexpr int kCommits = 100;
   std::vector<Hash256> uids[kWriters];
   {
-    ForkBase::OpenOptions open;
-    open.options.group_commit = true;
-    auto db_or = ForkBase::OpenPersistent(dir, open);
+    auto db_or = ForkBase::Open(dir);
     ASSERT_TRUE(db_or.ok());
     ForkBase& db = **db_or;
     std::atomic<int> failures{0};
@@ -381,10 +378,7 @@ TEST(ConcurrencyTest, GroupCommitDistinctBranchesKeepIndependentChains) {
   constexpr int kWriters = 4;
   constexpr int kCommits = 40;
   {
-    ForkBase::OpenOptions open;
-    open.options.group_commit = true;
-    open.options.group_commit_max_batch = 8;  // force multi-drain groups
-    auto db_or = ForkBase::OpenPersistent(dir, open);
+    auto db_or = ForkBase::Open(dir);
     ASSERT_TRUE(db_or.ok());
     ForkBase& db = **db_or;
     std::atomic<int> failures{0};
@@ -414,35 +408,58 @@ TEST(ConcurrencyTest, GroupCommitDistinctBranchesKeepIndependentChains) {
       EXPECT_EQ(db.Get("key", branch)->string_value(),
                 std::to_string(kCommits - 1));
     }
+    EXPECT_GT(db.Stat().commit_queue.batches, 1u);
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST(ConcurrencyTest, ScalarCommitDistinctBranchesStillSafe) {
-  // Group commit OFF: racing writers on distinct branches of one key must
-  // still each see a full private chain (the scalar path's contract).
-  ForkBase db(std::make_shared<MemChunkStore>());  // group_commit off
-  constexpr int kWriters = 4;
-  constexpr int kCommits = 40;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&db, &failures, t] {
-      const std::string branch = "b" + std::to_string(t);
-      for (int i = 0; i < kCommits; ++i) {
-        if (!db.Put("key", Value::String(std::to_string(i)), branch).ok()) {
-          ++failures;
-        }
+TEST(ConcurrencyTest, RacingPutIfsOnOneHeadHaveExactlyOneWinner) {
+  // Each round, kWriters threads release together and PutIf against the
+  // same expected head. Compare-and-set means exactly one lands; every
+  // other writer must get kAlreadyExists and write nothing.
+  const std::string dir = ::testing::TempDir() + "/fb_putif_race";
+  std::filesystem::remove_all(dir);
+  constexpr int kWriters = 8;
+  constexpr int kRounds = 200;
+  {
+    auto db_or = ForkBase::Open(dir);
+    ASSERT_TRUE(db_or.ok());
+    ForkBase& db = **db_or;
+    auto seed = db.Put("cas", Value::String("seed"));
+    ASSERT_TRUE(seed.ok());
+    Hash256 head = *seed;
+    for (int round = 0; round < kRounds; ++round) {
+      std::atomic<int> ready{0};
+      std::atomic<int> winners{0};
+      std::atomic<int> conflicts{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kWriters; ++t) {
+        threads.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (ready.load() < kWriters) std::this_thread::yield();
+          auto uid = db.PutIf(
+              "cas", Value::String(std::to_string(round * 100 + t)), head);
+          if (uid.ok()) {
+            ++winners;
+          } else if (uid.status().code() == StatusCode::kAlreadyExists) {
+            ++conflicts;
+          }
+        });
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  for (int t = 0; t < kWriters; ++t) {
-    auto history = db.History("key", "b" + std::to_string(t));
+      for (auto& t : threads) t.join();
+      ASSERT_EQ(winners.load(), 1) << "round " << round;
+      ASSERT_EQ(conflicts.load(), kWriters - 1) << "round " << round;
+      auto new_head = db.Head("cas");
+      ASSERT_TRUE(new_head.ok());
+      ASSERT_EQ(db.Meta(*new_head)->bases, std::vector<Hash256>{head});
+      head = *new_head;
+    }
+    auto history = db.History("cas");
     ASSERT_TRUE(history.ok());
-    EXPECT_EQ(history->size(), static_cast<size_t>(kCommits));
+    EXPECT_EQ(history->size(), static_cast<size_t>(kRounds) + 1);
+    EXPECT_EQ(db.Stat().commits, static_cast<uint64_t>(kRounds) + 1);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ConcurrencyTest, ConcurrentAsyncScansShareOnePrefetchPool) {

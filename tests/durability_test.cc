@@ -142,13 +142,11 @@ TEST_F(DurabilityTest, RandomWorkloadSurvivesManyReopens) {
 TEST_F(DurabilityTest, GroupCommitRunsAreCrashDurable) {
   // Racing grouped commits, then a simulated crash that tears the tail of
   // the active segment. Recovery must keep every commit whose Put returned
-  // OK: group-commit publishes heads only after its PutMany flushed, so the
+  // OK: a commit group publishes heads only after its PutMany flushed, so the
   // torn bytes can only be the garbage we appended — never a returned uid.
   std::vector<Hash256> returned;
   {
-    ForkBase::OpenOptions open;
-    open.options.group_commit = true;
-    auto db_or = ForkBase::OpenPersistent(dir_, open);
+    auto db_or = ForkBase::Open(dir_);
     ASSERT_TRUE(db_or.ok());
     ForkBase& db = **db_or;
     std::mutex mu;

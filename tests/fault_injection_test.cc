@@ -303,7 +303,7 @@ TEST(FaultInjectionTest, ConcurrentEvictionRacesDemotionUnderFaults) {
 }
 
 TEST(FaultInjectionTest, ForkBaseCommitsSurviveColdTierFaults) {
-  // Full facade over the faulted stack (cache on top, like OpenPersistent
+  // Full facade over the faulted stack (cache on top, like ForkBase::Open
   // builds it): commits may fail with a clean Status, but every commit that
   // returned a uid must verify once the weather clears.
   FaultedStack stack(TierPolicy::kWriteThrough, 1009);

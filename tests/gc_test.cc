@@ -526,7 +526,7 @@ TEST(GcTest, SweepSparesChunksRePutByRacingCommits) {
   // garbage being swept (dedup re-puts) — while sweeps run. Whatever the
   // interleaving, published heads must stay fully readable.
   auto store = std::make_shared<MemChunkStore>();
-  ForkBase db(store, ForkBase::Options{.group_commit = true});
+  ForkBase db(store);
   ASSERT_TRUE(db.PutMap("dead", {{"shared", "payload"}, {"k", "v"}}).ok());
   ASSERT_TRUE(db.DeleteBranch("dead", "master").ok());
   CsvGenOptions opts;

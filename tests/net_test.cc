@@ -194,9 +194,7 @@ TEST(ServerTest, RoundTripAndErrors) {
 }
 
 TEST(ServerTest, EightConcurrentSessionsBitExact) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&db, TestAddress("conc"));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -244,9 +242,7 @@ TEST(ServerTest, EightConcurrentSessionsBitExact) {
 }
 
 TEST(ServerTest, SameBranchCommitsLinearizedNotLost) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&db, TestAddress("linear"));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -563,9 +559,7 @@ TEST(ServerTest, IngressLimitedUploadCompletes) {
 // -- Backpressure acceptance --------------------------------------------------
 
 TEST(ServerTest, SlowPullReaderIsBoundedAndDisconnectedWhileOthersServe) {
-  ForkBase::Options db_options;
-  db_options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), db_options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   // ~4 MiB of incompressible blob: pulling its closure must flow through
   // the bounded outbox rather than pile up server-side.
   Rng rng(1234);

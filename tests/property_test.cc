@@ -309,8 +309,10 @@ void ExpectMatchesRebuild(ChunkStore* store, ChunkType type,
 // One random op batch over `model`, of one of several shapes: point edits,
 // bulk edits, appends past the max key, delete-to-empty, growth, shrink, and
 // deletion of a key prefix or suffix. Ops may repeat a key (last wins).
+// Batches of random edits, appends or growth hold at most `max_ops` ops.
 std::vector<KeyedOp> RandomBatch(Rng& rng, const Model& model, bool is_set,
-                                 size_t key_len, uint64_t* append_seq) {
+                                 size_t key_len, uint64_t* append_seq,
+                                 size_t max_ops = 2000) {
   std::vector<std::string> keys;
   keys.reserve(model.size());
   for (const auto& [k, v] : model) keys.push_back(k);
@@ -322,9 +324,9 @@ std::vector<KeyedOp> RandomBatch(Rng& rng, const Model& model, bool is_set,
   std::vector<KeyedOp> ops;
   switch (rng.Uniform(7)) {
     case 0:  // a few mixed point ops
-    case 1: {  // up to 2,000 mixed ops
+    case 1: {  // up to max_ops mixed ops
       const size_t n = rng.Uniform(2) ? 1 + rng.Uniform(20)
-                                      : 1 + rng.Uniform(2000);
+                                      : 1 + rng.Uniform(max_ops);
       for (size_t i = 0; i < n; ++i) {
         const uint64_t kind = rng.Uniform(4);
         if (kind == 0 && !keys.empty()) {
@@ -340,7 +342,8 @@ std::vector<KeyedOp> RandomBatch(Rng& rng, const Model& model, bool is_set,
       break;
     }
     case 2: {  // appends past the max key ('~' sorts after [a-z0-9])
-      const size_t n = 1 + rng.Uniform(rng.Uniform(2) ? 3 : 300);
+      const size_t n =
+          1 + rng.Uniform(rng.Uniform(2) ? 3 : std::min<size_t>(300, max_ops));
       for (size_t i = 0; i < n; ++i) {
         ops.push_back({"~" + std::to_string(1000000 + (*append_seq)++),
                        value()});
@@ -351,7 +354,7 @@ std::vector<KeyedOp> RandomBatch(Rng& rng, const Model& model, bool is_set,
       for (const auto& k : keys) ops.push_back({k, std::nullopt});
       break;
     case 4: {  // growth
-      const size_t n = 1 + rng.Uniform(2000);
+      const size_t n = 1 + rng.Uniform(max_ops);
       for (size_t i = 0; i < n; ++i) ops.push_back({fresh(), value()});
       break;
     }
@@ -380,9 +383,9 @@ std::vector<KeyedOp> RandomBatch(Rng& rng, const Model& model, bool is_set,
 }
 
 TEST(IncrementalUpdate, RandomBatchesMatchRebuild) {
-  // 16 chains x 13 batches = 208 cases over maps and sets, default and small
-  // nodes, short and long keys, starting sizes 0 to 30k.
-  constexpr int kChains = 16;
+  // 24 chains x 13 batches = 312 cases over maps and sets, default and small
+  // nodes, short, long and oversized keys, starting sizes 0 to 30k.
+  constexpr int kChains = 24;
   constexpr int kBatches = 13;
   int cases = 0;
   for (int chain = 0; chain < kChains; ++chain) {
@@ -391,16 +394,28 @@ TEST(IncrementalUpdate, RandomBatchesMatchRebuild) {
     const ChunkType type = is_set ? ChunkType::kSetLeaf : ChunkType::kMapLeaf;
     const TreeConfig config =
         chain % 4 < 2 ? TreeConfig::ForEntries() : SmallNodes();
-    // Long keys: few entries per node, so tall trees with many narrow index
-    // nodes. Kept under the index level's min_bytes, and with default nodes
-    // only: an index entry that alone passes min_bytes would close a node by
-    // itself at every level whenever its key holds a pattern.
-    const bool long_keys = chain % 8 == 5;
-    const size_t key_len = long_keys ? 200 : 8 + rng.Uniform(9);
-    static constexpr size_t kStartSizes[] = {0, 50, 2000, 30000};
-    size_t start = kStartSizes[chain / 4];
-    if (long_keys) start = std::min<size_t>(start, 2000);
-    if (start > 0) start = start / 2 + rng.Uniform(start / 2 + 1);
+    size_t key_len, start, max_ops = 2000;
+    if (chain >= 16) {
+      // Oversized keys: an index entry alone reaches the index split
+      // bounds — 260-byte keys pass min_bytes (a pattern in the key closes
+      // the node), 9,000-byte keys pass max_bytes. Such an entry must not
+      // close an index node by itself: that recursed level over level
+      // until the stack overflowed. Few keys and small batches keep the
+      // trees a few MB.
+      const bool huge = chain >= 20;
+      key_len = huge ? 9000 : 260;
+      start = huge ? 40 : 200;
+      max_ops = huge ? 20 : 200;
+    } else {
+      // Long keys: few entries per node, so tall trees with many narrow
+      // index nodes.
+      const bool long_keys = chain % 8 == 5;
+      key_len = long_keys ? 200 : 8 + rng.Uniform(9);
+      static constexpr size_t kStartSizes[] = {0, 50, 2000, 30000};
+      start = kStartSizes[chain / 4];
+      if (long_keys) start = std::min<size_t>(start, 2000);
+      if (start > 0) start = start / 2 + rng.Uniform(start / 2 + 1);
+    }
 
     MemChunkStore store;
     Model model;
@@ -414,7 +429,8 @@ TEST(IncrementalUpdate, RandomBatchesMatchRebuild) {
     PosTree tree(&store, type, built->root, config);
     uint64_t append_seq = 0;
     for (int batch = 0; batch < kBatches; ++batch) {
-      auto ops = RandomBatch(rng, model, is_set, key_len, &append_seq);
+      auto ops =
+          RandomBatch(rng, model, is_set, key_len, &append_seq, max_ops);
       for (const auto& op : ops) {
         if (op.value) {
           model[op.key] = *op.value;
@@ -434,7 +450,7 @@ TEST(IncrementalUpdate, RandomBatchesMatchRebuild) {
       ++cases;
     }
   }
-  EXPECT_GE(cases, 200);
+  EXPECT_GE(cases, 300);
 }
 
 // Counts chunk loads, to pin the update's complexity.

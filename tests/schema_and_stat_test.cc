@@ -1,7 +1,9 @@
-// Tests for table schema evolution (AddColumn/DropColumn/RenameColumn) and
-// the per-object Stat verb.
+// Tests for table schema evolution (AddColumn/DropColumn/RenameColumn), the
+// per-object Stat verb and the store-wide commit-queue stats.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <set>
 
 #include "chunk/mem_chunk_store.h"
@@ -161,6 +163,36 @@ TEST(StatObjectTest, ReportsShapePerType) {
 TEST(StatObjectTest, MissingKeyIsNotFound) {
   ForkBase db(std::make_shared<MemChunkStore>());
   EXPECT_TRUE(db.StatObject("ghost").status().IsNotFound());
+}
+
+// ------------------------------------------------------------ store stats --
+
+TEST(StoreStatTest, LoneWriterCommitsInGroupsOfOne) {
+  // A single-threaded writer on a default store finds no leader each time,
+  // leads its own group and never waits: one group per commit. The
+  // commit-queue section is always reported, under stable key names.
+  const std::string dir = ::testing::TempDir() + "/fb_stat_lone_writer";
+  std::filesystem::remove_all(dir);
+  constexpr uint64_t kPuts = 50;
+  {
+    auto db_or = ForkBase::Open(dir);
+    ASSERT_TRUE(db_or.ok());
+    ForkBase& db = **db_or;
+    for (uint64_t i = 0; i < kPuts; ++i) {
+      ASSERT_TRUE(db.Put("k", Value::String(std::to_string(i))).ok());
+    }
+    const ForkBaseStats stats = db.Stat();
+    EXPECT_EQ(stats.commits, kPuts);
+    EXPECT_EQ(stats.commit_queue.commits, kPuts);
+    EXPECT_EQ(stats.commit_queue.batches, kPuts);
+    EXPECT_EQ(stats.commit_queue.advances, 0u);
+    std::map<std::string, std::string> kvs;
+    for (const auto& [k, v] : stats.ToKeyValues()) kvs[k] = v;
+    EXPECT_EQ(kvs["commit_queue_commits"], std::to_string(kPuts));
+    EXPECT_EQ(kvs["commit_queue_batches"], std::to_string(kPuts));
+    EXPECT_EQ(kvs["commit_queue_advances"], "0");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -74,9 +74,7 @@ TEST(SyncTest, TwoInstanceAcceptance) {
   CommitVersions(&a, "doc", "exp", "e", 30);
 
   // Instance B: empty, served.
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase b(std::make_shared<MemChunkStore>(), options);
+  ForkBase b(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&b, TestAddress("accept"));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -228,9 +226,7 @@ TEST(SyncTest, PushAndPullConvergeUnderTransportFaults) {
   ASSERT_TRUE(a.Branch("doc", "dev", "master").ok());
   CommitVersions(&a, "doc", "dev", "d", 10);
 
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase b(std::make_shared<MemChunkStore>(), options);
+  ForkBase b(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&b, TestAddress("faulty"));
   ASSERT_TRUE(server.ok());
 
@@ -288,9 +284,7 @@ TEST(SyncTest, SyncWithRetryResumesATornPush) {
   ASSERT_TRUE(a.Branch("doc", "dev", "master").ok());
   CommitVersions(&a, "doc", "dev", "d", 10);
 
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase b(std::make_shared<MemChunkStore>(), options);
+  ForkBase b(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&b, TestAddress("retry"));
   ASSERT_TRUE(server.ok());
 

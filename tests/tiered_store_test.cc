@@ -879,13 +879,11 @@ class TieredForkBaseTest : public ::testing::Test {
     std::filesystem::remove_all(cold_dir_);
   }
 
-  StatusOr<std::unique_ptr<ForkBase>> Open(bool write_back = false,
-                                           bool group_commit = false) {
-    ForkBase::OpenOptions open;
-    open.tier_cold_dir = cold_dir_;
-    open.tier_write_back = write_back;
-    open.options.group_commit = group_commit;
-    return ForkBase::OpenPersistent(hot_dir_, open);
+  StatusOr<std::unique_ptr<ForkBase>> Open(bool write_back = false) {
+    ForkBase::Config config;
+    config.tier.cold_dir = cold_dir_;
+    config.tier.write_back = write_back;
+    return ForkBase::Open(hot_dir_, config);
   }
 
   std::string hot_dir_;
@@ -929,7 +927,7 @@ TEST_F(TieredForkBaseTest, PutScanDiffGcOnTieredStack) {
 }
 
 TEST_F(TieredForkBaseTest, GroupCommitOnTieredWriteBackStack) {
-  auto db_or = Open(/*write_back=*/true, /*group_commit=*/true);
+  auto db_or = Open(/*write_back=*/true);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   ForkBase& db = **db_or;
   std::vector<std::thread> threads;
@@ -952,19 +950,19 @@ TEST_F(TieredForkBaseTest, GroupCommitOnTieredWriteBackStack) {
 
 TEST_F(TieredForkBaseTest, BoundedHotTierKeepsDiskWithinBudgetUnderWorkload) {
   // The bounded-tier acceptance run: a put/scan/diff/GC workload several
-  // times the hot budget, on the real OpenPersistent write-back stack
+  // times the hot budget, on the real ForkBase::Open write-back stack
   // (budget + manifest + background demotion + segment rewrite). The hot
   // directory's disk usage must stay within budget + one segment at every
   // checkpoint (modulo in-flight background reclamation, which the
   // checkpoint polls out), and every byte must read back bit-exact.
   constexpr uint64_t kBudget = 2ull << 20;
-  constexpr uint64_t kSegment = 1ull << 20;  // OpenPersistent's clamp floor
-  ForkBase::OpenOptions open;
-  open.tier_cold_dir = cold_dir_;
-  open.tier_write_back = true;
-  open.hot_bytes_budget = kBudget;
-  open.cache_bytes = 256 << 10;  // small cache: reads actually hit the tiers
-  auto db_or = ForkBase::OpenPersistent(hot_dir_, open);
+  constexpr uint64_t kSegment = 1ull << 20;  // ForkBase::Open's clamp floor
+  ForkBase::Config config;
+  config.tier.cold_dir = cold_dir_;
+  config.tier.write_back = true;
+  config.tier.hot_bytes_budget = kBudget;
+  config.cache_bytes = 256 << 10;  // small cache: reads actually hit the tiers
+  auto db_or = ForkBase::Open(hot_dir_, config);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   ForkBase& db = **db_or;
 

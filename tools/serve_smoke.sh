@@ -78,7 +78,7 @@ grep -q 'serving on' "$WORK/serve.log"
 # 7. Overload scenario: a deliberately tiny hardened server must shed and
 # disconnect abusive connections while healthy traffic keeps working.
 SOCK2="$WORK/fb2.sock"
-"$CLI" --db "$WORK/hardened" --group-commit \
+"$CLI" --db "$WORK/hardened" \
     --max-outbox-kb 64 --handshake-timeout-ms 400 --stall-timeout-ms 2000 \
     --max-sessions 8 --session-rps 200 \
     serve "unix:$SOCK2" >"$WORK/serve2.log" 2>&1 &
@@ -169,7 +169,7 @@ done
 "$CLI" --db "$GCDB" --segment-kb 4 delete-branch keep scratch >/dev/null
 BEFORE_BYTES="$(du -sb "$GCDB" | cut -f1)"
 
-"$CLI" --db "$GCDB" --segment-kb 4 --group-commit serve "unix:$SOCK3" \
+"$CLI" --db "$GCDB" --segment-kb 4 serve "unix:$SOCK3" \
     >"$WORK/serve3.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
