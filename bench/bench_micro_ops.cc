@@ -22,6 +22,8 @@
 #include "store/bundle.h"
 #include "store/forkbase.h"
 #include "store/gc.h"
+#include "types/table.h"
+#include "util/datagen.h"
 #include "util/rolling_hash.h"
 #include "util/sha256.h"
 #include "util/worker_pool.h"
@@ -196,6 +198,35 @@ void BM_MapBuild(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_MapBuild)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Bulk table ingest as PutTableFromCsv runs it: rows of 6 three-word cells
+// (~12 MB of CSV at 100k rows) into a fresh in-memory store, in key order or
+// shuffled (the load then sorts them). Bytes processed are the document's
+// CSV bytes.
+void TableFromCsv(benchmark::State& state, bool shuffled) {
+  CsvGenOptions opts;
+  opts.num_rows = static_cast<size_t>(state.range(0));
+  CsvDocument doc = GenerateCsv(opts);
+  if (shuffled) {
+    Rng rng(23);
+    for (size_t i = doc.rows.size(); i > 1; --i) {
+      std::swap(doc.rows[i - 1], doc.rows[rng.Uniform(i)]);
+    }
+  }
+  for (auto _ : state) {
+    MemChunkStore store;
+    auto table = FTable::FromCsv(&store, doc);
+    benchmark::DoNotOptimize(table.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(CsvBytes(doc)));
+}
+void BM_TableFromCsv(benchmark::State& state) { TableFromCsv(state, false); }
+BENCHMARK(BM_TableFromCsv)->Arg(100000);
+void BM_TableFromShuffledCsv(benchmark::State& state) {
+  TableFromCsv(state, true);
+}
+BENCHMARK(BM_TableFromShuffledCsv)->Arg(100000);
 
 void BM_MapLookup(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

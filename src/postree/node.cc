@@ -7,23 +7,17 @@ bool IsLeafType(ChunkType t) {
          t == ChunkType::kListLeaf || t == ChunkType::kBlobLeaf;
 }
 
-std::string EncodeMapEntry(Slice key, Slice value) {
-  std::string out;
-  PutLengthPrefixed(&out, key);
-  PutLengthPrefixed(&out, value);
-  return out;
+void AppendMapEntry(std::string* out, Slice key, Slice value) {
+  PutLengthPrefixed(out, key);
+  PutLengthPrefixed(out, value);
 }
 
-std::string EncodeSetEntry(Slice key) {
-  std::string out;
-  PutLengthPrefixed(&out, key);
-  return out;
+void AppendSetEntry(std::string* out, Slice key) {
+  PutLengthPrefixed(out, key);
 }
 
-std::string EncodeListEntry(Slice element) {
-  std::string out;
-  PutLengthPrefixed(&out, element);
-  return out;
+void AppendListEntry(std::string* out, Slice element) {
+  PutLengthPrefixed(out, element);
 }
 
 std::string EncodeIndexEntry(const IndexEntry& e) {

@@ -39,12 +39,13 @@ struct IndexEntry {
   std::string key;     ///< max key in subtree ("" for positional trees)
 };
 
-/// Serializes a map entry (len-prefixed key, len-prefixed value).
-std::string EncodeMapEntry(Slice key, Slice value);
-/// Serializes a set entry (len-prefixed key).
-std::string EncodeSetEntry(Slice key);
-/// Serializes a list entry (len-prefixed element).
-std::string EncodeListEntry(Slice element);
+/// Appends a map entry (len-prefixed key, len-prefixed value) to `out`.
+/// Bulk builders encode every entry into one reused buffer with these.
+void AppendMapEntry(std::string* out, Slice key, Slice value);
+/// Appends a set entry (len-prefixed key) to `out`.
+void AppendSetEntry(std::string* out, Slice key);
+/// Appends a list entry (len-prefixed element) to `out`.
+void AppendListEntry(std::string* out, Slice element);
 /// Serializes an index entry.
 std::string EncodeIndexEntry(const IndexEntry& e);
 

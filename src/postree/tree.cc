@@ -16,10 +16,20 @@ StatusOr<TreeInfo> PosTree::BuildKeyed(
     return Status::InvalidArgument("BuildKeyed requires a keyed leaf type");
   }
   TreeBuilder builder(store, leaf_type, config);
-  for (const auto& [key, value] : sorted_kvs) {
-    std::string entry = leaf_type == ChunkType::kMapLeaf
-                            ? EncodeMapEntry(key, value)
-                            : EncodeSetEntry(key);
+  std::string entry;
+  for (size_t i = 0; i < sorted_kvs.size(); ++i) {
+    const auto& [key, value] = sorted_kvs[i];
+    if (i > 0 && !(sorted_kvs[i - 1].first < key)) {
+      return Status::InvalidArgument(
+          "BuildKeyed: keys not strictly ascending at entry " +
+          std::to_string(i));
+    }
+    entry.clear();
+    if (leaf_type == ChunkType::kMapLeaf) {
+      AppendMapEntry(&entry, key, value);
+    } else {
+      AppendSetEntry(&entry, key);
+    }
     FB_RETURN_IF_ERROR(builder.AddEntry(entry, key));
   }
   return builder.Finish();
@@ -29,8 +39,11 @@ StatusOr<TreeInfo> PosTree::BuildList(ChunkStore* store,
                                       const std::vector<std::string>& elements,
                                       TreeConfig config) {
   TreeBuilder builder(store, ChunkType::kListLeaf, config);
+  std::string entry;
   for (const auto& e : elements) {
-    FB_RETURN_IF_ERROR(builder.AddEntry(EncodeListEntry(e), Slice()));
+    entry.clear();
+    AppendListEntry(&entry, e);
+    FB_RETURN_IF_ERROR(builder.AddEntry(entry, Slice()));
   }
   return builder.Finish();
 }
@@ -251,10 +264,13 @@ class KeyedUpdate {
 
   Status Emit(const KeyedOp& op) {
     if (!op.value.has_value()) return Status::OK();  // delete: drop the key
-    std::string entry = leaf_type_ == ChunkType::kMapLeaf
-                            ? EncodeMapEntry(op.key, *op.value)
-                            : EncodeSetEntry(op.key);
-    return builder_->AddEntry(entry, op.key);
+    entry_.clear();
+    if (leaf_type_ == ChunkType::kMapLeaf) {
+      AppendMapEntry(&entry_, op.key, *op.value);
+    } else {
+      AppendSetEntry(&entry_, op.key);
+    }
+    return builder_->AddEntry(entry_, op.key);
   }
 
   // `node` sits at `level` (0 = leaf); `owns_tail` marks the rightmost node
@@ -318,6 +334,7 @@ class KeyedUpdate {
   const std::vector<KeyedOp>& ops_;
   TreeBuilder* builder_;
   size_t next_op_ = 0;
+  std::string entry_;  ///< Emit's encode buffer, reused across ops
   std::vector<std::pair<Hash256, Chunk>> path_;  ///< root-to-leaf, see Run
 };
 
@@ -356,9 +373,12 @@ StatusOr<TreeInfo> PosTree::SpliceElements(
   FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
   uint64_t index = 0;
   bool inserted = false;
+  std::string entry;
   auto emit_inserts = [&]() -> Status {
     for (const auto& e : inserts) {
-      FB_RETURN_IF_ERROR(builder.AddEntry(EncodeListEntry(e), Slice()));
+      entry.clear();
+      AppendListEntry(&entry, e);
+      FB_RETURN_IF_ERROR(builder.AddEntry(entry, Slice()));
     }
     inserted = true;
     return Status::OK();

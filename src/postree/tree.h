@@ -45,8 +45,9 @@ class PosTree {
   ChunkType leaf_type() const { return leaf_type_; }
   const TreeConfig& config() const { return config_; }
 
-  /// Builds a keyed tree (kMapLeaf/kSetLeaf) from sorted unique (key, value)
-  /// pairs; for sets pass empty values.
+  /// Builds a keyed tree (kMapLeaf/kSetLeaf) from (key, value) pairs whose
+  /// keys are strictly ascending; for sets pass empty values. Any other
+  /// order is InvalidArgument: Lookup and Diff rely on it.
   static StatusOr<TreeInfo> BuildKeyed(
       ChunkStore* store, ChunkType leaf_type,
       const std::vector<std::pair<std::string, std::string>>& sorted_kvs,

@@ -6,18 +6,23 @@ namespace forkbase {
 
 StatusOr<FMap> FMap::Create(
     ChunkStore* store, std::vector<std::pair<std::string, std::string>> kvs) {
-  std::stable_sort(kvs.begin(), kvs.end(), [](const auto& a, const auto& b) {
+  auto key_less = [](const auto& a, const auto& b) {
     return a.first < b.first;
-  });
-  // last-wins dedup
-  std::vector<std::pair<std::string, std::string>> unique;
-  unique.reserve(kvs.size());
+  };
+  // Stable, so that among equal keys the last one given stays last.
+  if (!std::is_sorted(kvs.begin(), kvs.end(), key_less)) {
+    std::stable_sort(kvs.begin(), kvs.end(), key_less);
+  }
+  // Last-wins dedup, in place.
+  size_t kept = 0;
   for (size_t i = 0; i < kvs.size(); ++i) {
     if (i + 1 < kvs.size() && kvs[i + 1].first == kvs[i].first) continue;
-    unique.push_back(std::move(kvs[i]));
+    if (kept != i) kvs[kept] = std::move(kvs[i]);
+    ++kept;
   }
-  FB_ASSIGN_OR_RETURN(TreeInfo info, PosTree::BuildKeyed(
-                                         store, ChunkType::kMapLeaf, unique));
+  kvs.erase(kvs.begin() + kept, kvs.end());
+  FB_ASSIGN_OR_RETURN(TreeInfo info,
+                      PosTree::BuildKeyed(store, ChunkType::kMapLeaf, kvs));
   return FMap(PosTree(store, ChunkType::kMapLeaf, info.root));
 }
 

@@ -1,18 +1,25 @@
 #include "types/set.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace forkbase {
 
 StatusOr<FSet> FSet::Create(ChunkStore* store,
                             std::vector<std::string> members) {
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
-  std::vector<std::pair<std::string, std::string>> kvs;
-  kvs.reserve(members.size());
-  for (auto& m : members) kvs.emplace_back(std::move(m), std::string());
-  FB_ASSIGN_OR_RETURN(TreeInfo info,
-                      PosTree::BuildKeyed(store, ChunkType::kSetLeaf, kvs));
+  if (std::adjacent_find(members.begin(), members.end(),
+                         std::greater_equal<>()) != members.end()) {
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+  }
+  TreeBuilder builder(store, ChunkType::kSetLeaf, TreeConfig::ForEntries());
+  std::string entry;
+  for (const auto& m : members) {
+    entry.clear();
+    AppendSetEntry(&entry, m);
+    FB_RETURN_IF_ERROR(builder.AddEntry(entry, m));
+  }
+  FB_ASSIGN_OR_RETURN(TreeInfo info, builder.Finish());
   return FSet(PosTree(store, ChunkType::kSetLeaf, info.root));
 }
 

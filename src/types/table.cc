@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string_view>
 
 namespace forkbase {
 
 std::string FTable::EncodeRow(const std::vector<std::string>& cells) {
   std::string out;
-  for (const auto& c : cells) PutLengthPrefixed(&out, c);
+  AppendRow(&out, cells);
   return out;
+}
+
+void FTable::AppendRow(std::string* out,
+                       const std::vector<std::string>& cells) {
+  for (const auto& c : cells) PutLengthPrefixed(out, c);
 }
 
 bool FTable::DecodeRow(Slice bytes, size_t ncols,
@@ -20,6 +26,15 @@ bool FTable::DecodeRow(Slice bytes, size_t ncols,
     Slice cell;
     if (!dec.GetLengthPrefixed(&cell)) return false;
     cells->push_back(cell.ToString());
+  }
+  return dec.AtEnd();
+}
+
+bool FTable::SplitRow(Slice row, size_t ncols, std::vector<Slice>* cells) {
+  cells->resize(ncols);
+  Decoder dec(row);
+  for (size_t i = 0; i < ncols; ++i) {
+    if (!dec.GetLengthPrefixed(&(*cells)[i])) return false;
   }
   return dec.AtEnd();
 }
@@ -46,24 +61,52 @@ StatusOr<FTable> FTable::Create(
   if (key_column >= columns.size()) {
     return Status::InvalidArgument("key column out of range");
   }
-  std::vector<std::pair<std::string, std::string>> kvs;
-  kvs.reserve(rows.size());
-  for (const auto& row : rows) {
-    if (row.size() != columns.size()) {
+  // One pass: row widths, and whether the keys already ascend strictly (if
+  // they do, nothing needs sorting).
+  bool ascending = true, duplicate = false;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].size() != columns.size()) {
       return Status::InvalidArgument("row width differs from schema");
     }
-    kvs.emplace_back(row[key_column], EncodeRow(row));
+    if (i > 0 && ascending) {
+      const int c = rows[i - 1][key_column].compare(rows[i][key_column]);
+      duplicate = c == 0;
+      ascending = c < 0;
+    }
   }
-  // Detect duplicate primary keys (FMap::Create would last-wins them).
-  std::vector<std::string> keys;
-  keys.reserve(kvs.size());
-  for (const auto& kv : kvs) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end());
-  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
-    return Status::InvalidArgument("duplicate primary key");
+  // Out of order: sort (key, row) references, not copies of the rows. The
+  // key view saves the comparator a hop through the row's cell array.
+  std::vector<std::pair<std::string_view, const std::vector<std::string>*>>
+      order;
+  if (!ascending && !duplicate) {
+    order.reserve(rows.size());
+    for (const auto& row : rows) order.emplace_back(row[key_column], &row);
+    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    duplicate = std::adjacent_find(order.begin(), order.end(),
+                                   [](const auto& a, const auto& b) {
+                                     return a.first == b.first;
+                                   }) != order.end();
   }
-  FB_ASSIGN_OR_RETURN(FMap rows_map, FMap::Create(store, std::move(kvs)));
-  return WriteHeader(store, std::move(columns), key_column, rows_map);
+  if (duplicate) return Status::InvalidArgument("duplicate primary key");
+
+  // Stream each row's map entry, (key, EncodeRow(row)), into the builder
+  // through two reused buffers.
+  TreeBuilder builder(store, ChunkType::kMapLeaf, TreeConfig::ForEntries());
+  std::string encoded, entry;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<std::string>& row =
+        ascending ? rows[i] : *order[i].second;
+    encoded.clear();
+    AppendRow(&encoded, row);
+    entry.clear();
+    AppendMapEntry(&entry, row[key_column], encoded);
+    FB_RETURN_IF_ERROR(builder.AddEntry(entry, row[key_column]));
+  }
+  FB_ASSIGN_OR_RETURN(TreeInfo info, builder.Finish());
+  return WriteHeader(store, std::move(columns), key_column,
+                     FMap::Attach(store, info.root));
 }
 
 StatusOr<FTable> FTable::FromCsv(ChunkStore* store, const CsvDocument& doc,
@@ -176,22 +219,11 @@ StatusOr<FTable> FTable::AddColumn(const std::string& name,
   }
   std::vector<std::string> new_columns = columns_;
   new_columns.push_back(name);
-  // Rewrite every row with the default appended. One bulk tree build keeps
-  // this O(N) with full structural invariance.
-  std::vector<std::pair<std::string, std::string>> kvs;
-  const size_t ncols = columns_.size();
-  FB_RETURN_IF_ERROR(rows_.ForEach([&](Slice key, Slice value) -> Status {
-    std::vector<std::string> cells;
-    if (!DecodeRow(value, ncols, &cells)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
-    }
-    cells.push_back(default_value);
-    kvs.emplace_back(key.ToString(), EncodeRow(cells));
-    return Status::OK();
-  }));
   FB_ASSIGN_OR_RETURN(
       FMap new_rows,
-      FMap::Create(const_cast<ChunkStore*>(store_), std::move(kvs)));
+      RewriteRows([&](std::vector<Slice>* cells) {
+        cells->push_back(default_value);
+      }));
   return WriteHeader(const_cast<ChunkStore*>(store_), std::move(new_columns),
                      key_column_, new_rows);
 }
@@ -207,22 +239,38 @@ StatusOr<FTable> FTable::DropColumn(size_t column) const {
   new_columns.erase(new_columns.begin() + column);
   const size_t new_key_column =
       key_column_ > column ? key_column_ - 1 : key_column_;
-  std::vector<std::pair<std::string, std::string>> kvs;
-  const size_t ncols = columns_.size();
-  FB_RETURN_IF_ERROR(rows_.ForEach([&](Slice key, Slice value) -> Status {
-    std::vector<std::string> cells;
-    if (!DecodeRow(value, ncols, &cells)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
-    }
-    cells.erase(cells.begin() + column);
-    kvs.emplace_back(key.ToString(), EncodeRow(cells));
-    return Status::OK();
-  }));
   FB_ASSIGN_OR_RETURN(
       FMap new_rows,
-      FMap::Create(const_cast<ChunkStore*>(store_), std::move(kvs)));
+      RewriteRows([&](std::vector<Slice>* cells) {
+        cells->erase(cells->begin() + column);
+      }));
   return WriteHeader(const_cast<ChunkStore*>(store_), std::move(new_columns),
                      new_key_column, new_rows);
+}
+
+StatusOr<FMap> FTable::RewriteRows(
+    const std::function<void(std::vector<Slice>* cells)>& rewrite) const {
+  // ForEach yields keys in ascending order, so every row streams straight
+  // into one bulk build: O(N), bit-identical to building the new rows from
+  // scratch.
+  TreeBuilder builder(const_cast<ChunkStore*>(store_), ChunkType::kMapLeaf,
+                      TreeConfig::ForEntries());
+  const size_t ncols = columns_.size();
+  std::vector<Slice> cells;
+  std::string encoded, entry;
+  FB_RETURN_IF_ERROR(rows_.ForEach([&](Slice key, Slice value) -> Status {
+    if (!SplitRow(value, ncols, &cells)) {
+      return Status::Corruption("malformed row for key " + key.ToString());
+    }
+    rewrite(&cells);
+    encoded.clear();
+    for (const Slice& cell : cells) PutLengthPrefixed(&encoded, cell);
+    entry.clear();
+    AppendMapEntry(&entry, key, encoded);
+    return builder.AddEntry(entry, key);
+  }));
+  FB_ASSIGN_OR_RETURN(TreeInfo info, builder.Finish());
+  return FMap::Attach(store_, info.root);
 }
 
 StatusOr<FTable> FTable::RenameColumn(size_t column,
@@ -393,23 +441,16 @@ Status FTable::Validate() const {
   }
   FB_RETURN_IF_ERROR(rows_.Validate());
   const size_t ncols = columns_.size();
-  // DecodeRow's checks (ncols cells, no trailing bytes) on slices: only the
-  // key cell is compared, so no cell is copied.
+  // Only the key cell is compared, so no cell is copied.
+  std::vector<Slice> cells;
   return rows_.ForEach([&](Slice key, Slice value) -> Status {
-    Decoder dec(value);
-    Slice cell, key_cell;
-    bool well_formed = true;
-    for (size_t i = 0; i < ncols && well_formed; ++i) {
-      well_formed = dec.GetLengthPrefixed(&cell);
-      if (i == key_column_) key_cell = cell;
+    if (!SplitRow(value, ncols, &cells)) {
+      return Status::Corruption("malformed row for key " + key.ToString());
     }
-    if (well_formed && dec.AtEnd()) {
-      if (key_cell != key) {
-        return Status::Corruption("row key does not match primary-key cell");
-      }
-      return Status::OK();
+    if (cells[key_column_] != key) {
+      return Status::Corruption("row key does not match primary-key cell");
     }
-    return Status::Corruption("malformed row for key " + key.ToString());
+    return Status::OK();
   });
 }
 

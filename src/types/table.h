@@ -116,6 +116,16 @@ class FTable {
                                       std::vector<std::string> columns,
                                       size_t key_column, const FMap& rows);
   StatusOr<FTable> WithRows(const FMap& rows) const;
+  /// Appends EncodeRow(cells) to `out`.
+  static void AppendRow(std::string* out,
+                        const std::vector<std::string>& cells);
+  /// DecodeRow without copying: the same checks (`ncols` cells, no trailing
+  /// bytes), with `cells` pointing into `row`.
+  static bool SplitRow(Slice row, size_t ncols, std::vector<Slice>* cells);
+  /// Builds a row tree of every row's SplitRow cells as changed by
+  /// `rewrite`.
+  StatusOr<FMap> RewriteRows(
+      const std::function<void(std::vector<Slice>* cells)>& rewrite) const;
 
   const ChunkStore* store_;
   Hash256 id_;

@@ -46,6 +46,24 @@ TEST(TreeBuilderTest, EmptyTreesOfDifferentTypesDiffer) {
   EXPECT_NE(map_info->root, set_info->root);
 }
 
+TEST(TreeBuilderTest, BuildKeyedRejectsKeysNotStrictlyAscending) {
+  // Lookup and Diff binary-search by key: a tree built from unsorted or
+  // repeated keys would answer wrongly, so the build refuses it.
+  MemChunkStore store;
+  for (const ChunkType type : {ChunkType::kMapLeaf, ChunkType::kSetLeaf}) {
+    auto unsorted = PosTree::BuildKeyed(&store, type,
+                                        {{"a", ""}, {"c", ""}, {"b", ""}});
+    EXPECT_EQ(unsorted.status().code(), StatusCode::kInvalidArgument);
+    auto repeated = PosTree::BuildKeyed(&store, type,
+                                        {{"a", ""}, {"b", ""}, {"b", ""}});
+    EXPECT_EQ(repeated.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto sorted = MakeKvs(2000);
+  std::swap(sorted[1500], sorted[1501]);
+  auto late = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, sorted);
+  EXPECT_EQ(late.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TreeBuilderTest, SingleEntryRootIsLeaf) {
   MemChunkStore store;
   auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf,

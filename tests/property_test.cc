@@ -6,10 +6,14 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "chunk/mem_chunk_store.h"
 #include "postree/diff.h"
 #include "postree/tree.h"
+#include "types/map.h"
+#include "types/set.h"
+#include "util/codec.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -451,6 +455,77 @@ TEST(IncrementalUpdate, RandomBatchesMatchRebuild) {
     }
   }
   EXPECT_GE(cases, 300);
+}
+
+TEST(BulkCreate, MapAndSetMatchReferenceBuildInAnyInputOrder) {
+  // FMap::Create and FSet::Create sort only input that is out of order and
+  // dedup in place. Whatever the order and repeats, the root must equal a
+  // reference: std::map (last wins) / std::set, streamed entry by entry
+  // into a TreeBuilder in the documented entry format.
+  int cases = 0;
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(7000 + seed);
+    const size_t n = rng.Uniform(seed % 8 == 0 ? 3000 : 400);
+    const size_t key_space = 1 + rng.Uniform(2 * n + 1);
+    std::vector<std::pair<std::string, std::string>> kvs;
+    for (size_t i = 0; i < n; ++i) {
+      kvs.emplace_back(std::to_string(rng.Uniform(key_space)),
+                       rng.NextString(rng.Uniform(24)));
+    }
+    switch (seed % 3) {
+      case 0:  // sorted, repeats adjacent in input order
+        std::stable_sort(kvs.begin(), kvs.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first < b.first;
+                         });
+        break;
+      case 1:
+        std::reverse(kvs.begin(), kvs.end());
+        break;
+      default:
+        break;  // random order
+    }
+    std::map<std::string, std::string> map_ref;
+    std::set<std::string> set_ref;
+    std::vector<std::string> members;
+    for (const auto& [k, v] : kvs) {
+      map_ref[k] = v;
+      set_ref.insert(k);
+      members.push_back(k);
+    }
+
+    MemChunkStore store;
+    auto reference = [&store](ChunkType type, const auto& entries) {
+      TreeBuilder builder(&store, type, TreeConfig::ForEntries());
+      std::string entry;
+      for (const auto& e : entries) {
+        entry.clear();
+        if constexpr (std::is_same_v<std::decay_t<decltype(e)>,
+                                     std::string>) {
+          PutLengthPrefixed(&entry, e);
+          EXPECT_TRUE(builder.AddEntry(entry, e).ok());
+        } else {
+          PutLengthPrefixed(&entry, e.first);
+          PutLengthPrefixed(&entry, e.second);
+          EXPECT_TRUE(builder.AddEntry(entry, e.first).ok());
+        }
+      }
+      auto info = builder.Finish();
+      EXPECT_TRUE(info.ok());
+      return info.ok() ? info->root : Hash256{};
+    };
+    const std::string what = "seed " + std::to_string(seed) + " (" +
+                             std::to_string(n) + " entries)";
+    auto map = FMap::Create(&store, kvs);
+    ASSERT_TRUE(map.ok()) << what;
+    EXPECT_EQ(map->root(), reference(ChunkType::kMapLeaf, map_ref)) << what;
+    auto set = FSet::Create(&store, members);
+    ASSERT_TRUE(set.ok()) << what;
+    EXPECT_EQ(set->root(), reference(ChunkType::kSetLeaf, set_ref)) << what;
+    if (HasFailure()) return;
+    ++cases;
+  }
+  EXPECT_GE(cases, 200);
 }
 
 // Counts chunk loads, to pin the update's complexity.

@@ -2,6 +2,8 @@
 // selection, row+column diff, and column-refined three-way merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chunk/mem_chunk_store.h"
 #include "postree/tree.h"
 #include "types/table.h"
@@ -49,6 +51,58 @@ TEST(FTableTest, RejectsBadInputs) {
   EXPECT_FALSE(
       FTable::Create(&store, {"id", "v"}, {{"r1", "a"}, {"r1", "b"}}).ok())
       << "duplicate primary keys must be rejected";
+  // Out of order, with the repeated key not adjacent: only the sort finds it.
+  auto unsorted_duplicate = FTable::Create(
+      &store, {"id", "v"}, {{"r2", "a"}, {"r1", "b"}, {"r2", "c"}});
+  EXPECT_EQ(unsorted_duplicate.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unsorted_duplicate.status().message(), "duplicate primary key");
+  // Ascending, then a repeat at the end.
+  EXPECT_FALSE(FTable::Create(&store, {"id", "v"},
+                              {{"r1", "a"}, {"r2", "b"}, {"r2", "c"}})
+                   .ok());
+}
+
+TEST(FTableTest, RowOrderDoesNotChangeTheId) {
+  MemChunkStore store;
+  CsvGenOptions opts;
+  opts.num_rows = 3000;  // several leaves and an index level
+  const CsvDocument doc = GenerateCsv(opts);
+  auto sorted = FTable::FromCsv(&store, doc);
+  ASSERT_TRUE(sorted.ok());
+
+  CsvDocument shuffled = doc;
+  Rng rng(11);
+  for (size_t i = shuffled.rows.size(); i > 1; --i) {
+    std::swap(shuffled.rows[i - 1], shuffled.rows[rng.Uniform(i)]);
+  }
+  auto from_shuffled = FTable::FromCsv(&store, shuffled);
+  ASSERT_TRUE(from_shuffled.ok());
+  EXPECT_EQ(from_shuffled->id(), sorted->id());
+
+  CsvDocument reversed = doc;
+  std::reverse(reversed.rows.begin(), reversed.rows.end());
+  auto from_reversed = FTable::FromCsv(&store, reversed);
+  ASSERT_TRUE(from_reversed.ok());
+  EXPECT_EQ(from_reversed->id(), sorted->id());
+}
+
+TEST(FTableTest, RowTreeIsAMapOfEncodedRows) {
+  // The streamed row entries must be bit-identical to building the row map
+  // from (primary key, EncodeRow(row)) pairs.
+  MemChunkStore store;
+  CsvGenOptions opts;
+  opts.num_rows = 3000;
+  opts.seed = 5;
+  const CsvDocument doc = GenerateCsv(opts);
+  auto table = FTable::FromCsv(&store, doc, /*key_column=*/0);
+  ASSERT_TRUE(table.ok());
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (const auto& row : doc.rows) {
+    kvs.emplace_back(row[0], FTable::EncodeRow(row));
+  }
+  auto map = FMap::Create(&store, std::move(kvs));
+  ASSERT_TRUE(map.ok());
+  EXPECT_EQ(table->rows().root(), map->root());
 }
 
 TEST(FTableTest, AttachByIdRestoresSchema) {

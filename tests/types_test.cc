@@ -2,6 +2,7 @@
 // FSet behaviour against reference containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -258,6 +259,50 @@ TEST(FMapTest, InsertionOrderIrrelevant) {
   EXPECT_EQ(forward->root(), backward->root());
 }
 
+TEST(FMapTest, RepeatedKeysGiveTheSameRootInAnyOrder) {
+  MemChunkStore store;
+  std::vector<std::pair<std::string, std::string>> sorted;
+  Rng rng(9);
+  for (int i = 0; i < 600; ++i) {
+    const std::string key = std::to_string(1000 + i);
+    for (int r = 0; r < 1 + i % 3; ++r) sorted.emplace_back(key, key + "v");
+  }
+  auto from_sorted = FMap::Create(&store, sorted);
+  ASSERT_TRUE(from_sorted.ok());
+  EXPECT_EQ(*from_sorted->Size(), 600u);
+
+  auto reversed = sorted;
+  std::reverse(reversed.begin(), reversed.end());
+  auto shuffled = sorted;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+  }
+  for (const auto& kvs : {reversed, shuffled}) {
+    auto map = FMap::Create(&store, kvs);
+    ASSERT_TRUE(map.ok());
+    EXPECT_EQ(map->root(), from_sorted->root());
+  }
+}
+
+TEST(FMapTest, LastWinsWhetherOrNotInputIsSorted) {
+  MemChunkStore store;
+  // Already in key order: no sort runs, the in-place dedup keeps the last.
+  auto sorted = FMap::Create(
+      &store, {{"a", "1"}, {"k", "first"}, {"k", "second"}, {"z", "2"}});
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(*sorted->Size(), 3u);
+  EXPECT_EQ(**sorted->Get("k"), "second");
+  // Out of order: the stable sort keeps "second" after "first".
+  auto unsorted = FMap::Create(
+      &store, {{"z", "2"}, {"k", "first"}, {"a", "1"}, {"k", "second"}});
+  ASSERT_TRUE(unsorted.ok());
+  EXPECT_EQ(unsorted->root(), sorted->root());
+  auto reversed = FMap::Create(
+      &store, {{"z", "2"}, {"k", "second"}, {"k", "first"}, {"a", "1"}});
+  ASSERT_TRUE(reversed.ok());
+  EXPECT_EQ(**reversed->Get("k"), "first");
+}
+
 TEST(FMapTest, ForEachSeesSortedEntries) {
   MemChunkStore store;
   auto map = FMap::Create(&store, {{"b", "2"}, {"a", "1"}, {"c", "3"}});
@@ -321,6 +366,34 @@ TEST(FSetTest, DuplicatesCollapse) {
   auto set = FSet::Create(&store, {"x", "x", "y", "x"});
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(*set->Size(), 2u);
+}
+
+TEST(FSetTest, RepeatedMembersGiveTheSameRootInAnyOrder) {
+  MemChunkStore store;
+  std::vector<std::string> sorted;
+  for (int i = 0; i < 900; ++i) {
+    for (int r = 0; r < 1 + i % 3; ++r) {
+      sorted.push_back(std::to_string(1000 + i));
+    }
+  }
+  auto from_sorted = FSet::Create(&store, sorted);
+  ASSERT_TRUE(from_sorted.ok());
+  EXPECT_EQ(*from_sorted->Size(), 900u);
+
+  auto unique = sorted;
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  auto reversed = sorted;
+  std::reverse(reversed.begin(), reversed.end());
+  auto shuffled = sorted;
+  Rng rng(10);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+  }
+  for (const auto& members : {unique, reversed, shuffled}) {
+    auto set = FSet::Create(&store, members);
+    ASSERT_TRUE(set.ok());
+    EXPECT_EQ(set->root(), from_sorted->root());
+  }
 }
 
 TEST(FSetTest, DiffReportsSymmetricDifference) {
