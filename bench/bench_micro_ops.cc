@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -858,6 +859,60 @@ void BM_SyncPushDelta(benchmark::State& state) {
   benchmark::DoNotOptimize(bytes);
 }
 BENCHMARK(BM_SyncPushDelta);
+
+// ---- delta export vs. history length ------------------------------------
+//
+// The server side of a pull: a one-commit delta of a 20,000-entry map after
+// 100 or 1,000 earlier one-key commits, through the commit graph of the
+// ForkBase that made them. The walk stops at the receiver's frontier, so
+// the longer history must cost about the same; subtracting the receiver's
+// whole closure instead grows with every commit ever made.
+
+struct DeltaExportCorpus {
+  std::shared_ptr<MemChunkStore> store;
+  std::unique_ptr<ForkBase> db;
+  Hash256 prev;  ///< the receiver's frontier: one commit behind
+  Hash256 head;
+};
+
+const DeltaExportCorpus& GetDeltaExportCorpus(int prior_commits) {
+  static std::map<int, DeltaExportCorpus> corpora;
+  auto it = corpora.find(prior_commits);
+  if (it != corpora.end()) return it->second;
+  DeltaExportCorpus c;
+  c.store = std::make_shared<MemChunkStore>();
+  c.db = std::make_unique<ForkBase>(c.store);
+  auto kvs = RandomKvs(20000, 23);
+  (void)c.db->PutMap("k", {kvs.begin(), kvs.end()});
+  Rng rng(24);
+  for (int i = 0; i < prior_commits; ++i) {
+    (void)c.db->UpdateMap("k", {KeyedOp{kvs[rng.Uniform(kvs.size())].first,
+                                        "v" + std::to_string(i)}});
+  }
+  c.prev = *c.db->Head("k");
+  (void)c.db->UpdateMap("k", {KeyedOp{"bench-final", std::string("v")}});
+  c.head = *c.db->Head("k");
+  return corpora.emplace(prior_commits, std::move(c)).first->second;
+}
+
+void BM_DeltaExport(benchmark::State& state) {
+  const DeltaExportCorpus& corpus =
+      GetDeltaExportCorpus(static_cast<int>(state.range(0)));
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    auto stats = ExportDeltaBundle(
+        *corpus.store, {corpus.head}, {corpus.prev},
+        [&](Slice b) {
+          bytes += b.size();
+          return Status::OK();
+        },
+        corpus.db->commit_graph());
+    benchmark::DoNotOptimize(stats.ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  benchmark::DoNotOptimize(bytes);
+}
+BENCHMARK(BM_DeltaExport)->Arg(100)->Arg(1000);
 
 // ---- GC: in-place sweep, copy collection, parallel compaction ------------
 //

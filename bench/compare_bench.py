@@ -125,6 +125,12 @@ TRACKED_PAIRS = [
     # The ratio is CPU-only work on both sides but its level moves with
     # cache behaviour, so floor only.
     ("BM_MapCommit/100000", "BM_MapCommit/1000", 0.2, False),
+    # Sync-cost criterion: a one-commit delta export stops at the
+    # receiver's frontier, so after 10x the history it must keep >= 0.5x
+    # the throughput (~1x by construction; subtracting the receiver's whole
+    # closure, as pulls once did, falls with every prior commit). CPU-only
+    # on both sides, but cache behaviour moves the level: floor only.
+    ("BM_DeltaExport/1000", "BM_DeltaExport/100", 0.5, False),
 ]
 
 

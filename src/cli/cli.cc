@@ -589,7 +589,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     }
     FB_ASSIGN_OR_RETURN(std::string bundle, ReadFile(pos[1]));
     FB_ASSIGN_OR_RETURN(ImportResult result,
-                        ImportBundle(bundle, db.store()));
+                        ImportBundle(bundle, db.store(), &db));
     FB_ASSIGN_OR_RETURN(VersionInfo info, db.Meta(result.head));
     db.branches().SetHead(info.key, ctx.branch, result.head);
     out << "pulled " << info.key << "@" << ctx.branch << " = "

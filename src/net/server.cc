@@ -502,7 +502,7 @@ void ForkBaseServer::HandleFrame(const std::shared_ptr<Session>& session,
         session->upload_pin =
             std::make_unique<ChunkStore::PutPin>(*db_->store());
       }
-      session->importer = std::make_unique<BundleImporter>(db_->store());
+      session->importer = std::make_unique<BundleImporter>(db_->store(), db_);
       session->bundle_bytes = 0;
       return;
     case Verb::kBundlePart:
@@ -901,7 +901,8 @@ Status ForkBaseServer::HandleUpdateHead(Decoder* dec,
       reply_payload->push_back(0);  // already there — idempotent push
       return Status::OK();
     }
-    auto fast_forward = HistoryContains(*db_->store(), uid, *head);
+    auto fast_forward =
+        HistoryContains(*db_->store(), db_->commit_graph(), uid, *head);
     if (!fast_forward.ok()) return fast_forward.status();
     if (!*fast_forward) {
       return Status::MergeConflict(
@@ -950,7 +951,8 @@ Status ForkBaseServer::HandlePullDelta(
     }
     return Status::OK();
   };
-  auto stats = ExportDeltaBundle(*db_->store(), want, have, sink);
+  auto stats =
+      ExportDeltaBundle(*db_->store(), want, have, sink, db_->commit_graph());
   if (!stats.ok()) return stats.status();  // client aborts on the kError
   if (!buffer.empty()) {
     FB_RETURN_IF_ERROR(EnqueueBytesBounded(

@@ -4,14 +4,11 @@
 #include <chrono>
 #include <map>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "store/bundle.h"
-#include "store/fnode.h"
-#include "store/gc.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -32,11 +29,12 @@ bool KeySelected(const SyncOptions& options, const std::string& key) {
          options.keys.end();
 }
 
-/// Every local branch head — the receiver's "have" frontier.
-std::vector<Hash256> LocalHeads(ForkBase* db) {
+/// Local branch heads of `keys` — the receiver's "have" frontier for them.
+std::vector<Hash256> LocalHeads(ForkBase* db,
+                                const std::vector<std::string>& keys) {
   std::unordered_set<Hash256, Hash256Hasher> seen;
   std::vector<Hash256> heads;
-  for (const auto& key : db->ListKeys()) {
+  for (const auto& key : keys) {
     auto latest = db->Latest(key);
     if (!latest.ok()) continue;
     for (const auto& [branch, uid] : *latest) {
@@ -62,7 +60,8 @@ StatusOr<bool> FastForwardLocal(ForkBase* db, const Target& target) {
     }
     if (*head == target.uid) return false;
     FB_ASSIGN_OR_RETURN(bool fast_forward,
-                        HistoryContains(*db->store(), target.uid, *head));
+                        HistoryContains(*db->store(), db->commit_graph(),
+                                        target.uid, *head));
     if (!fast_forward) {
       return Status::MergeConflict("local branch " + target.key + "@" +
                                    target.branch + " diverged");
@@ -78,24 +77,6 @@ StatusOr<bool> FastForwardLocal(ForkBase* db, const Target& target) {
 }
 
 }  // namespace
-
-StatusOr<bool> HistoryContains(const ChunkStore& store, const Hash256& head,
-                               const Hash256& target) {
-  if (head == target) return true;
-  std::unordered_set<Hash256, Hash256Hasher> seen{head};
-  std::queue<Hash256> frontier;
-  frontier.push(head);
-  while (!frontier.empty()) {
-    Hash256 uid = frontier.front();
-    frontier.pop();
-    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
-    for (const auto& base : node.bases) {
-      if (base == target) return true;
-      if (seen.insert(base).second) frontier.push(base);
-    }
-  }
-  return false;
-}
 
 StatusOr<SyncStats> SyncPush(ForkBase* db, ForkBaseClient* client,
                              const SyncOptions& options) {
@@ -147,9 +128,9 @@ Status SyncPushInto(ForkBase* db, ForkBaseClient* client,
   for (const auto& h : remote_heads) {
     if (db->store()->Contains(h.uid)) have.push_back(h.uid);
   }
-  FB_ASSIGN_OR_RETURN(auto excluded, MarkLive(*db->store(), have));
-  FB_ASSIGN_OR_RETURN(auto delta, MarkLive(*db->store(), want, &excluded));
-  std::vector<Hash256> candidates(delta.begin(), delta.end());
+  FB_ASSIGN_OR_RETURN(
+      auto candidates,
+      DeltaClosure(*db->store(), want, have, db->commit_graph()));
   std::sort(candidates.begin(), candidates.end());
 
   // Have/want rounds: the head comparison bounds the closure, the Offer
@@ -223,6 +204,7 @@ Status SyncPullInto(ForkBase* db, ForkBaseClient* client,
 
   std::vector<Target> targets;
   std::vector<Hash256> want;
+  std::vector<std::string> want_keys;
   for (const auto& h : remote_heads) {
     if (!KeySelected(options, h.key)) continue;
     ++stats.branches_considered;
@@ -232,7 +214,13 @@ Status SyncPullInto(ForkBase* db, ForkBaseClient* client,
       continue;
     }
     targets.push_back({h.key, h.branch, h.uid});
-    if (!db->store()->Contains(h.uid)) want.push_back(h.uid);
+    if (!db->store()->Contains(h.uid)) {
+      want.push_back(h.uid);
+      if (std::find(want_keys.begin(), want_keys.end(), h.key) ==
+          want_keys.end()) {
+        want_keys.push_back(h.key);
+      }
+    }
   }
   if (targets.empty()) return Status::OK();
 
@@ -244,14 +232,15 @@ Status SyncPullInto(ForkBase* db, ForkBaseClient* client,
   // the publish calls below can take their own leases.
   ChunkStore::PutPin pull_pin(*db->store());
   if (!want.empty()) {
-    // The server computes the delta against everything we already have.
+    // The server computes the delta against our heads of the same keys
+    // (other keys' histories cannot contain a wanted version).
     FB_ASSIGN_OR_RETURN(auto delta,
-                        client->PullDelta(want, LocalHeads(db)));
+                        client->PullDelta(want, LocalHeads(db, want_keys)));
     stats.chunks_received = delta.chunks;
     stats.bytes_received = delta.bytes;
     auto lease = db->AcquireWriteLease();
     FB_ASSIGN_OR_RETURN(auto imported,
-                        ImportBundle(Slice(delta.bundle), db->store()));
+                        ImportBundle(Slice(delta.bundle), db->store(), db));
     stats.remote_new_chunks = imported.new_chunks;
   }
 

@@ -53,11 +53,6 @@ struct SyncStats {
   uint64_t remote_new_chunks = 0;
 };
 
-/// True iff `target` appears in the derivation history reachable from
-/// `head` (head == target counts). The fast-forward test on both ends.
-StatusOr<bool> HistoryContains(const ChunkStore& store, const Hash256& head,
-                               const Hash256& target);
-
 /// Pushes local branch heads to the peer behind `client`.
 StatusOr<SyncStats> SyncPush(ForkBase* db, ForkBaseClient* client,
                              const SyncOptions& options = SyncOptions());

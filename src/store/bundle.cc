@@ -85,21 +85,185 @@ StatusOr<std::string> ExportBundle(const ChunkStore& store,
   return out;
 }
 
+namespace {
+
+/// Tree stage of DeltaClosure: emits the nodes of a value tree that none of
+/// its base trees holds. Nodes are compared level by level, counted from
+/// the leaves, so trees whose heights differ still line up; a node whose id
+/// a base holds at the same level is skipped unloaded. Base nodes are
+/// loaded only to learn candidate ids for the level below, and only while
+/// fresh nodes remain there.
+class TreeDelta {
+ public:
+  TreeDelta(const ChunkStore& store,
+            std::unordered_set<Hash256, Hash256Hasher>* emitted,
+            std::vector<Hash256>* out)
+      : store_(store), emitted_(emitted), out_(out) {}
+
+  Status Add(const Hash256& root, const std::vector<Hash256>& base_roots) {
+    FB_RETURN_IF_ERROR(Descend(root, base_roots));
+    // Children of a leaf-level node: only a malformed tree has them, and
+    // they are checked in full like any tree without bases.
+    while (!orphans_.empty()) {
+      const Hash256 orphan = orphans_.back();
+      orphans_.pop_back();
+      FB_RETURN_IF_ERROR(Descend(orphan, {}));
+    }
+    return Status::OK();
+  }
+
+ private:
+  Status Descend(const Hash256& root, const std::vector<Hash256>& base_roots) {
+    if (emitted_->count(root) ||
+        std::find(base_roots.begin(), base_roots.end(), root) !=
+            base_roots.end()) {
+      return Status::OK();
+    }
+    FB_ASSIGN_OR_RETURN(size_t top, Level(root));
+    std::vector<std::vector<Hash256>> fresh(top + 1), held(top + 1);
+    fresh[top].push_back(root);
+    for (const auto& base_root : base_roots) {
+      FB_ASSIGN_OR_RETURN(size_t level, Level(base_root));
+      if (level >= held.size()) {
+        held.resize(level + 1);
+        fresh.resize(level + 1);
+      }
+      held[level].push_back(base_root);
+    }
+    for (size_t level = held.size() - 1;; --level) {
+      const std::unordered_set<Hash256, Hash256Hasher> in_base(
+          held[level].begin(), held[level].end());
+      std::vector<Hash256> survivors;
+      for (const auto& id : fresh[level]) {
+        if (!in_base.count(id) && emitted_->insert(id).second) {
+          survivors.push_back(id);
+        }
+      }
+      out_->insert(out_->end(), survivors.begin(), survivors.end());
+      if (level == 0) return Expand(survivors, &orphans_);
+      FB_RETURN_IF_ERROR(Expand(survivors, &fresh[level - 1]));
+      if (level - 1 <= top && fresh[level - 1].empty()) return Status::OK();
+      // A base node some fresh node matched holds that very subtree; only
+      // the unmatched ones can match fresh nodes further down.
+      std::unordered_set<Hash256, Hash256Hasher> skip(fresh[level].begin(),
+                                                      fresh[level].end());
+      std::vector<Hash256> unmatched;
+      for (const auto& id : held[level]) {
+        if (skip.insert(id).second) unmatched.push_back(id);
+      }
+      FB_RETURN_IF_ERROR(Expand(unmatched, &held[level - 1]));
+    }
+  }
+
+  /// Loads `ids` (batched) and appends their children to `children`. An
+  /// index node is loaded and parsed once per DeltaClosure: one version's
+  /// fresh tree is the next version's base tree.
+  Status Expand(const std::vector<Hash256>& ids,
+                std::vector<Hash256>* children) {
+    std::vector<Hash256> misses;
+    for (const auto& id : ids) {
+      if (!index_.count(id)) misses.push_back(id);
+    }
+    std::vector<Hash256> parsed;
+    FB_RETURN_IF_ERROR(ForEachChunkBatch(
+        store_, misses, kChunkSweepBatch,
+        [&](size_t i, StatusOr<Chunk>& chunk_or) -> Status {
+          if (!chunk_or.ok()) return chunk_or.status();
+          parsed.clear();
+          FB_RETURN_IF_ERROR(AppendTreeChildren(*chunk_or, &parsed));
+          if (!parsed.empty()) index_.emplace(misses[i], parsed);
+          return Status::OK();
+        }));
+    for (const auto& id : ids) {
+      auto it = index_.find(id);
+      if (it == index_.end()) continue;  // a leaf
+      children->insert(children->end(), it->second.begin(), it->second.end());
+    }
+    return Status::OK();
+  }
+
+  /// Distance from `root` to the leaves, down its leftmost path.
+  StatusOr<size_t> Level(const Hash256& root) {
+    size_t level = 0;
+    std::vector<Hash256> children{root};
+    for (;;) {
+      const Hash256 current = children.front();
+      children.clear();
+      FB_RETURN_IF_ERROR(Expand({current}, &children));
+      if (children.empty()) return level;
+      ++level;
+    }
+  }
+
+  const ChunkStore& store_;
+  std::unordered_set<Hash256, Hash256Hasher>* emitted_;
+  std::vector<Hash256>* out_;
+  std::vector<Hash256> orphans_;
+  /// Children of the index nodes (and table headers) loaded so far.
+  std::unordered_map<Hash256, std::vector<Hash256>, Hash256Hasher> index_;
+};
+
+}  // namespace
+
+StatusOr<std::vector<Hash256>> DeltaClosure(const ChunkStore& store,
+                                            const std::vector<Hash256>& want,
+                                            const std::vector<Hash256>& have,
+                                            CommitGraph* graph) {
+  CommitGraph scratch;
+  if (graph == nullptr) graph = &scratch;
+  std::vector<Hash256> out;
+  std::unordered_set<Hash256, Hash256Hasher> emitted;
+  TreeDelta trees(store, &emitted, &out);
+
+  std::unordered_set<std::string> keys;
+  std::vector<Hash256> want_versions;
+  for (const auto& id : want) {
+    FB_ASSIGN_OR_RETURN(Chunk chunk, store.Get(id));
+    if (chunk.type() != ChunkType::kFNode) {
+      FB_RETURN_IF_ERROR(trees.Add(id, {}));
+      continue;
+    }
+    FB_ASSIGN_OR_RETURN(FNode node, FNode::FromChunk(chunk));
+    keys.insert(node.key);
+    want_versions.push_back(id);
+  }
+  std::vector<Hash256> have_versions;
+  for (const auto& id : have) {
+    if (!store.Contains(id)) continue;
+    auto node = FNode::Load(&store, id);
+    if (node.ok() && keys.count(node->key)) have_versions.push_back(id);
+  }
+  FB_ASSIGN_OR_RETURN(auto versions,
+                      NewVersions(store, graph, want_versions, have_versions));
+
+  // Oldest first: a descent trusts its bases' trees and every subtree
+  // emitted before it, so both must be settled already — walking newest
+  // first would let a base's descent skip a subtree whose children the
+  // newer version pruned against that very base.
+  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+    const Hash256& uid = *it;
+    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
+    emitted.insert(uid);
+    out.push_back(uid);
+    if (!node.value.is_container()) continue;
+    std::vector<Hash256> base_roots;
+    for (const auto& base : node.bases) {
+      FB_ASSIGN_OR_RETURN(FNode base_node, FNode::Load(&store, base));
+      if (base_node.value.is_container()) {
+        base_roots.push_back(base_node.value.root());
+      }
+    }
+    FB_RETURN_IF_ERROR(trees.Add(node.value.root(), base_roots));
+  }
+  return out;
+}
+
 StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
                                         const std::vector<Hash256>& want,
                                         const std::vector<Hash256>& have,
-                                        const BundleSink& sink) {
-  // The receiver's closure, as far as this store can compute it: `have`
-  // heads the store never saw contribute nothing (and must not fail the
-  // walk — the receiver may be ahead on other branches).
-  std::vector<Hash256> have_present;
-  for (const auto& id : have) {
-    if (store.Contains(id)) have_present.push_back(id);
-  }
-  FB_ASSIGN_OR_RETURN(auto excluded, MarkLive(store, have_present));
-  FB_ASSIGN_OR_RETURN(auto live, MarkLive(store, want, &excluded));
-  std::vector<Hash256> ids(live.begin(), live.end());
-  std::sort(ids.begin(), ids.end());
+                                        const BundleSink& sink,
+                                        CommitGraph* graph) {
+  FB_ASSIGN_OR_RETURN(auto ids, DeltaClosure(store, want, have, graph));
   return ExportBundleOfIds(store, want, ids, sink);
 }
 
@@ -227,8 +391,9 @@ StatusOr<BundleStats> ExportPackedBundleOfIds(
   return stats;
 }
 
-StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst) {
-  BundleImporter importer(dst);
+StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst,
+                                    const ForkBase* local) {
+  BundleImporter importer(dst, local);
   FB_RETURN_IF_ERROR(importer.Feed(bundle));
   return importer.Finish();
 }
@@ -429,8 +594,24 @@ StatusOr<ImportResult> BundleImporter::Finish() {
       return Fail("bundle does not contain its head uid");
     }
   }
-  // Closure check: every head must be fully traversable in dst.
-  auto closure = MarkLive(*dst_, result_.heads);
+  // Closure check: what the local heads of the bundle's keys do not
+  // already cover must be loadable from dst.
+  std::vector<Hash256> have;
+  if (local_ != nullptr) {
+    std::unordered_set<std::string> keys;
+    for (const auto& head : result_.heads) {
+      auto node = FNode::Load(dst_, head);
+      if (!node.ok() || !keys.insert(node->key).second) continue;
+      auto heads = local_->Latest(node->key);
+      if (!heads.ok()) continue;  // a key new to this instance
+      for (const auto& [branch, uid] : *heads) {
+        (void)branch;
+        have.push_back(uid);
+      }
+    }
+  }
+  auto closure = DeltaClosure(*dst_, result_.heads, have,
+                              local_ ? local_->commit_graph() : nullptr);
   if (!closure.ok()) {
     return Fail("bundle closure incomplete: " + closure.status().message());
   }

@@ -72,14 +72,40 @@ StatusOr<BundleStats> ExportBundle(const ChunkStore& store, const Hash256& uid,
 StatusOr<std::string> ExportBundle(const ChunkStore& store,
                                    const Hash256& uid);
 
-/// Delta closure export (v2): every chunk reachable from the `want` heads
-/// but not from the `have` heads — exactly what a receiver holding `have`
-/// is missing. `have` uids absent from `store` are ignored (the receiver
-/// may know versions this store never saw); `want` uids must resolve.
+/// The chunks a receiver holding the closures of the `have` heads needs to
+/// hold the closures of the `want` heads, at a cost independent of history
+/// length. Two stages:
+///
+///   1. FNodes: a generation-ordered paint walk from `want` against `have`
+///      (NewVersions, store/commit_graph.h) finds the new versions and
+///      stops where `have` covers every queued one. Only `have` heads of
+///      a key some `want` version carries seed it — a uid covers its key,
+///      so other keys' histories cannot hold a wanted version.
+///   2. Trees: each new version's value tree (a table from its header down)
+///      is descended level by level against its bases' trees, skipping
+///      every subtree whose hash a base tree holds — without loading it.
+///      Each base is either new itself (its tree is covered by its own
+///      descent) or reachable from `have`, so the receiver holds it.
+///
+/// Every chunk returned has been loaded from `store`; the pruned ones were
+/// not. A `want` id that is not an FNode counts as a bare tree root; `have`
+/// ids absent from `store`, or not FNodes, are ignored. With no `have` the
+/// result is the full closure. The receiver may already hold some returned
+/// chunks through content dedup with other keys or older versions; they
+/// cost bandwidth, never correctness. `graph` indexes `store`'s versions
+/// (null = a throwaway index, filled by loading FNodes from `store`).
+StatusOr<std::vector<Hash256>> DeltaClosure(const ChunkStore& store,
+                                            const std::vector<Hash256>& want,
+                                            const std::vector<Hash256>& have,
+                                            CommitGraph* graph = nullptr);
+
+/// Delta closure export (v2): the DeltaClosure of `want` against `have`,
+/// under the `want` heads. `want` uids must resolve.
 StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
                                         const std::vector<Hash256>& want,
                                         const std::vector<Hash256>& have,
-                                        const BundleSink& sink);
+                                        const BundleSink& sink,
+                                        CommitGraph* graph = nullptr);
 
 /// Explicit-set export (v2): ships exactly `ids` (sorted, deduplicated)
 /// under the given heads. This is the sync push's post-negotiation pack:
@@ -116,11 +142,14 @@ struct ImportResult {
   uint64_t bytes = 0;
 };
 
-/// Validates and imports a bundle (either layout) into `dst`. Fails with
+/// Validates and imports a bundle (any layout) into `dst`. Fails with
 /// kCorruption if any chunk's bytes do not hash to its declared id, if a
 /// head is missing from bundle ∪ dst, or if the closure is incomplete (a
-/// referenced chunk absent from bundle+dst).
-StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst);
+/// referenced chunk absent from bundle+dst). `local` is the ForkBase that
+/// owns `dst`, if any: the closure check then covers only what its
+/// published heads do not (see BundleImporter::Finish).
+StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst,
+                                    const ForkBase* local = nullptr);
 
 /// Streaming, incremental bundle import. Feed() accepts bundle bytes in
 /// arbitrary split points as they arrive off the wire; every chunk record
@@ -139,14 +168,21 @@ StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst);
 /// an importer is single-use.
 class BundleImporter {
  public:
-  explicit BundleImporter(ChunkStore* dst) : dst_(dst) {}
+  /// `local` (optional) is the ForkBase that owns `dst`.
+  explicit BundleImporter(ChunkStore* dst, const ForkBase* local = nullptr)
+      : dst_(dst), local_(local) {}
 
   /// Consumes the next range of bundle bytes. kCorruption on a malformed
   /// prefix (sticky).
   Status Feed(Slice bytes);
 
   /// Validates bundle completeness (no partial record, heads present in
-  /// bundle ∪ dst, closure traversable) and returns the accounting.
+  /// bundle ∪ dst, closure complete) and returns the accounting. The
+  /// closure check is the DeltaClosure of the bundle heads against the
+  /// local heads of the same keys: every chunk it returns was loaded, and
+  /// every chunk it pruned sits under a published local head, whose
+  /// closure is complete by invariant. Without `local` it is the full
+  /// closure of the heads.
   StatusOr<ImportResult> Finish();
 
   /// Bytes buffered awaiting a complete parse unit — the importer's entire
@@ -167,6 +203,7 @@ class BundleImporter {
   Status FlushStaged();
 
   ChunkStore* dst_;
+  const ForkBase* local_;
   State state_ = State::kMagic;
   bool packed_ = false;  ///< v3: records carry an encoding tag
   std::string buffer_;

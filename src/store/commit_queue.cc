@@ -7,8 +7,9 @@
 
 namespace forkbase {
 
-CommitQueue::CommitQueue(ChunkStore* store, BranchTable* branches)
-    : store_(store), branches_(branches) {}
+CommitQueue::CommitQueue(ChunkStore* store, BranchTable* branches,
+                         CommitGraph* graph)
+    : store_(store), branches_(branches), graph_(graph) {}
 
 StatusOr<Hash256> CommitQueue::Commit(Request req) {
   Entry entry;
@@ -120,6 +121,9 @@ void CommitQueue::Drain(const std::vector<Entry*>& batch) {
     node.logical_time = ++clock_;
     Chunk chunk = node.ToChunk();
     uids[i] = chunk.hash();
+    // A generation is a fact about the uid, not about what landed, so it
+    // can be recorded before the group is written.
+    graph_->Add(*uids[i], node.bases);
     chunks.push_back(std::move(chunk));
   }
 

@@ -34,6 +34,7 @@
 
 #include "chunk/chunk_store.h"
 #include "store/branch_table.h"
+#include "store/commit_graph.h"
 #include "types/value.h"
 
 namespace forkbase {
@@ -61,9 +62,9 @@ class CommitQueue {
   /// Max entries (FNodes plus head advances) landed per group.
   static constexpr size_t kMaxBatch = 128;
 
-  /// Both pointers are borrowed from the owning ForkBase and must outlive
-  /// the queue.
-  CommitQueue(ChunkStore* store, BranchTable* branches);
+  /// Every pointer is borrowed from the owning ForkBase and must outlive
+  /// the queue. Each version a drain builds is recorded in `graph`.
+  CommitQueue(ChunkStore* store, BranchTable* branches, CommitGraph* graph);
 
   /// Enqueues and blocks until the group containing this request is
   /// durably written and its head published — leading that group when no
@@ -111,6 +112,7 @@ class CommitQueue {
 
   ChunkStore* const store_;
   BranchTable* const branches_;
+  CommitGraph* const graph_;
   /// Logical commit clock. Only the current leader touches it; the
   /// leadership handoff under mu_ orders successive drains.
   uint64_t clock_ = 0;

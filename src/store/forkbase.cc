@@ -1,7 +1,6 @@
 #include "store/forkbase.h"
 
 #include <algorithm>
-#include <queue>
 #include <sstream>
 #include <unordered_set>
 
@@ -498,44 +497,11 @@ StatusOr<ObjectDiff> ForkBase::DiffVersions(const Hash256& uid_a,
 
 StatusOr<Hash256> ForkBase::CommonAncestor(const Hash256& a,
                                            const Hash256& b) const {
-  // Bidirectional BFS over the bases DAG; first version reached from both
-  // sides (by generation order) is the merge base.
-  std::unordered_set<Hash256, Hash256Hasher> seen_a{a}, seen_b{b};
-  std::queue<Hash256> qa, qb;
-  qa.push(a);
-  qb.push(b);
-  if (a == b) return a;
-  auto step = [this](std::queue<Hash256>* q,
-                     std::unordered_set<Hash256, Hash256Hasher>* mine,
-                     const std::unordered_set<Hash256, Hash256Hasher>& other,
-                     std::optional<Hash256>* found) -> Status {
-    size_t n = q->size();
-    for (size_t i = 0; i < n; ++i) {
-      Hash256 uid = q->front();
-      q->pop();
-      FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(store_.get(), uid));
-      for (const auto& base : node.bases) {
-        if (other.count(base)) {
-          *found = base;
-          return Status::OK();
-        }
-        if (mine->insert(base).second) q->push(base);
-      }
-    }
-    return Status::OK();
-  };
-  while (!qa.empty() || !qb.empty()) {
-    std::optional<Hash256> found;
-    if (!qa.empty()) {
-      FB_RETURN_IF_ERROR(step(&qa, &seen_a, seen_b, &found));
-      if (found) return *found;
-    }
-    if (!qb.empty()) {
-      FB_RETURN_IF_ERROR(step(&qb, &seen_b, seen_a, &found));
-      if (found) return *found;
-    }
+  FB_ASSIGN_OR_RETURN(auto bases, MergeBases(*store_, &commit_graph_, a, b));
+  if (bases.empty()) {
+    return Status::NotFound("versions share no common ancestor");
   }
-  return Status::NotFound("versions share no common ancestor");
+  return bases.front();
 }
 
 StatusOr<Hash256> ForkBase::Merge(const std::string& key,
@@ -622,19 +588,20 @@ Status ForkBase::Verify(const Hash256& uid) const {
   FB_RETURN_IF_ERROR(VerifyValue(node.value));
   // 3. The derivation history: every ancestor FNode chunk must re-hash to
   //    its uid (the bases fields form a hash chain, so one pass suffices).
-  std::unordered_set<Hash256, Hash256Hasher> visited{uid};
-  std::queue<Hash256> frontier;
-  for (const auto& b : node.bases) frontier.push(b);
-  while (!frontier.empty()) {
-    Hash256 current = frontier.front();
-    frontier.pop();
-    if (!visited.insert(current).second) continue;
-    FB_ASSIGN_OR_RETURN(FNode ancestor, FNode::Load(store_.get(), current));
-    for (const auto& b : ancestor.bases) {
-      if (!visited.count(b)) frontier.push(b);
-    }
-  }
-  return Status::OK();
+  //    The commit graph lists the ancestors; each is still loaded, in
+  //    batches, and its bytes checked against its uid.
+  FB_ASSIGN_OR_RETURN(auto ancestors, commit_graph_.Ancestors(*store_, uid));
+  return ForEachChunkBatch(
+      *store_, ancestors, kChunkSweepBatch,
+      [&](size_t i, StatusOr<Chunk>& chunk_or) -> Status {
+        if (!chunk_or.ok()) return chunk_or.status();
+        if (chunk_or->hash() != ancestors[i]) {
+          return Status::Corruption("fnode bytes do not hash to uid " +
+                                    ancestors[i].ToBase32() +
+                                    " (tampering detected)");
+        }
+        return Status::OK();
+      });
 }
 
 StatusOr<ForkBase::ObjectStat> ForkBase::StatObject(

@@ -19,6 +19,7 @@
 #include "postree/diff.h"
 #include "postree/merge.h"
 #include "store/branch_table.h"
+#include "store/commit_graph.h"
 #include "store/commit_queue.h"
 #include "store/fnode.h"
 #include "types/blob.h"
@@ -228,6 +229,10 @@ class ForkBase {
   TieredChunkStore* tiered() { return tiered_store_.get(); }
   const TieredChunkStore* tiered() const { return tiered_store_.get(); }
   BranchTable& branches() { return branch_table_; }
+  /// The generation index of this instance's version DAG (in memory,
+  /// refilled lazily after Open). Const readers fill it too: it is a cache
+  /// of facts derived from immutable FNodes, safe to use concurrently.
+  CommitGraph* commit_graph() const { return &commit_graph_; }
 
   // -- Writes ---------------------------------------------------------------
 
@@ -360,24 +365,30 @@ class ForkBase {
   StatusOr<ObjectDiff> DiffVersions(const Hash256& uid_a,
                                     const Hash256& uid_b) const;
 
-  /// Three-way merge of `src_branch` into `dst_branch` (Fig. 3): finds the
-  /// lowest common ancestor over the derivation DAG, merges the values, and
-  /// commits an FNode with both heads as bases. Fast-forwards when possible.
+  /// Three-way merge of `src_branch` into `dst_branch` (Fig. 3): merges the
+  /// values against the merge base (CommonAncestor) and commits an FNode
+  /// with both heads as bases. Fast-forwards when possible.
   StatusOr<Hash256> Merge(const std::string& key,
                           const std::string& dst_branch,
                           const std::string& src_branch,
                           MergePolicy policy = MergePolicy::kStrict,
                           const PutMeta& meta = PutMeta{});
 
-  /// Lowest common ancestor of two versions (BFS over bases).
+  /// Merge base of two versions: a maximal common ancestor (one no other
+  /// common ancestor descends from), found by a generation-ordered paint
+  /// walk over the commit graph. A criss-cross history can have several;
+  /// the rule picks the one of highest generation, then the smallest uid,
+  /// so every replica merges against the same base. kNotFound when the
+  /// histories are disjoint.
   StatusOr<Hash256> CommonAncestor(const Hash256& a, const Hash256& b) const;
 
   // -- Integrity ------------------------------------------------------------
 
   /// Tamper-evidence check (§II-D): re-derives every hash covering the
   /// version — the FNode chunk itself, the full value POS-Tree, and every
-  /// ancestor FNode chunk along the bases chain. Any byte the storage
-  /// provider altered yields kCorruption.
+  /// ancestor FNode chunk along the bases chain (listed by the commit
+  /// graph, each loaded in batches and re-hashed against its uid).
+  /// Any byte the storage provider altered yields kCorruption.
   Status Verify(const Hash256& uid) const;
 
   /// Storage + catalogue statistics.
@@ -480,7 +491,8 @@ class ForkBase {
   FileChunkStore* cold_file_store_ = nullptr;
   Config config_;
   BranchTable branch_table_;
-  CommitQueue commit_queue_{store_.get(), &branch_table_};
+  mutable CommitGraph commit_graph_;
+  CommitQueue commit_queue_{store_.get(), &branch_table_, &commit_graph_};
   /// The GC write lease (see AcquireWriteLease). mutable: const readers
   /// never take it, but the lease getters are const so a const ForkBase&
   /// can still be swept against.

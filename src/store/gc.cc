@@ -1,7 +1,6 @@
 #include "store/gc.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "postree/node.h"
 
@@ -9,38 +8,15 @@ namespace forkbase {
 
 namespace {
 
-// Pushes the chunk ids directly referenced by `chunk` onto the frontier.
-Status ExpandReferences(const Chunk& chunk, std::queue<Hash256>* frontier) {
-  switch (chunk.type()) {
-    case ChunkType::kMeta: {
-      std::vector<IndexEntry> children;
-      if (!ParseIndexEntries(chunk.payload(), &children)) {
-        return Status::Corruption("malformed index node during GC mark");
-      }
-      for (const auto& c : children) frontier->push(c.child);
-      return Status::OK();
-    }
-    case ChunkType::kFNode: {
-      FB_ASSIGN_OR_RETURN(FNode node, FNode::FromChunk(chunk));
-      for (const auto& base : node.bases) frontier->push(base);
-      if (node.value.is_container()) frontier->push(node.value.root());
-      return Status::OK();
-    }
-    case ChunkType::kTableMeta: {
-      // Last 32 payload bytes are the rows root (see FTable::WriteHeader).
-      Slice payload = chunk.payload();
-      if (payload.size() < 32) {
-        return Status::Corruption("malformed table header during GC mark");
-      }
-      Hash256 rows_root;
-      std::memcpy(rows_root.bytes.data(),
-                  payload.data() + payload.size() - 32, 32);
-      frontier->push(rows_root);
-      return Status::OK();
-    }
-    default:
-      return Status::OK();  // leaves and cells reference nothing
+// Appends the chunk ids directly referenced by `chunk` to the frontier.
+Status ExpandReferences(const Chunk& chunk, std::vector<Hash256>* frontier) {
+  if (chunk.type() != ChunkType::kFNode) {
+    return AppendTreeChildren(chunk, frontier);
   }
+  FB_ASSIGN_OR_RETURN(FNode node, FNode::FromChunk(chunk));
+  frontier->insert(frontier->end(), node.bases.begin(), node.bases.end());
+  if (node.value.is_container()) frontier->push_back(node.value.root());
+  return Status::OK();
 }
 
 // Every branch head of every key, unsorted. A key whose branches were all
@@ -63,6 +39,33 @@ StatusOr<std::vector<Hash256>> CollectRoots(const ForkBase& db) {
 
 }  // namespace
 
+Status AppendTreeChildren(const Chunk& chunk, std::vector<Hash256>* out) {
+  switch (chunk.type()) {
+    case ChunkType::kMeta: {
+      std::vector<IndexEntry> children;
+      if (!ParseIndexEntries(chunk.payload(), &children)) {
+        return Status::Corruption("malformed index node");
+      }
+      for (const auto& c : children) out->push_back(c.child);
+      return Status::OK();
+    }
+    case ChunkType::kTableMeta: {
+      // Last 32 payload bytes are the rows root (see FTable::WriteHeader).
+      Slice payload = chunk.payload();
+      if (payload.size() < 32) {
+        return Status::Corruption("malformed table header");
+      }
+      Hash256 rows_root;
+      std::memcpy(rows_root.bytes.data(),
+                  payload.data() + payload.size() - 32, 32);
+      out->push_back(rows_root);
+      return Status::OK();
+    }
+    default:
+      return Status::OK();  // leaves, cells and FNodes hold no tree edges
+  }
+}
+
 StatusOr<std::unordered_set<Hash256, Hash256Hasher>> MarkLive(
     const ChunkStore& store, const std::vector<Hash256>& roots,
     const std::unordered_set<Hash256, Hash256Hasher>* exclude,
@@ -81,20 +84,15 @@ StatusOr<std::unordered_set<Hash256, Hash256Hasher>> MarkLive(
       if (live.insert(id).second) to_load.push_back(id);
     }
     if (to_load.empty()) break;
-    std::queue<Hash256> frontier;
+    wave.clear();
     FB_RETURN_IF_ERROR(ForEachChunkBatch(
         store, to_load, kChunkSweepBatch,
         [&](size_t, StatusOr<Chunk>& chunk_or) -> Status {
           if (!chunk_or.ok()) return chunk_or.status();
-          FB_RETURN_IF_ERROR(ExpandReferences(*chunk_or, &frontier));
+          FB_RETURN_IF_ERROR(ExpandReferences(*chunk_or, &wave));
           if (visit) return visit(*chunk_or);
           return Status::OK();
         }));
-    wave.clear();
-    while (!frontier.empty()) {
-      wave.push_back(frontier.front());
-      frontier.pop();
-    }
   }
   return live;
 }

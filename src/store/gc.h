@@ -74,15 +74,20 @@ struct GcStats {
   }
 };
 
+/// Appends the ids a value-tree chunk references: an index node's children,
+/// a table header's rows root. Leaves, cells and FNodes append nothing.
+Status AppendTreeChildren(const Chunk& chunk, std::vector<Hash256>* out);
+
 /// Computes every chunk reachable from `roots` in `store`: FNodes pull in
 /// their bases (history) and their value trees; trees pull in all pages;
-/// tables pull in header + row tree. Unknown root ids are an error.
+/// tables pull in header + row tree. Unknown root ids are an error. This
+/// walks all of history — the GC mark. Sync computes its deltas with the
+/// history-independent DeltaClosure (store/bundle.h) instead.
 ///
 /// `exclude` (optional) prunes the walk: ids in the set are neither
-/// loaded, expanded nor returned — the frontier stops at them. This is the
-/// delta-closure primitive behind bundle sync: marking `want` heads with
-/// the `have` closure excluded yields exactly the chunks the receiver is
-/// missing. Roots that are themselves excluded are skipped, not errors.
+/// loaded, expanded nor returned — the frontier stops at them (GC uses it
+/// to re-mark only what a moved head added). Roots that are themselves
+/// excluded are skipped, not errors.
 ///
 /// `visit` (optional) is called exactly once per returned chunk, with the
 /// loaded bytes, during the walk — so a caller that needs the live chunks'

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <utility>
 
 #include "chunk/file_chunk_store.h"
@@ -221,6 +222,112 @@ TEST(BundleTest, DeltaBundleShipsOnlyNewChunks) {
   dst.branches().SetHead("ds", "master", *v2);
   ASSERT_TRUE(dst.Verify(*v2).ok());
   EXPECT_EQ(**dst.GetTable("ds")->GetCell("r00000600", 2), "edited");
+}
+
+TEST(BundleTest, DeltaMissingAChangedPathChunkIsRejected) {
+  // A replica at v1; the source edits one cell. Dropping any one chunk of
+  // the edit's path from the delta must fail the closure check — whatever
+  // the check prunes against the replica's own head — and leave the
+  // replica's head where it was.
+  auto src_store = std::make_shared<MemChunkStore>();
+  ForkBase src(src_store);
+  CsvGenOptions opts;
+  opts.num_rows = 3000;
+  ASSERT_TRUE(src.PutTableFromCsv("ds", GenerateCsv(opts)).ok());
+  auto v1 = src.Head("ds");
+  ASSERT_TRUE(v1.ok());
+  auto full = ExportBundle(*src_store, *v1);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(src.UpdateTableCell("ds", "r00002000", 3, "edited").ok());
+  auto v2 = src.Head("ds");
+  ASSERT_TRUE(v2.ok());
+  auto delta_ids = DeltaClosure(*src_store, {*v2}, {*v1}, src.commit_graph());
+  ASSERT_TRUE(delta_ids.ok()) << delta_ids.status().ToString();
+
+  auto fresh_replica = [&](std::shared_ptr<MemChunkStore>* store) {
+    *store = std::make_shared<MemChunkStore>();
+    auto replica = std::make_unique<ForkBase>(*store);
+    EXPECT_TRUE(ImportBundle(*full, store->get(), replica.get()).ok());
+    replica->branches().SetHead("ds", "master", *v1);
+    return replica;
+  };
+  auto bundle_of = [&](const std::vector<Hash256>& ids) {
+    std::string bytes;
+    EXPECT_TRUE(ExportBundleOfIds(*src_store, {*v2}, ids, [&](Slice b) {
+                  bytes.append(b.data(), b.size());
+                  return Status::OK();
+                }).ok());
+    return bytes;
+  };
+
+  size_t dropped = 0;
+  for (const auto& omit : *delta_ids) {
+    if (omit == *v2) continue;  // a missing head fails earlier
+    std::shared_ptr<MemChunkStore> store;
+    auto replica = fresh_replica(&store);
+    ASSERT_FALSE(store->Contains(omit));
+    std::vector<Hash256> ids;
+    for (const auto& id : *delta_ids) {
+      if (id != omit) ids.push_back(id);
+    }
+    auto import = ImportBundle(Slice(bundle_of(ids)), store.get(),
+                               replica.get());
+    ASSERT_FALSE(import.ok()) << "accepted a delta without "
+                              << omit.ToBase32();
+    EXPECT_TRUE(import.status().IsCorruption());
+    EXPECT_NE(import.status().message().find("closure incomplete"),
+              std::string::npos)
+        << import.status().ToString();
+    EXPECT_EQ(*replica->Head("ds"), *v1);
+    ++dropped;
+  }
+  EXPECT_GE(dropped, 3u) << "header, index and leaf of the edited path";
+
+  // The complete delta lands.
+  std::shared_ptr<MemChunkStore> store;
+  auto replica = fresh_replica(&store);
+  auto import =
+      ImportBundle(Slice(bundle_of(*delta_ids)), store.get(), replica.get());
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  EXPECT_EQ(import->new_chunks, import->chunks);
+}
+
+TEST(BundleTest, DeltaCoversSubtreesARevertBringsBack) {
+  // v1 edits k1; v2 edits a key k2 near it, so k1's new leaf moves under a
+  // new parent; v3 reverts k2, bringing v1's parent back. The delta from v0
+  // to v3 must still carry k1's leaf, which only v1 introduced: v3's walk
+  // skips v1's parent as held by nobody, and v1's descent must not then
+  // take it as already handled. Several distances from k1 to k2 cover
+  // "same leaf", "same parent" and "elsewhere" layouts.
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 5000; ++i) {
+    kvs.emplace_back("key" + std::to_string(100000 + i),
+                     "value-" + std::to_string(i));
+  }
+  for (size_t distance : {1u, 30u, 60u, 120u, 250u, 500u}) {
+    auto store = std::make_shared<MemChunkStore>();
+    ForkBase db(store);
+    ASSERT_TRUE(db.PutMap("m", kvs).ok());
+    auto v0 = db.Head("m");
+    const std::string& k1 = kvs[2000].first;
+    const std::string& k2 = kvs[2000 + distance].first;
+    ASSERT_TRUE(db.UpdateMap("m", {KeyedOp{k1, "edited"}}).ok());
+    ASSERT_TRUE(db.UpdateMap("m", {KeyedOp{k2, "changed"}}).ok());
+    ASSERT_TRUE(
+        db.UpdateMap("m", {KeyedOp{k2, kvs[2000 + distance].second}}).ok());
+    auto v3 = db.Head("m");
+    auto delta = DeltaClosure(*store, {*v3}, {*v0}, db.commit_graph());
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    const std::set<Hash256> sent(delta->begin(), delta->end());
+    auto needed = MarkLive(*store, {*v3});
+    auto held = MarkLive(*store, {*v0});
+    ASSERT_TRUE(needed.ok() && held.ok());
+    for (const auto& id : *needed) {
+      if (held->count(id)) continue;
+      EXPECT_TRUE(sent.count(id)) << "distance " << distance << ": delta lacks "
+                                  << id.ToBase32();
+    }
+  }
 }
 
 // ------------------------------------------------ streaming importer --

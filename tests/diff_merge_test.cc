@@ -1,13 +1,18 @@
 // Tests for hash-pruned Diff (Fig. 5 semantics) and three-way merge
-// (Fig. 3 semantics) at the POS-Tree level.
+// (Fig. 3 semantics) at the POS-Tree level, and for the merge base the
+// version DAG picks for them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "chunk/mem_chunk_store.h"
 #include "postree/diff.h"
 #include "postree/merge.h"
+#include "store/commit_graph.h"
+#include "store/forkbase.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -412,6 +417,143 @@ TEST(MergeSequenceTest, OverlappingEditsConflictStrict) {
   auto prefer_left = MergeSequence(base, left, right, MergePolicy::kPreferLeft);
   ASSERT_TRUE(prefer_left.ok());
   EXPECT_EQ(prefer_left->merged.root, left.root());
+}
+
+// ------------------------------------------------------------ merge base --
+
+// master commits Y then X; `b` forks at X and adds 2 commits; `a` forks at X
+// and adds 10, the last of which sets r; a side branch forked at Y is then
+// merged into `a`. The merge base of a and b is X. A breadth-first search
+// from both heads meets at Y first, through the side branch's short path,
+// and a strict merge against Y sees both sides change r.
+TEST(MergeBaseTest, ShortPathThroughAMergedSideBranchDoesNotWin) {
+  ForkBase db(std::make_shared<MemChunkStore>());
+  auto y = db.PutMap("doc", {{"r", "v0"}});
+  ASSERT_TRUE(y.ok());
+  auto x = db.UpdateMap("doc", {KeyedOp{"r", "v1"}});
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(db.Branch("doc", "b").ok());
+  ASSERT_TRUE(db.Branch("doc", "a").ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(db.UpdateMap("doc", {KeyedOp{"b" + std::to_string(i), "x"}},
+                             "b")
+                    .ok());
+  }
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE(db.UpdateMap("doc", {KeyedOp{"a" + std::to_string(i), "x"}},
+                             "a")
+                    .ok());
+  }
+  ASSERT_TRUE(db.UpdateMap("doc", {KeyedOp{"r", "v2"}}, "a").ok());
+  ASSERT_TRUE(db.BranchFromVersion("doc", "side", *y).ok());
+  ASSERT_TRUE(db.UpdateMap("doc", {KeyedOp{"s", "side"}}, "side").ok());
+  ASSERT_TRUE(db.Merge("doc", "a", "side").ok());
+
+  auto base = db.CommonAncestor(*db.Head("doc", "a"), *db.Head("doc", "b"));
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_EQ(*base, *x);
+  auto merged = db.Merge("doc", "a", "b", MergePolicy::kStrict);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  auto map = db.GetMap("doc", "a");
+  ASSERT_TRUE(map.ok());
+  EXPECT_EQ(**map->Get("r"), "v2");
+  EXPECT_EQ(**map->Get("s"), "side");
+  EXPECT_EQ(**map->Get("b1"), "x");
+}
+
+// Random version DAGs (long chains, branches off anywhere, merges,
+// criss-crosses, disjoint roots) against brute-force ancestor sets: the
+// merge bases are exactly the common ancestors no other common ancestor
+// descends from, ordered by generation then uid; CommonAncestor is the
+// first of them; HistoryContains is ancestor-set membership.
+TEST(MergeBaseTest, RandomDagsMatchBruteForceAncestorSets) {
+  size_t multi_base_queries = 0, disjoint_queries = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    auto store = std::make_shared<MemChunkStore>();
+    const size_t n = 20 + rng.Uniform(100);
+    std::vector<std::vector<size_t>> parents(n);
+    for (size_t i = 1; i < n; ++i) {
+      if (!parents[i].empty() || rng.Uniform(15) == 0) continue;  // a root
+      const uint64_t shape = rng.Uniform(10);
+      const size_t p = rng.Uniform(i), q = rng.Uniform(i);
+      if (shape < 4) {
+        parents[i] = {i - 1};
+      } else if (shape < 7 || p == q) {
+        parents[i] = {p};
+      } else if (shape < 9 || i + 1 == n) {
+        parents[i] = {p, q};
+      } else {
+        // Criss-cross: two merges of the same pair, in both orders.
+        parents[i] = {p, q};
+        parents[i + 1] = {q, p};
+      }
+    }
+    std::vector<Hash256> uids(n);
+    std::vector<uint64_t> generation(n, 1);
+    std::vector<std::vector<bool>> ancestors(n, std::vector<bool>(n, false));
+    for (size_t i = 0; i < n; ++i) {
+      FNode node;
+      node.key = "k";
+      node.value = Value::Int(static_cast<int64_t>(i));
+      ancestors[i][i] = true;
+      for (size_t p : parents[i]) {
+        node.bases.push_back(uids[p]);
+        generation[i] = std::max(generation[i], generation[p] + 1);
+        for (size_t a = 0; a < n; ++a) {
+          if (ancestors[p][a]) ancestors[i][a] = true;
+        }
+      }
+      auto uid = node.Write(store.get());
+      ASSERT_TRUE(uid.ok());
+      uids[i] = *uid;
+    }
+
+    ForkBase db(store);  // its commit graph fills lazily from the store
+    for (int query = 0; query < 60; ++query) {
+      const size_t a = rng.Uniform(n), b = rng.Uniform(n);
+      std::vector<size_t> maximal;
+      for (size_t c = 0; c < n; ++c) {
+        if (!ancestors[a][c] || !ancestors[b][c]) continue;
+        bool below_another = false;
+        for (size_t d = 0; d < n && !below_another; ++d) {
+          below_another = d != c && ancestors[a][d] && ancestors[b][d] &&
+                          ancestors[d][c];
+        }
+        if (!below_another) maximal.push_back(c);
+      }
+      std::sort(maximal.begin(), maximal.end(), [&](size_t l, size_t r) {
+        if (generation[l] != generation[r]) {
+          return generation[l] > generation[r];
+        }
+        return uids[l] < uids[r];
+      });
+      std::vector<Hash256> expected;
+      for (size_t c : maximal) expected.push_back(uids[c]);
+      multi_base_queries += expected.size() > 1;
+      disjoint_queries += expected.empty();
+
+      CommitGraph cold;
+      auto bases = MergeBases(*store, query % 2 ? &cold : db.commit_graph(),
+                              uids[a], uids[b]);
+      ASSERT_TRUE(bases.ok()) << bases.status().ToString();
+      EXPECT_EQ(*bases, expected) << "seed " << seed << " nodes " << a
+                                  << ", " << b;
+      auto base = db.CommonAncestor(uids[a], uids[b]);
+      if (expected.empty()) {
+        EXPECT_TRUE(base.status().IsNotFound());
+      } else {
+        ASSERT_TRUE(base.ok());
+        EXPECT_EQ(*base, expected.front());
+      }
+      auto contains =
+          HistoryContains(*store, db.commit_graph(), uids[a], uids[b]);
+      ASSERT_TRUE(contains.ok());
+      EXPECT_EQ(*contains, static_cast<bool>(ancestors[a][b]));
+    }
+  }
+  EXPECT_GT(multi_base_queries, 0u) << "no criss-cross was exercised";
+  EXPECT_GT(disjoint_queries, 0u) << "no disjoint pair was exercised";
 }
 
 }  // namespace

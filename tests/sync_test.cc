@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,8 +16,12 @@
 #include "net/server.h"
 #include "net/sync.h"
 #include "net/transport.h"
+#include "store/bundle.h"
+#include "store/commit_graph.h"
 #include "store/forkbase.h"
+#include "util/datagen.h"
 #include "util/fault_schedule.h"
+#include "util/random.h"
 
 namespace forkbase {
 namespace {
@@ -24,6 +29,32 @@ namespace {
 std::string TestAddress(const std::string& name) {
   return "unix:" + ::testing::TempDir() + name + ".sock";
 }
+
+// Records every chunk id read, to pin how much a walk loads.
+class CountingStore : public MemChunkStore {
+ public:
+  StatusOr<Chunk> Get(const Hash256& id) const override {
+    Record({&id, 1});
+    return MemChunkStore::Get(id);
+  }
+  std::vector<StatusOr<Chunk>> GetMany(
+      std::span<const Hash256> ids) const override {
+    Record(ids);
+    return MemChunkStore::GetMany(ids);
+  }
+  std::vector<Hash256> TakeLoaded() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(loaded_, {});
+  }
+
+ private:
+  void Record(std::span<const Hash256> ids) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    loaded_.insert(loaded_.end(), ids.begin(), ids.end());
+  }
+  mutable std::mutex mu_;
+  mutable std::vector<Hash256> loaded_;
+};
 
 // Commits `n` string versions on (key, branch).
 void CommitVersions(ForkBase* db, const std::string& key,
@@ -381,6 +412,156 @@ TEST(SyncTest, SyncWithRetryBackoffIsCappedJitteredAndDeterministic) {
   }
   // The jitter is seeded: a rerun replays the exact same sleeps.
   EXPECT_EQ(run(), first);
+}
+
+// ------------------------------------------------ history-bounded walks --
+
+TEST(SyncTest, HistoryContainsStopsAtTheTargetsGeneration) {
+  // A long shared history, then master and dev diverge by a few commits.
+  auto store = std::make_shared<CountingStore>();
+  ForkBase db(store);
+  CommitVersions(&db, "doc", "master", "shared", 200);
+  auto fork_point = db.Head("doc");
+  ASSERT_TRUE(fork_point.ok());
+  ASSERT_TRUE(db.Branch("doc", "dev").ok());
+  CommitVersions(&db, "doc", "master", "m", 3);
+  CommitVersions(&db, "doc", "dev", "d", 3);
+  auto head = db.Head("doc", "master");
+  auto target = db.Head("doc", "dev");
+  ASSERT_TRUE(head.ok() && target.ok());
+  auto target_node = db.commit_graph()->Lookup(*store, *target);
+  ASSERT_TRUE(target_node.ok());
+
+  store->TakeLoaded();
+  auto contains = HistoryContains(*store, db.commit_graph(), *head, *target);
+  ASSERT_TRUE(contains.ok()) << contains.status().ToString();
+  EXPECT_FALSE(*contains);
+  for (const auto& id : store->TakeLoaded()) {
+    auto chunk = store->Get(id);
+    if (!chunk.ok() || chunk->type() != ChunkType::kFNode) continue;
+    auto node = db.commit_graph()->Lookup(*store, id);
+    ASSERT_TRUE(node.ok());
+    EXPECT_GE(node->generation, target_node->generation)
+        << "loaded an FNode below the target's generation";
+  }
+
+  auto shared = HistoryContains(*store, db.commit_graph(), *head, *fork_point);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_TRUE(*shared);
+}
+
+TEST(SyncTest, DeltaClosureCostIsIndependentOfHistoryLength) {
+  // The measured commit edits one cell of the same 2,000-row table after
+  // 50 or 500 earlier commits; those flip another cell between two values,
+  // so the table before the measured commit is identical in both runs.
+  auto measure = [](int prior_commits) {
+    auto store = std::make_shared<CountingStore>();
+    ForkBase db(store);
+    CsvGenOptions opts;
+    opts.num_rows = 2000;
+    EXPECT_TRUE(db.PutTableFromCsv("ds", GenerateCsv(opts)).ok());
+    for (int i = 0; i < prior_commits; ++i) {
+      EXPECT_TRUE(
+          db.UpdateTableCell("ds", "r00000100", 1, i % 2 ? "odd" : "even")
+              .ok());
+    }
+    auto have = db.Head("ds");
+    EXPECT_TRUE(db.UpdateTableCell("ds", "r00001500", 2, "edited").ok());
+    auto want = db.Head("ds");
+    store->TakeLoaded();
+    auto ids = DeltaClosure(*store, {*want}, {*have}, db.commit_graph());
+    EXPECT_TRUE(ids.ok()) << ids.status().ToString();
+    const size_t loads = store->TakeLoaded().size();
+    auto bundle = ExportDeltaBundle(
+        *store, {*want}, {*have}, [](Slice) { return Status::OK(); },
+        db.commit_graph());
+    EXPECT_TRUE(bundle.ok());
+    EXPECT_EQ(bundle->chunks, ids->size());
+    return std::make_pair(loads, bundle->chunks);
+  };
+  const auto short_history = measure(50);
+  const auto long_history = measure(500);
+  EXPECT_EQ(short_history.first, long_history.first) << "chunks loaded";
+  EXPECT_EQ(short_history.second, long_history.second) << "bundle chunks";
+  // The FNode, the table header and one root-to-leaf path of rows; the
+  // loads add both versions' FNodes and the base's matching path.
+  EXPECT_LE(short_history.second, 8u);
+  EXPECT_LE(short_history.first, 32u);
+}
+
+TEST(SyncTest, DeltaPullsLeaveTheReplicaClosedAndVerifiable) {
+  // Several keys and branches, edits and merges between pulls: after every
+  // pull the replica holds the full closure of each pulled head.
+  auto a_store = std::make_shared<MemChunkStore>();
+  ForkBase a(a_store);
+  CsvGenOptions opts;
+  opts.num_rows = 1500;
+  const CsvDocument doc = GenerateCsv(opts);
+  ASSERT_TRUE(a.PutTableFromCsv("table", doc).ok());
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 2000; ++i) {
+    kvs.emplace_back("k" + std::to_string(10000 + i), std::to_string(i));
+  }
+  ASSERT_TRUE(a.PutMap("map", kvs).ok());
+  CommitVersions(&a, "note", "master", "n", 3);
+  for (const char* key : {"table", "map", "note"}) {
+    ASSERT_TRUE(a.Branch(key, "dev").ok());
+  }
+
+  auto server = ForkBaseServer::Start(&a, TestAddress("closure"));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(client.ok());
+  auto c_store = std::make_shared<MemChunkStore>();
+  ForkBase c(c_store);
+
+  Rng rng(17);
+  for (int round = 0; round < 4; ++round) {
+    if (round > 0) {
+      for (int i = 0; i < 6; ++i) {
+        const std::string branch = i % 2 ? "dev" : "master";
+        const auto& row = doc.rows[rng.Uniform(doc.rows.size())];
+        ASSERT_TRUE(a.UpdateTableCell("table", row[0], 1 + rng.Uniform(3),
+                                      rng.NextString(10), branch)
+                        .ok());
+        ASSERT_TRUE(
+            a.UpdateMap("map",
+                        {KeyedOp{kvs[rng.Uniform(kvs.size())].first,
+                                 rng.NextString(8)}},
+                        branch)
+                .ok());
+      }
+      CommitVersions(&a, "note", "dev", "r" + std::to_string(round), 1);
+      ASSERT_TRUE(
+          a.Merge("table", "master", "dev", MergePolicy::kPreferLeft).ok());
+      ASSERT_TRUE(a.Merge("map", "dev", "master", MergePolicy::kPreferLeft)
+                      .ok());
+    }
+    auto pulled = SyncPull(&c, &*client);
+    ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
+    EXPECT_EQ(pulled->branches_conflicted, 0u);
+    // A new leaf can equal one the replica holds only under a sibling
+    // branch; such a chunk is re-sent and dropped at import.
+    EXPECT_LE(pulled->chunks_received - pulled->remote_new_chunks,
+              pulled->chunks_received / 20);
+    for (const char* key : {"table", "map", "note"}) {
+      auto heads = c.Latest(key);
+      ASSERT_TRUE(heads.ok());
+      ASSERT_EQ(heads->size(), 2u);
+      for (const auto& [branch, head] : *heads) {
+        EXPECT_EQ(*a.Head(key, branch), head);
+        auto closure = MarkLive(*a_store, {head});
+        ASSERT_TRUE(closure.ok());
+        for (const auto& id : *closure) {
+          ASSERT_TRUE(c_store->Contains(id))
+              << key << "@" << branch << " lacks " << id.ToBase32()
+              << " after round " << round;
+        }
+        EXPECT_TRUE(c.Verify(head).ok());
+      }
+    }
+  }
+  (*server)->Stop();
 }
 
 }  // namespace
