@@ -564,6 +564,28 @@ void BM_MapScanFileSync(benchmark::State& state) {
 }
 BENCHMARK(BM_MapScanFileSync)->UseRealTime();
 
+// Deep validation of the same tree BM_MapScanFileSync scans: one batched,
+// re-hashing pass over every chunk, so it should cost about one scan plus
+// the hashing spread over the shared hash pool.
+void BM_MapValidateFileSync(benchmark::State& state) {
+  ScopedStoreDir dir("validate_sync");
+  FileChunkStore::Options options;
+  options.prefetch_threads = 0;
+  auto store = FileChunkStore::Open(dir.path(), options);
+  auto kvs = RandomKvs(kScanEntries, 31);
+  auto built = PosTree::BuildKeyed(store->get(), ChunkType::kMapLeaf, kvs);
+  PosTree tree(store->get(), ChunkType::kMapLeaf, built->root);
+  for (auto _ : state) {
+    if (!tree.Validate().ok()) {
+      state.SkipWithError("validation failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kScanEntries));
+}
+BENCHMARK(BM_MapValidateFileSync)->UseRealTime();
+
 void BM_MapScanFileAsync(benchmark::State& state) {
   ScopedStoreDir dir("scan_async");
   FileChunkStore::Options options;

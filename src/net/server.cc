@@ -886,6 +886,19 @@ Status ForkBaseServer::HandleUpdateHead(Decoder* dec,
   if (meta->key != key) {
     return Status::InvalidArgument("version belongs to key " + meta->key);
   }
+  // The FNode alone proves nothing: an upload that failed its closure check
+  // at BUNDLE_END has still landed the chunks it streamed. The head goes
+  // live only if what this key's heads do not cover is all present.
+  std::vector<Hash256> have;
+  if (auto heads = db_->Latest(key); heads.ok()) {
+    for (const auto& [head_branch, head_uid] : *heads) have.push_back(head_uid);
+  }
+  auto closure =
+      DeltaClosure(*db_->store(), {uid}, have, db_->commit_graph());
+  if (!closure.ok()) {
+    return Status::Corruption("closure incomplete: " +
+                              closure.status().message());
+  }
   for (int attempt = 0; attempt < kUpdateHeadRetries; ++attempt) {
     auto head = db_->Head(key, branch);
     if (!head.ok()) {

@@ -210,65 +210,32 @@ StatusOr<std::vector<KeyDelta>> DiffKeyedElementwise(const PosTree& left,
 
 namespace {
 
-// Leaf roster of a sequence tree: (leaf id, start position, length), built by
-// walking index nodes only (cheap: counts live in index entries).
+// Leaf roster of a sequence tree: (leaf id, start position, length), in
+// position order from the tree's level walk.
 struct LeafSpan {
   Hash256 id;
   uint64_t start;
   uint64_t length;
 };
 
-Status CollectLeafSpans(const ChunkStore* store, const Hash256& root,
-                        std::vector<LeafSpan>* out, DiffMetrics* metrics) {
+Status CollectLeafSpans(const PosTree& tree, std::vector<LeafSpan>* out,
+                        DiffMetrics* metrics) {
   out->clear();
-  struct Item {
-    Hash256 id;
-    uint64_t start;
-    uint64_t count;  // 0 = unknown (root)
-  };
-  // Level-order sweep: every leaf sits at the same depth, so expanding each
-  // level left-to-right emits spans in position order, and chunk reads come
-  // in capped batches. The Item list for a level is O(level width) — same
-  // order as the spans output this function produces anyway — but chunk
-  // payloads are never all resident at once.
-  std::vector<Item> level{{root, 0, 0}};
-  std::vector<LeafSpan>& spans = *out;
-  while (!level.empty()) {
-    std::vector<Item> next;
-    std::vector<Hash256> ids;
-    ids.reserve(level.size());
-    for (const auto& item : level) ids.push_back(item.id);
-    FB_RETURN_IF_ERROR(ForEachChunkBatch(
-        *store, ids, kChunkSweepBatch,
-        [&](size_t i, StatusOr<Chunk>& chunk_or) -> Status {
-          if (!chunk_or.ok()) return chunk_or.status();
-          if (metrics) ++metrics->nodes_loaded;
-          const Chunk& chunk = *chunk_or;
-          const Item& item = level[i];
-          if (chunk.type() == ChunkType::kMeta) {
-            std::vector<IndexEntry> children;
-            if (!ParseIndexEntries(chunk.payload(), &children)) {
-              return Status::Corruption("malformed index node");
-            }
-            uint64_t offset = item.start;
-            for (const auto& c : children) {
-              next.push_back(Item{c.child, offset, c.count});
-              offset += c.count;
-            }
-          } else {
-            uint64_t len = item.count;
-            if (len == 0) {  // root leaf: compute from payload
-              auto count_or = LeafEntryCount(chunk.type(), chunk.payload());
-              if (!count_or.ok()) return count_or.status();
-              len = *count_or;
-            }
-            spans.push_back(LeafSpan{item.id, item.start, len});
-          }
-          return Status::OK();
-        }));
-    level = std::move(next);
-  }
-  return Status::OK();
+  uint64_t start = 0;
+  return tree.WalkLevels(
+      /*verify_hashes=*/false,
+      [&](uint32_t depth, const IndexEntry& ref, const Chunk& node,
+          const std::vector<IndexEntry>& children) -> Status {
+        if (metrics) ++metrics->nodes_loaded;
+        if (!children.empty()) return Status::OK();
+        uint64_t len = ref.count;
+        if (depth == 0) {  // a root leaf has no parent entry to count it
+          FB_ASSIGN_OR_RETURN(len, LeafEntryCount(node.type(), node.payload()));
+        }
+        out->push_back(LeafSpan{ref.child, start, len});
+        start += len;
+        return Status::OK();
+      });
 }
 
 // Materializes the elements of leaves [from, to) of a span roster.
@@ -310,9 +277,8 @@ StatusOr<std::optional<SeqDelta>> DiffSequence(const PosTree& left,
     return std::optional<SeqDelta>{};
   }
   std::vector<LeafSpan> sa, sb;
-  FB_RETURN_IF_ERROR(CollectLeafSpans(left.store(), left.root(), &sa, metrics));
-  FB_RETURN_IF_ERROR(
-      CollectLeafSpans(right.store(), right.root(), &sb, metrics));
+  FB_RETURN_IF_ERROR(CollectLeafSpans(left, &sa, metrics));
+  FB_RETURN_IF_ERROR(CollectLeafSpans(right, &sb, metrics));
 
   // Prune the longest common chunk-aligned prefix.
   size_t p = 0;

@@ -1,6 +1,7 @@
 #include "postree/tree.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace forkbase {
 
@@ -448,119 +449,131 @@ StatusOr<TreeInfo> PosTree::SpliceBytes(uint64_t offset, uint64_t remove,
   return builder.Finish();
 }
 
-StatusOr<PosTree::ValidateResult> PosTree::ValidateNode(const Hash256& id,
-                                                        uint32_t depth) const {
-  if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
-  FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(id));
-  if (chunk.hash() != id) {
-    return Status::Corruption("chunk bytes do not hash to id " +
-                              id.ToBase32() + " (tampering detected)");
+Status PosTree::WalkLevels(bool verify_hashes,
+                           const NodeVisitor& visit) const {
+  std::vector<IndexEntry> level{IndexEntry{root_, 0, std::string()}};
+  std::vector<Hash256> ids;
+  std::vector<IndexEntry> children;
+  for (uint32_t depth = 0; !level.empty(); ++depth) {
+    if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
+    ids.clear();
+    for (const auto& ref : level) ids.push_back(ref.child);
+    std::vector<IndexEntry> next;
+    bool leaves = false;
+    FB_RETURN_IF_ERROR(ForEachChunkBatch(
+        *store_, ids, kChunkSweepBatch,
+        [&](size_t i, StatusOr<Chunk>& slot) -> Status {
+          if (!slot.ok()) return slot.status();
+          if (verify_hashes && slot->hash() != ids[i]) {
+            return Status::Corruption("chunk bytes do not hash to id " +
+                                      ids[i].ToBase32() +
+                                      " (tampering detected)");
+          }
+          children.clear();
+          if (slot->type() != ChunkType::kMeta) {
+            leaves = true;
+          } else if (!ParseIndexEntries(slot->payload(), &children) ||
+                     children.empty()) {
+            return Status::Corruption("malformed index node");
+          }
+          if (leaves && (!children.empty() || !next.empty())) {
+            return Status::Corruption("leaves at multiple depths");
+          }
+          FB_RETURN_IF_ERROR(visit(depth, level[i], *slot, children));
+          std::move(children.begin(), children.end(),
+                    std::back_inserter(next));
+          return Status::OK();
+        },
+        verify_hashes ? BatchHashing::kPrecompute : BatchHashing::kNone));
+    level = std::move(next);
   }
-  if (chunk.type() == ChunkType::kMeta) {
-    std::vector<IndexEntry> children;
-    if (!ParseIndexEntries(chunk.payload(), &children)) {
-      return Status::Corruption("malformed index node");
-    }
-    if (children.empty()) return Status::Corruption("empty index node");
-    uint64_t count = 0;
-    std::string max_key;
-    for (size_t i = 0; i < children.size(); ++i) {
-      FB_ASSIGN_OR_RETURN(ValidateResult child,
-                          ValidateNode(children[i].child, depth + 1));
-      if (child.count != children[i].count) {
-        return Status::Corruption("index entry count mismatch");
-      }
-      const bool keyed = leaf_type_ == ChunkType::kMapLeaf ||
-                         leaf_type_ == ChunkType::kSetLeaf;
-      if (keyed && child.max_key != children[i].key) {
-        return Status::Corruption("split key is not the subtree max key");
-      }
-      if (keyed && i > 0 && children[i].key <= children[i - 1].key) {
-        return Status::Corruption("index split keys not ascending");
-      }
-      count += child.count;
-      max_key = children[i].key;
-    }
-    return ValidateResult{count, max_key};
-  }
-  if (!IsLeafType(chunk.type()) || chunk.type() != leaf_type_) {
-    return Status::Corruption("unexpected chunk type in tree");
-  }
-  if (chunk.type() == ChunkType::kBlobLeaf) {
-    return ValidateResult{chunk.payload().size(), std::string()};
-  }
-  std::vector<EntryView> entries;
-  if (!ParseLeafEntries(chunk.type(), chunk.payload(), &entries)) {
-    return Status::Corruption("malformed leaf payload");
-  }
-  const bool keyed = leaf_type_ == ChunkType::kMapLeaf ||
-                     leaf_type_ == ChunkType::kSetLeaf;
-  for (size_t i = 1; keyed && i < entries.size(); ++i) {
-    if (entries[i].key <= entries[i - 1].key) {
-      return Status::Corruption("leaf keys not strictly ascending");
-    }
-  }
-  std::string max_key =
-      entries.empty() ? std::string() : entries.back().key.ToString();
-  return ValidateResult{entries.size(), max_key};
+  return Status::OK();
 }
 
-Status PosTree::Validate() const {
-  return ValidateNode(root_, 0).status();
+Status PosTree::Validate(
+    const std::function<Status(const EntryView&)>& visit) const {
+  const bool keyed = leaf_type_ == ChunkType::kMapLeaf ||
+                     leaf_type_ == ChunkType::kSetLeaf;
+  std::vector<EntryView> entries;
+  std::string prev_key;  // last key of the previous leaf: keys ascend
+  bool after_leaf = false;  // across leaves, not just within one
+  return WalkLevels(
+      /*verify_hashes=*/true,
+      [&](uint32_t depth, const IndexEntry& ref, const Chunk& node,
+          const std::vector<IndexEntry>& children) -> Status {
+        uint64_t count = 0;
+        Slice max_key;
+        if (!children.empty()) {
+          for (size_t i = 0; i < children.size(); ++i) {
+            if (keyed && i > 0 && children[i].key <= children[i - 1].key) {
+              return Status::Corruption("index split keys not ascending");
+            }
+            count += children[i].count;
+          }
+          max_key = children.back().key;
+        } else if (node.type() != leaf_type_ || !IsLeafType(node.type())) {
+          return Status::Corruption("unexpected chunk type in tree");
+        } else if (node.type() == ChunkType::kBlobLeaf) {
+          count = node.payload().size();
+        } else {
+          if (!ParseLeafEntries(node.type(), node.payload(), &entries)) {
+            return Status::Corruption("malformed leaf payload");
+          }
+          for (size_t i = 0; i < entries.size(); ++i) {
+            const Slice prev = i > 0 ? entries[i - 1].key : Slice(prev_key);
+            if (keyed && (i > 0 || after_leaf) && entries[i].key <= prev) {
+              return Status::Corruption("leaf keys not strictly ascending");
+            }
+            if (visit) FB_RETURN_IF_ERROR(visit(entries[i]));
+          }
+          count = entries.size();
+          if (!entries.empty()) {
+            max_key = entries.back().key;
+            prev_key.assign(max_key.data(), max_key.size());
+            after_leaf = true;
+          }
+        }
+        if (depth == 0) return Status::OK();  // the root has no parent entry
+        if (count != ref.count) {
+          return Status::Corruption("index entry count mismatch");
+        }
+        if (keyed && max_key != Slice(ref.key)) {
+          return Status::Corruption("split key is not the subtree max key");
+        }
+        return Status::OK();
+      });
 }
 
 StatusOr<TreeShape> PosTree::Shape() const {
   TreeShape shape;
-  // BFS by level.
-  std::vector<Hash256> frontier{root_};
-  uint32_t depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    std::vector<Hash256> next;
-    for (const auto& id : frontier) {
-      FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(id));
-      ++shape.total_nodes;
-      shape.total_bytes += chunk.size();
-      if (chunk.type() == ChunkType::kMeta) {
-        ++shape.index_nodes;
-        std::vector<IndexEntry> children;
-        if (!ParseIndexEntries(chunk.payload(), &children)) {
-          return Status::Corruption("malformed index node");
+  FB_RETURN_IF_ERROR(WalkLevels(
+      /*verify_hashes=*/false,
+      [&](uint32_t depth, const IndexEntry&, const Chunk& node,
+          const std::vector<IndexEntry>& children) -> Status {
+        shape.height = depth + 1;
+        ++shape.total_nodes;
+        shape.total_bytes += node.size();
+        if (!children.empty()) {
+          ++shape.index_nodes;
+          return Status::OK();
         }
-        for (const auto& c : children) next.push_back(c.child);
-      } else {
         ++shape.leaf_nodes;
         FB_ASSIGN_OR_RETURN(uint64_t n,
-                            LeafEntryCount(chunk.type(), chunk.payload()));
+                            LeafEntryCount(node.type(), node.payload()));
         shape.entries += n;
-      }
-    }
-    if (!next.empty() && shape.leaf_nodes > 0) {
-      return Status::Corruption("leaves at multiple depths");
-    }
-    frontier = std::move(next);
-  }
-  shape.height = depth;
+        return Status::OK();
+      }));
   return shape;
 }
 
 Status PosTree::ReachableChunks(std::vector<Hash256>* out) const {
   out->clear();
-  std::vector<Hash256> frontier{root_};
-  while (!frontier.empty()) {
-    Hash256 id = frontier.back();
-    frontier.pop_back();
-    out->push_back(id);
-    FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(id));
-    if (chunk.type() == ChunkType::kMeta) {
-      std::vector<IndexEntry> children;
-      if (!ParseIndexEntries(chunk.payload(), &children)) {
-        return Status::Corruption("malformed index node");
-      }
-      for (const auto& c : children) frontier.push_back(c.child);
-    }
-  }
-  return Status::OK();
+  return WalkLevels(/*verify_hashes=*/false,
+                    [out](uint32_t, const IndexEntry& ref, const Chunk&,
+                          const std::vector<IndexEntry>&) {
+                      out->push_back(ref.child);
+                      return Status::OK();
+                    });
 }
 
 }  // namespace forkbase

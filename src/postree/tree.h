@@ -109,27 +109,40 @@ class PosTree {
   StatusOr<TreeInfo> SpliceBytes(uint64_t offset, uint64_t remove,
                                  Slice insert) const;
 
-  /// Full Merkle + structural validation: every reachable chunk's bytes
-  /// re-hash to its id; keys are strictly ascending; split keys equal
-  /// subtree maxima; counts are consistent. Detects any storage tampering.
-  Status Validate() const;
+  /// Full Merkle + structural validation in one batched level walk (see
+  /// WalkLevels), re-hashed across the shared hash pool, so each reachable
+  /// chunk is loaded once: every chunk re-hashes to its id; index nodes are
+  /// non-empty with ascending split keys; each node's count and (keyed) max
+  /// key equal its parent entry's count and split key; leaves are of
+  /// leaf_type(), keys ascend across the whole tree, all leaves sit at one
+  /// depth. `visit`, if set, sees each leaf entry (not blob bytes) in tree
+  /// order within the same pass; an error it returns fails the validation.
+  Status Validate(
+      const std::function<Status(const EntryView&)>& visit = {}) const;
 
-  /// Walks the tree collecting shape statistics.
+  /// Shape statistics from the same batched level walk; Corruption when
+  /// leaves sit at several depths.
   StatusOr<TreeShape> Shape() const;
 
-  /// Collects the ids of all reachable chunks (dedup accounting).
+  /// Collects the ids of all reachable chunks in level order, root first
+  /// (dedup accounting). A chunk referenced twice is listed twice.
   Status ReachableChunks(std::vector<Hash256>* out) const;
+
+  /// The one batched tree walk (Validate, Shape, ReachableChunks, sequence
+  /// diff): visits every node level by level from the root, each level read
+  /// in batches, so leaves arrive in tree order. `ref` is the node's parent
+  /// index entry (the root's is {root, 0, ""}); `children` is an index
+  /// node's parsed, non-empty entry list and empty for a leaf. With
+  /// `verify_hashes` each level is hashed across the shared hash pool and
+  /// every chunk must re-hash to its id before it is visited.
+  using NodeVisitor = std::function<Status(
+      uint32_t depth, const IndexEntry& ref, const Chunk& node,
+      const std::vector<IndexEntry>& children)>;
+  Status WalkLevels(bool verify_hashes, const NodeVisitor& visit) const;
 
   const ChunkStore* store() const { return store_; }
 
  private:
-  struct ValidateResult {
-    uint64_t count;
-    std::string max_key;
-  };
-  StatusOr<ValidateResult> ValidateNode(const Hash256& id,
-                                        uint32_t depth) const;
-
   const ChunkStore* store_;
   ChunkType leaf_type_;
   Hash256 root_;

@@ -601,7 +601,8 @@ Status ForkBase::Verify(const Hash256& uid) const {
                                     " (tampering detected)");
         }
         return Status::OK();
-      });
+      },
+      BatchHashing::kPrecompute);
 }
 
 StatusOr<ForkBase::ObjectStat> ForkBase::StatObject(

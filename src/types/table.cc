@@ -439,15 +439,15 @@ Status FTable::Validate() const {
   if (header.hash() != id_) {
     return Status::Corruption("table header tampered");
   }
-  FB_RETURN_IF_ERROR(rows_.Validate());
   const size_t ncols = columns_.size();
-  // Only the key cell is compared, so no cell is copied.
+  // Rows are checked inside the tree's validation pass; only the key cell
+  // is compared, so no cell is copied.
   std::vector<Slice> cells;
-  return rows_.ForEach([&](Slice key, Slice value) -> Status {
-    if (!SplitRow(value, ncols, &cells)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
+  return rows_.tree().Validate([&](const EntryView& row) -> Status {
+    if (!SplitRow(row.value, ncols, &cells)) {
+      return Status::Corruption("malformed row for key " + row.key.ToString());
     }
-    if (cells[key_column_] != key) {
+    if (cells[key_column_] != row.key) {
       return Status::Corruption("row key does not match primary-key cell");
     }
     return Status::OK();

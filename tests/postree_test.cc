@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
 
 #include "chunk/mem_chunk_store.h"
 #include "postree/tree.h"
@@ -484,21 +486,122 @@ TEST(PosTreeBlobTest, AppendViaSpliceAtEnd) {
 
 // ------------------------------------------------------------ Validation --
 
+// Stores a copy of index node `id` with `edit` applied to its entries.
+Hash256 RewriteIndexNode(
+    MemChunkStore* store, const Hash256& id,
+    const std::function<void(std::vector<IndexEntry>*)>& edit) {
+  auto node = store->Get(id);
+  EXPECT_TRUE(node.ok() && node->type() == ChunkType::kMeta);
+  std::vector<IndexEntry> entries;
+  EXPECT_TRUE(ParseIndexEntries(node->payload(), &entries));
+  EXPECT_GE(entries.size(), 2u);
+  edit(&entries);
+  std::string payload;
+  for (const auto& e : entries) payload += EncodeIndexEntry(e);
+  Chunk rewritten = Chunk::Make(ChunkType::kMeta, payload);
+  EXPECT_TRUE(store->Put(rewritten).ok());
+  return rewritten.hash();
+}
+
 TEST(PosTreeValidateTest, DetectsTamperedLeaf) {
+  // Each case corrupts a fresh copy of one three-level map and returns the
+  // root to validate (as a tree of `leaf_type`).
+  struct Case {
+    const char* name;
+    std::function<Hash256(MemChunkStore*, const Hash256& root,
+                          const std::vector<Hash256>& level_order)>
+        tamper;
+    ChunkType leaf_type = ChunkType::kMapLeaf;
+  };
+  // Flips a byte of chunk pick(n) of the n in level order.
+  auto flip = [](std::function<size_t(size_t)> pick, ChunkType expect) {
+    return [pick, expect](MemChunkStore* store, const Hash256& root,
+                          const std::vector<Hash256>& chunks) {
+      const Hash256 id = chunks[pick(chunks.size())];
+      EXPECT_EQ(store->Get(id)->type(), expect);
+      EXPECT_TRUE(store->TamperForTesting(id, 5, 0x01));
+      return root;
+    };
+  };
+  const std::vector<Case> cases = {
+      {"root byte", flip([](size_t) { return 0; }, ChunkType::kMeta)},
+      {"inner index node byte",
+       flip([](size_t) { return 1; }, ChunkType::kMeta)},
+      {"leaf byte", flip([](size_t n) { return n / 2; }, ChunkType::kMapLeaf)},
+      {"index entry count",
+       [](MemChunkStore* store, const Hash256& root,
+          const std::vector<Hash256>&) {
+         return RewriteIndexNode(store, root, [](auto* entries) {
+           (*entries)[0].count += 1;
+         });
+       }},
+      {"split key not the subtree max",
+       [](MemChunkStore* store, const Hash256& root,
+          const std::vector<Hash256>&) {
+         return RewriteIndexNode(store, root, [](auto* entries) {
+           (*entries)[0].key.pop_back();
+         });
+       }},
+      {"split keys out of order",
+       [](MemChunkStore* store, const Hash256& root,
+          const std::vector<Hash256>&) {
+         return RewriteIndexNode(store, root, [](auto* entries) {
+           std::swap((*entries)[0], (*entries)[1]);
+         });
+       }},
+      {"leaf of the wrong type",
+       [](MemChunkStore*, const Hash256& root, const std::vector<Hash256>&) {
+         return root;
+       },
+       ChunkType::kSetLeaf},
+  };
+  auto kvs = MakeKvs(20000, 23);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MemChunkStore store;
+    auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+    ASSERT_TRUE(info.ok());
+    ASSERT_GE(info->height, 3u);
+    PosTree tree(&store, ChunkType::kMapLeaf, info->root);
+    ASSERT_TRUE(tree.Validate().ok());
+    std::vector<Hash256> chunks;
+    ASSERT_TRUE(tree.ReachableChunks(&chunks).ok());
+    const Hash256 root = c.tamper(&store, info->root, chunks);
+    Status tampered = PosTree(&store, c.leaf_type, root).Validate();
+    EXPECT_TRUE(tampered.IsCorruption()) << tampered.ToString();
+  }
+}
+
+TEST(PosTreeValidateTest, RepeatedIdenticalLeavesValidate) {
   MemChunkStore store;
-  auto kvs = MakeKvs(5000, 23);
+  auto list = PosTree::BuildList(
+      &store, std::vector<std::string>(20000, "the same element"));
+  auto blob = PosTree::BuildBlob(&store, std::string(1 << 18, 'a'));
+  ASSERT_TRUE(list.ok() && blob.ok());
+  for (const PosTree& tree :
+       {PosTree(&store, ChunkType::kListLeaf, list->root),
+        PosTree(&store, ChunkType::kBlobLeaf, blob->root,
+                TreeConfig::ForBlob())}) {
+    std::vector<Hash256> chunks;
+    ASSERT_TRUE(tree.ReachableChunks(&chunks).ok());
+    std::set<Hash256> distinct(chunks.begin(), chunks.end());
+    ASSERT_LT(distinct.size(), chunks.size()) << "no leaf repeats";
+    EXPECT_TRUE(tree.Validate().ok());
+    auto shape = tree.Shape();
+    ASSERT_TRUE(shape.ok());
+    EXPECT_EQ(shape->total_nodes, chunks.size());
+  }
+}
+
+TEST(PosTreeValidateTest, EmptyFirstKeyValidates) {
+  // Keys ascend across leaves; the empty key is the smallest legal one.
+  MemChunkStore store;
+  auto kvs = MakeKvs(5000, 37);
+  kvs.insert(kvs.begin(), {"", "empty"});
   auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
   ASSERT_TRUE(info.ok());
-  PosTree tree(&store, ChunkType::kMapLeaf, info->root);
-  ASSERT_TRUE(tree.Validate().ok());
-
-  // Tamper with some reachable non-root chunk.
-  std::vector<Hash256> chunks;
-  ASSERT_TRUE(tree.ReachableChunks(&chunks).ok());
-  ASSERT_GT(chunks.size(), 2u);
-  ASSERT_TRUE(store.TamperForTesting(chunks[chunks.size() / 2], 5, 0x01));
-  Status tampered = tree.Validate();
-  EXPECT_TRUE(tampered.IsCorruption()) << tampered.ToString();
+  ASSERT_GE(info->height, 2u);
+  EXPECT_TRUE(PosTree(&store, ChunkType::kMapLeaf, info->root).Validate().ok());
 }
 
 TEST(PosTreeValidateTest, DetectsMissingChunk) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <mutex>
+#include <unordered_map>
 
 #include "chunk/mem_chunk_store.h"
 #include "store/forkbase.h"
@@ -355,6 +357,79 @@ TEST(ForkBaseVerifyTest, DetectsFNodeTampering) {
   ASSERT_TRUE(uid.ok());
   ASSERT_TRUE(store->TamperForTesting(*uid, 3, 0x80));
   EXPECT_TRUE(db.Verify(*uid).IsCorruption());
+}
+
+// Counts chunk reads per id, through Get and GetMany alike.
+class CountingStore : public MemChunkStore {
+ public:
+  StatusOr<Chunk> Get(const Hash256& id) const override {
+    Record({&id, 1});
+    return MemChunkStore::Get(id);
+  }
+  std::vector<StatusOr<Chunk>> GetMany(
+      std::span<const Hash256> ids) const override {
+    Record(ids);
+    return MemChunkStore::GetMany(ids);
+  }
+  std::unordered_map<Hash256, int, Hash256Hasher> TakeLoads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(loads_, {});
+  }
+
+ private:
+  void Record(std::span<const Hash256> ids) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& id : ids) ++loads_[id];
+  }
+  mutable std::mutex mu_;
+  mutable std::unordered_map<Hash256, int, Hash256Hasher> loads_;
+};
+
+TEST(ForkBaseVerifyTest, LoadsEachChunkOfAVersionOnce) {
+  auto store = std::make_shared<CountingStore>();
+  ForkBase db(store);
+  CsvGenOptions opts;
+  opts.num_rows = 20000;
+  ASSERT_TRUE(db.PutTableFromCsv("table", GenerateCsv(opts)).ok());
+  ASSERT_TRUE(db.UpdateTableCell("table", "r00001500", 2, "edited").ok());
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 5000; ++i) {
+    kvs.emplace_back("k" + std::to_string(100000 + i), std::to_string(i));
+  }
+  ASSERT_TRUE(db.PutMap("map", kvs).ok());
+  ASSERT_TRUE(db.UpdateMap("map", {KeyedOp{"k100042", "edited"}}).ok());
+
+  for (const std::string key : {"table", "map"}) {
+    SCOPED_TRACE(key);
+    auto uid = db.Head(key);
+    ASSERT_TRUE(uid.ok());
+    auto value = db.Get(key);
+    ASSERT_TRUE(value.ok());
+    // A table's value root is its header chunk, read by Attach and then
+    // again by the header's own re-hash check.
+    Hash256 tree_root = value->root();
+    size_t header_loads = 0;
+    if (key == "table") {
+      tree_root = db.GetTable(key)->rows().root();
+      header_loads = 2;
+    }
+    std::vector<Hash256> reachable;
+    ASSERT_TRUE(PosTree(store.get(), ChunkType::kMapLeaf, tree_root)
+                    .ReachableChunks(&reachable)
+                    .ok());
+    ASSERT_GT(reachable.size(), 20u);
+    store->TakeLoads();
+
+    ASSERT_TRUE(db.Verify(*uid).ok());
+    auto loads = store->TakeLoads();
+    size_t not_once = 0;
+    for (const auto& id : reachable) not_once += loads[id] != 1;
+    EXPECT_EQ(not_once, 0u) << "tree chunks not loaded exactly once";
+    size_t total = 0;
+    for (const auto& [id, n] : loads) total += n;
+    const size_t fnode_loads = 2;  // the version and its one ancestor
+    EXPECT_EQ(total, reachable.size() + header_loads + fnode_loads);
+  }
 }
 
 // ------------------------------------------------------------------ Stat --

@@ -489,6 +489,68 @@ TEST(SyncTest, DeltaClosureCostIsIndependentOfHistoryLength) {
   EXPECT_LE(short_history.first, 32u);
 }
 
+TEST(SyncTest, UpdateHeadRefusesAVersionWhoseClosureIsIncomplete) {
+  auto a_store = std::make_shared<MemChunkStore>();
+  ForkBase a(a_store);
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 2000; ++i) {
+    kvs.emplace_back("k" + std::to_string(10000 + i), std::to_string(i));
+  }
+  ASSERT_TRUE(a.PutMap("map", kvs).ok());
+  ForkBase b(std::make_shared<MemChunkStore>());
+  auto server = ForkBaseServer::Start(&b, TestAddress("update_head_closure"));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(SyncPush(&a, &*client).ok());
+  const Hash256 v1 = *a.Head("map");
+  ASSERT_EQ(*b.Head("map"), v1);
+
+  // Upload v2's delta with one changed-path leaf dropped: the import fails
+  // its closure check, but the chunks it streamed (v2's FNode too) landed.
+  ASSERT_TRUE(a.UpdateMap("map", {KeyedOp{"k10500", "edited"}}).ok());
+  const Hash256 v2 = *a.Head("map");
+  auto delta = DeltaClosure(*a_store, {v2}, {v1}, a.commit_graph());
+  ASSERT_TRUE(delta.ok());
+  auto leaf = std::find_if(delta->begin(), delta->end(), [&](const Hash256& id) {
+    return a_store->Get(id)->type() == ChunkType::kMapLeaf;
+  });
+  ASSERT_NE(leaf, delta->end());
+  const Hash256 dropped = *leaf;
+  delta->erase(leaf);
+  auto upload = [&](const std::vector<Hash256>& ids) {
+    std::string bundle;
+    EXPECT_TRUE(ExportBundleOfIds(*a_store, {v2}, ids, [&](Slice bytes) {
+                  bundle.append(bytes.data(), bytes.size());
+                  return Status::OK();
+                }).ok());
+    EXPECT_TRUE(client->BeginBundle().ok());
+    EXPECT_TRUE(client->SendBundlePart(bundle).ok());
+    return client->EndBundle();
+  };
+  auto incomplete = upload(*delta);
+  ASSERT_FALSE(incomplete.ok());
+  EXPECT_NE(incomplete.status().message().find("closure incomplete"),
+            std::string::npos);
+  ASSERT_TRUE(b.Meta(v2).ok()) << "the FNode landed before the check failed";
+
+  auto update = client->UpdateHead("map", ForkBase::kDefaultBranch, v2);
+  ASSERT_FALSE(update.ok());
+  EXPECT_NE(update.status().message().find("closure incomplete"),
+            std::string::npos)
+      << update.status().ToString();
+  EXPECT_EQ(*b.Head("map"), v1);
+
+  // Once the missing leaf arrives, the same UPDATE_HEAD publishes v2.
+  ASSERT_TRUE(upload({dropped}).ok());
+  update = client->UpdateHead("map", ForkBase::kDefaultBranch, v2);
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_TRUE(*update);
+  EXPECT_EQ(*b.Head("map"), v2);
+  EXPECT_TRUE(b.Verify(v2).ok());
+  (*server)->Stop();
+}
+
 TEST(SyncTest, DeltaPullsLeaveTheReplicaClosedAndVerifiable) {
   // Several keys and branches, edits and merges between pulls: after every
   // pull the replica holds the full closure of each pulled head.

@@ -295,6 +295,14 @@ TEST(FTableTest, ValidateChecksEveryRowAgainstTheSchema) {
   EXPECT_FALSE(AttachRawRows(&store, {{"r1", FTable::EncodeRow({"r2", "x"})}})
                    .Validate()
                    .ok());
+  // The same, deep inside a multi-level row tree.
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string key = "r" + std::to_string(10000 + i);
+    rows.emplace_back(key, FTable::EncodeRow({i == 3700 ? "r0" : key, "x"}));
+  }
+  Status deep = AttachRawRows(&store, rows).Validate();
+  EXPECT_TRUE(deep.IsCorruption()) << deep.ToString();
 }
 
 TEST(FTableTest, RowCodecRejectsMalformed) {
