@@ -819,8 +819,9 @@ BENCHMARK(BM_Verify)->Arg(1000)->Arg(10000);
 // ---- sync export: full bundle vs. negotiated delta ----------------------
 //
 // The sync subsystem's win: after branch-head negotiation, a push exports
-// only the chunks past the receiver's frontier (ExportDeltaBundle) instead
-// of the head's whole closure (ExportBundle). The corpus is a map with a
+// only the chunks past the receiver's frontier (the DeltaClosure against
+// it) instead of the head's whole closure (the DeltaClosure against
+// nothing); both go through the one ExportBundle. The corpus is a map with a
 // 64-commit history; the delta covers the last commit only, the regime of
 // a steady-state replica that syncs every few commits.
 
@@ -855,7 +856,8 @@ void BM_SyncPushFull(benchmark::State& state) {
   const SyncCorpus& corpus = GetSyncCorpus();
   uint64_t bytes = 0;
   for (auto _ : state) {
-    auto stats = ExportBundle(*corpus.store, corpus.head, [&](Slice b) {
+    auto ids = DeltaClosure(*corpus.store, {corpus.head}, {});
+    auto stats = ExportBundle(*corpus.store, {corpus.head}, *ids, [&](Slice b) {
       bytes += b.size();
       return Status::OK();
     });
@@ -870,11 +872,11 @@ void BM_SyncPushDelta(benchmark::State& state) {
   const SyncCorpus& corpus = GetSyncCorpus();
   uint64_t bytes = 0;
   for (auto _ : state) {
-    auto stats = ExportDeltaBundle(*corpus.store, {corpus.head},
-                                   {corpus.prev}, [&](Slice b) {
-                                     bytes += b.size();
-                                     return Status::OK();
-                                   });
+    auto ids = DeltaClosure(*corpus.store, {corpus.head}, {corpus.prev});
+    auto stats = ExportBundle(*corpus.store, {corpus.head}, *ids, [&](Slice b) {
+      bytes += b.size();
+      return Status::OK();
+    });
     benchmark::DoNotOptimize(stats.ok());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -922,13 +924,12 @@ void BM_DeltaExport(benchmark::State& state) {
       GetDeltaExportCorpus(static_cast<int>(state.range(0)));
   uint64_t bytes = 0;
   for (auto _ : state) {
-    auto stats = ExportDeltaBundle(
-        *corpus.store, {corpus.head}, {corpus.prev},
-        [&](Slice b) {
-          bytes += b.size();
-          return Status::OK();
-        },
-        corpus.db->commit_graph());
+    auto ids = DeltaClosure(*corpus.store, {corpus.head}, {corpus.prev},
+                            corpus.db->commit_graph());
+    auto stats = ExportBundle(*corpus.store, {corpus.head}, *ids, [&](Slice b) {
+      bytes += b.size();
+      return Status::OK();
+    });
     benchmark::DoNotOptimize(stats.ok());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

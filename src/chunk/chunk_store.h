@@ -250,21 +250,21 @@ class ChunkStore {
 
   virtual bool Contains(const Hash256& id) const = 0;
 
-  /// How a backend physically encodes a chunk's payload on its medium.
+  /// How a backend physically transforms a chunk's payload on its medium.
   /// Logical identity (the content address) never changes — Get always
   /// returns the original bytes — but a store may hold them transformed.
+  /// Bytes held verbatim have no transformed form (see GetPhysicalRecord).
   enum class Encoding : uint8_t {
-    kRaw = 0,         ///< payload bytes verbatim
     kCompressed = 1,  ///< LZ block (util/compress.h)
     kDelta = 2,       ///< copy/insert delta against another resident chunk
   };
 
   /// One chunk's stored form: the physical payload plus what is needed to
   /// rebuild the logical bytes from it. `delta_base` is meaningful only for
-  /// Encoding::kDelta. Sync's bundle exporter ships these verbatim so a
+  /// Encoding::kDelta. The bundle exporter ships these verbatim so a
   /// chain-resident chunk crosses the wire at its (smaller) disk footprint.
   struct PhysicalRecord {
-    Encoding encoding = Encoding::kRaw;
+    Encoding encoding = Encoding::kCompressed;
     uint64_t logical_length = 0;  ///< bytes Get would return
     Hash256 delta_base{};
     std::string payload;  ///< the physical bytes as stored
@@ -283,8 +283,10 @@ class ChunkStore {
 
   /// Fills `*rec` with `id`'s stored form and returns true; false when the
   /// id is absent or the backend has no transformed representation (callers
-  /// then fall back to Get's logical bytes). Never performs chain
-  /// resolution — the point is the raw physical record.
+  /// then fall back to Get's logical bytes, which may hit a cache this
+  /// probe must not bypass — a verbatim record is reported without being
+  /// read). Never performs chain resolution — the point is the physical
+  /// record.
   virtual bool GetPhysicalRecord(const Hash256& id,
                                  PhysicalRecord* rec) const {
     (void)id;

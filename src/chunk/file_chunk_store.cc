@@ -394,7 +394,7 @@ StatusOr<std::string> FileChunkStore::DecodePayload(const Hash256& id,
       return payload;
     case kEncLz: {
       std::string logical;
-      if (!LzDecompressBlock(Slice(payload), &logical) ||
+      if (!LzDecompressBlock(Slice(payload), &logical, loc.logical) ||
           logical.size() != loc.logical) {
         return Status::Corruption("compressed record for " + id.ToBase32() +
                                   " does not decode");
@@ -414,7 +414,7 @@ StatusOr<std::string> FileChunkStore::DecodePayload(const Hash256& id,
       std::string logical;
       if (!ApplyDelta(Slice(base_bytes),
                       Slice(payload.data() + 32, payload.size() - 32),
-                      &logical) ||
+                      &logical, loc.logical) ||
           logical.size() != loc.logical) {
         return Status::Corruption("delta record for " + id.ToBase32() +
                                   " does not apply against base " +
@@ -879,7 +879,7 @@ bool FileChunkStore::GetDeltaBase(const Hash256& id, Hash256* base) const {
 bool FileChunkStore::GetPhysicalRecord(const Hash256& id,
                                        PhysicalRecord* rec) const {
   Location loc;
-  if (!Lookup(id, &loc)) return false;
+  if (!Lookup(id, &loc) || loc.enc == kEncRaw) return false;
   auto payload = ReadPayloadWithRetry(id, &loc);
   if (!payload.ok()) return false;
   rec->logical_length = loc.logical;
@@ -895,11 +895,8 @@ bool FileChunkStore::GetPhysicalRecord(const Hash256& id,
       rec->delta_base = Hash256{};
       rec->payload = std::move(*payload);
       return true;
-    default:
-      rec->encoding = Encoding::kRaw;
-      rec->delta_base = Hash256{};
-      rec->payload = std::move(*payload);
-      return true;
+    default:  // a retried read that landed on a flattened, verbatim copy
+      return false;
   }
 }
 

@@ -239,7 +239,7 @@ class FileChunkStore : public ChunkStore {
     uint64_t offset = 0;   ///< offset of the payload bytes (past the header)
     uint32_t length = 0;   ///< physical payload length on disk
     uint32_t logical = 0;  ///< chunk byte length Get returns
-    uint8_t enc = 0;       ///< Encoding (kRaw for FBC1 records)
+    uint8_t enc = 0;       ///< record encoding (kEncRaw for FBC1 records)
     uint8_t header = 0;    ///< header bytes preceding the payload (40 or 45)
   };
 

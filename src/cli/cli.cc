@@ -575,7 +575,13 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
       return Status::InvalidArgument("push KEY FILE | push ADDRESS [KEY]");
     }
     FB_ASSIGN_OR_RETURN(Hash256 head, db.Head(pos[1], ctx.branch));
-    FB_ASSIGN_OR_RETURN(std::string bundle, ExportBundle(*db.store(), head));
+    FB_ASSIGN_OR_RETURN(auto ids, DeltaClosure(*db.store(), {head}, {},
+                                               db.commit_graph()));
+    std::string bundle;
+    FB_RETURN_IF_ERROR(ExportBundle(*db.store(), {head}, ids, [&](Slice b) {
+                         bundle.append(b.data(), b.size());
+                         return Status::OK();
+                       }).status());
     FB_RETURN_IF_ERROR(WriteFile(pos[2], bundle));
     out << "pushed " << pos[1] << "@" << ctx.branch << " ("
         << bundle.size() << " bytes) to " << pos[2] << "\n";

@@ -964,8 +964,9 @@ Status ForkBaseServer::HandlePullDelta(
     }
     return Status::OK();
   };
-  auto stats =
-      ExportDeltaBundle(*db_->store(), want, have, sink, db_->commit_graph());
+  FB_ASSIGN_OR_RETURN(
+      auto ids, DeltaClosure(*db_->store(), want, have, db_->commit_graph()));
+  auto stats = ExportBundle(*db_->store(), want, ids, sink);
   if (!stats.ok()) return stats.status();  // client aborts on the kError
   if (!buffer.empty()) {
     FB_RETURN_IF_ERROR(EnqueueBytesBounded(

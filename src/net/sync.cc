@@ -16,6 +16,8 @@ namespace forkbase {
 namespace {
 
 constexpr int kHeadRaceRetries = 16;
+// Chunk ids per push Offer round.
+constexpr size_t kOfferBatch = 512;
 
 struct Target {
   std::string key;
@@ -137,8 +139,8 @@ Status SyncPushInto(ForkBase* db, ForkBaseClient* client,
   // rounds make it exact — chunks shared through content addressing
   // (dedup across unrelated branches) drop out here.
   std::vector<Hash256> to_send;
-  for (size_t i = 0; i < candidates.size(); i += options.offer_batch) {
-    const size_t n = std::min(options.offer_batch, candidates.size() - i);
+  for (size_t i = 0; i < candidates.size(); i += kOfferBatch) {
+    const size_t n = std::min(kOfferBatch, candidates.size() - i);
     std::vector<Hash256> batch(candidates.begin() + i,
                                candidates.begin() + i + n);
     ++stats.rounds;
@@ -163,13 +165,8 @@ Status SyncPushInto(ForkBase* db, ForkBaseClient* client,
       }
       return Status::OK();
     };
-    // Packed (v3) export: chain- and LZ-resident chunks cross the wire at
-    // their physical footprint instead of being materialized first. On a
-    // plain store this degenerates to raw bodies — the v2 pack plus one
-    // tag byte per record.
-    FB_ASSIGN_OR_RETURN(
-        auto bundle_stats,
-        ExportPackedBundleOfIds(*db->store(), want, to_send, sink));
+    FB_ASSIGN_OR_RETURN(auto bundle_stats,
+                        ExportBundle(*db->store(), want, to_send, sink));
     if (!buffer.empty()) {
       FB_RETURN_IF_ERROR(client->SendBundlePart(Slice(buffer)));
     }

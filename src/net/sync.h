@@ -26,8 +26,6 @@ namespace forkbase {
 struct SyncOptions {
   /// Restrict the sync to these keys (empty = every key).
   std::vector<std::string> keys;
-  /// Chunk ids per Offer round.
-  size_t offer_batch = 512;
   /// kBundlePart payload size for the upload stream.
   size_t part_bytes = 1 << 20;
 };

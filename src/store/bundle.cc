@@ -1,6 +1,7 @@
 #include "store/bundle.h"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,9 +13,13 @@ namespace forkbase {
 
 namespace {
 
-constexpr uint32_t kBundleMagic = 0x46424e44;    // "FBND" — v1, frozen
-constexpr uint32_t kBundleMagicV2 = 0x46424432;  // "FBD2" — multi-head delta
-constexpr uint32_t kBundleMagicV3 = 0x46424433;  // "FBD3" — packed records
+constexpr uint32_t kBundleMagicV1 = 0x46424e44;  // "FBND" — read-only
+constexpr uint32_t kBundleMagicV2 = 0x46424432;  // "FBD2" — read-only
+constexpr uint32_t kBundleMagicV3 = 0x46424433;  // "FBD3" — the one written
+// v3 record encodings (the tag byte after each record's length).
+constexpr uint8_t kRecordRaw = 0;
+constexpr uint8_t kRecordLz = 1;
+constexpr uint8_t kRecordDelta = 2;
 // A v3 delta body is a 32-byte base id plus at least one delta byte.
 constexpr size_t kMinPackedDeltaBody = 33;
 // Ceiling on the in-bundle base chain the exporter will preserve. Longer
@@ -22,67 +27,132 @@ constexpr size_t kMinPackedDeltaBody = 33;
 // instead of shipped — the importer never needs more lookback than this.
 constexpr int kMaxBundleChainHops = 512;
 
-/// Streams the length-prefixed records of `ids` (already sorted) through
-/// `sink`, verifying each chunk re-hashes to its id. Reads are batched (and
-/// pipelined on async stores) but emitted in id order: ForEachChunkBatch
-/// invokes the callback in global index order.
-Status EmitChunkRecords(const ChunkStore& store,
-                        const std::vector<Hash256>& ids,
-                        const BundleSink& sink, BundleStats* stats) {
-  std::string scratch;
-  return ForEachChunkBatch(
-      store, ids, kChunkSweepBatch,
-      [&](size_t index, StatusOr<Chunk>& chunk_or) -> Status {
-        if (!chunk_or.ok()) return chunk_or.status();
-        if (chunk_or->hash() != ids[index]) {
-          return Status::Corruption("chunk " + ids[index].ToBase32() +
-                                    " is tampered; refusing to export");
-        }
-        scratch.clear();
-        PutLengthPrefixed(&scratch, chunk_or->bytes());
-        FB_RETURN_IF_ERROR(sink(Slice(scratch)));
-        ++stats->chunks;
-        stats->bytes += scratch.size();
-        return Status::OK();
-      },
-      BatchHashing::kPrecompute);
-}
+// Parse-time sanity caps. A head list or chunk record larger than these is
+// not a plausible bundle; failing fast here turns a hostile length prefix
+// (or a decoder's claimed output length) into kCorruption instead of an
+// attempted giant allocation.
+constexpr uint64_t kMaxBundleHeads = 1u << 20;
+constexpr uint64_t kMaxChunkRecordBytes = 1u << 30;
+constexpr size_t kMaxVarintBytes = 10;
 
-Status SinkString(const BundleSink& sink, const std::string& bytes,
-                  BundleStats* stats) {
-  FB_RETURN_IF_ERROR(sink(Slice(bytes)));
-  stats->bytes += bytes.size();
-  return Status::OK();
+/// How many GetDeltaBase hops from `id` stay inside the shipped set
+/// (`sorted`); -1 past kMaxBundleChainHops — a corruption firewall, not a
+/// tuning knob.
+int InBundleChainDepth(const ChunkStore& store,
+                       const std::vector<Hash256>& sorted, const Hash256& id) {
+  int depth = 0;
+  Hash256 cur = id;
+  Hash256 base;
+  while (store.GetDeltaBase(cur, &base) &&
+         std::binary_search(sorted.begin(), sorted.end(), base)) {
+    if (++depth > kMaxBundleChainHops) return -1;
+    cur = base;
+  }
+  return depth;
 }
 
 }  // namespace
 
-StatusOr<BundleStats> ExportBundle(const ChunkStore& store, const Hash256& uid,
+StatusOr<BundleStats> ExportBundle(const ChunkStore& store,
+                                   const std::vector<Hash256>& heads,
+                                   const std::vector<Hash256>& ids,
                                    const BundleSink& sink) {
-  FB_ASSIGN_OR_RETURN(auto live, MarkLive(store, {uid}));
-  // Deterministic bundle bytes: chunks sorted by id.
-  std::vector<Hash256> ids(live.begin(), live.end());
-  std::sort(ids.begin(), ids.end());
+  if (heads.empty()) {
+    return Status::InvalidArgument("bundle export needs at least one head");
+  }
+  std::vector<Hash256> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
   BundleStats stats;
-  std::string header;
-  PutFixed32(&header, kBundleMagic);
-  header.append(reinterpret_cast<const char*>(uid.bytes.data()), 32);
-  PutVarint64(&header, ids.size());
-  FB_RETURN_IF_ERROR(SinkString(sink, header, &stats));
-  FB_RETURN_IF_ERROR(EmitChunkRecords(store, ids, sink, &stats));
-  return stats;
-}
-
-StatusOr<std::string> ExportBundle(const ChunkStore& store,
-                                   const Hash256& uid) {
   std::string out;
-  auto sink = [&out](Slice bytes) -> Status {
-    out.append(bytes.data(), bytes.size());
+  PutFixed32(&out, kBundleMagicV3);
+  PutVarint64(&out, heads.size());
+  for (const auto& head : heads) {
+    out.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
+  }
+  PutVarint64(&out, sorted.size());
+  FB_RETURN_IF_ERROR(sink(Slice(out)));
+  stats.bytes += out.size();
+
+  auto emit = [&](uint8_t enc, const Hash256* base, Slice body) -> Status {
+    out.clear();
+    PutVarint64(&out, (base ? 32 : 0) + body.size());
+    out.push_back(static_cast<char>(enc));
+    if (base != nullptr) {
+      out.append(reinterpret_cast<const char*>(base->bytes.data()), 32);
+    }
+    out.append(body.data(), body.size());
+    FB_RETURN_IF_ERROR(sink(Slice(out)));
+    stats.bytes += out.size();
+    ++stats.chunks;
     return Status::OK();
   };
-  FB_RETURN_IF_ERROR(ExportBundle(store, uid, sink).status());
-  return out;
+  // Logical bytes ship verbatim: the writer forwards what the store already
+  // paid to encode; it has no wire compression policy of its own.
+  auto emit_materialized = [&](const Hash256& id, const Chunk& chunk) {
+    if (chunk.hash() != id) {
+      return Status::Corruption("chunk " + id.ToBase32() +
+                                " is tampered; refusing to export");
+    }
+    return emit(kRecordRaw, nullptr, chunk.bytes());
+  };
+
+  // Self-contained records first. An LZ block ships as stored, the moment
+  // the probe has read it; everything else without an in-bundle delta base
+  // is read through the batched, cached Get path below — the probe reports
+  // a verbatim record without reading it.
+  struct Delta {
+    int depth;
+    Hash256 id;
+    Hash256 base;
+  };
+  std::vector<Delta> deltas;
+  std::vector<Hash256> materialize;
+  ChunkStore::PhysicalRecord rec;
+  for (const auto& id : sorted) {
+    Hash256 base;
+    if (store.GetDeltaBase(id, &base)) {
+      const int depth = InBundleChainDepth(store, sorted, id);
+      if (depth > 0) {
+        deltas.push_back({depth, id, base});
+        continue;
+      }
+    } else if (store.GetPhysicalRecord(id, &rec) &&
+               rec.encoding == ChunkStore::Encoding::kCompressed) {
+      FB_RETURN_IF_ERROR(emit(kRecordLz, nullptr, Slice(rec.payload)));
+      ++stats.compressed_chunks;
+      continue;
+    }
+    materialize.push_back(id);
+  }
+  FB_RETURN_IF_ERROR(ForEachChunkBatch(
+      store, materialize, kChunkSweepBatch,
+      [&](size_t index, StatusOr<Chunk>& chunk_or) -> Status {
+        if (!chunk_or.ok()) return chunk_or.status();
+        return emit_materialized(materialize[index], *chunk_or);
+      },
+      BatchHashing::kPrecompute));
+
+  // Deltas by (in-bundle chain depth, id): every base is either a
+  // self-contained record above or a shallower delta, so it precedes its
+  // dependents — the order the importer resolves them in.
+  std::sort(deltas.begin(), deltas.end(), [](const Delta& a, const Delta& b) {
+    return std::tie(a.depth, a.id) < std::tie(b.depth, b.id);
+  });
+  for (const auto& delta : deltas) {
+    if (store.GetPhysicalRecord(delta.id, &rec) &&
+        rec.encoding == ChunkStore::Encoding::kDelta &&
+        rec.delta_base == delta.base) {
+      FB_RETURN_IF_ERROR(emit(kRecordDelta, &delta.base, Slice(rec.payload)));
+      ++stats.delta_chunks;
+      continue;
+    }
+    // A compaction flattened the record since the probe.
+    FB_ASSIGN_OR_RETURN(Chunk chunk, store.Get(delta.id));
+    FB_RETURN_IF_ERROR(emit_materialized(delta.id, chunk));
+  }
+  return stats;
 }
 
 namespace {
@@ -258,156 +328,12 @@ StatusOr<std::vector<Hash256>> DeltaClosure(const ChunkStore& store,
   return out;
 }
 
-StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
-                                        const std::vector<Hash256>& want,
-                                        const std::vector<Hash256>& have,
-                                        const BundleSink& sink,
-                                        CommitGraph* graph) {
-  FB_ASSIGN_OR_RETURN(auto ids, DeltaClosure(store, want, have, graph));
-  return ExportBundleOfIds(store, want, ids, sink);
-}
-
-StatusOr<BundleStats> ExportBundleOfIds(const ChunkStore& store,
-                                        const std::vector<Hash256>& heads,
-                                        const std::vector<Hash256>& ids,
-                                        const BundleSink& sink) {
-  if (heads.empty()) {
-    return Status::InvalidArgument("bundle export needs at least one head");
-  }
-  std::vector<Hash256> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  BundleStats stats;
-  std::string header;
-  PutFixed32(&header, kBundleMagicV2);
-  PutVarint64(&header, heads.size());
-  for (const auto& head : heads) {
-    header.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
-  }
-  PutVarint64(&header, sorted.size());
-  FB_RETURN_IF_ERROR(SinkString(sink, header, &stats));
-  FB_RETURN_IF_ERROR(EmitChunkRecords(store, sorted, sink, &stats));
-  return stats;
-}
-
-StatusOr<BundleStats> ExportPackedBundleOfIds(
-    const ChunkStore& store, const std::vector<Hash256>& heads,
-    const std::vector<Hash256>& ids, const BundleSink& sink) {
-  if (heads.empty()) {
-    return Status::InvalidArgument("bundle export needs at least one head");
-  }
-  std::vector<Hash256> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  const std::unordered_set<Hash256, Hash256Hasher> in_set(sorted.begin(),
-                                                          sorted.end());
-
-  // In-bundle chain depth of an id: how many GetDeltaBase hops stay inside
-  // the shipped set. Records sort by (depth, id), which is exactly the
-  // base-before-dependent order the importer relies on. A hop count past
-  // kMaxBundleChainHops marks the id for materialization (-1) — a healthy
-  // store never produces such a chain, so this is a corruption firewall,
-  // not a tuning knob.
-  auto chain_depth = [&](const Hash256& id) -> int {
-    int depth = 0;
-    Hash256 cur = id;
-    Hash256 base;
-    while (store.GetDeltaBase(cur, &base) && in_set.count(base)) {
-      if (++depth > kMaxBundleChainHops) return -1;
-      cur = base;
-    }
-    return depth;
-  };
-  std::vector<std::pair<int, Hash256>> order;
-  order.reserve(sorted.size());
-  for (const auto& id : sorted) order.emplace_back(chain_depth(id), id);
-  std::sort(order.begin(), order.end());
-
-  BundleStats stats;
-  std::string header;
-  PutFixed32(&header, kBundleMagicV3);
-  PutVarint64(&header, heads.size());
-  for (const auto& head : heads) {
-    header.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
-  }
-  PutVarint64(&header, order.size());
-  FB_RETURN_IF_ERROR(SinkString(sink, header, &stats));
-
-  std::string body;
-  std::string record;
-  for (const auto& [depth, id] : order) {
-    body.clear();
-    uint8_t enc = 0;
-    ChunkStore::PhysicalRecord rec;
-    bool packed = depth >= 0 && store.GetPhysicalRecord(id, &rec);
-    if (packed) {
-      switch (rec.encoding) {
-        case ChunkStore::Encoding::kDelta:
-          if (in_set.count(rec.delta_base)) {
-            enc = 2;
-            body.append(reinterpret_cast<const char*>(rec.delta_base.bytes.data()),
-                        32);
-            body.append(rec.payload);
-          } else {
-            // The receiver cannot be assumed to hold the base; rebuild and
-            // re-encode below.
-            packed = false;
-          }
-          break;
-        case ChunkStore::Encoding::kCompressed:
-          enc = 1;
-          body = std::move(rec.payload);
-          break;
-        case ChunkStore::Encoding::kRaw:
-          enc = 0;
-          body = std::move(rec.payload);
-          break;
-      }
-    }
-    if (!packed) {
-      // Materialize fallback: stores without a reduced physical form (and
-      // delta records whose base stayed home) ship logical bytes verbatim.
-      // Deliberately no opportunistic wire compression here — the packed
-      // format forwards what the store already paid to encode; it does not
-      // introduce a second compression policy of its own.
-      FB_ASSIGN_OR_RETURN(Chunk chunk, store.Get(id));
-      if (chunk.hash() != id) {
-        return Status::Corruption("chunk " + id.ToBase32() +
-                                  " is tampered; refusing to export");
-      }
-      enc = 0;
-      body.assign(chunk.bytes().data(), chunk.size());
-    }
-    if (enc == 2) ++stats.delta_chunks;
-    if (enc == 1) ++stats.compressed_chunks;
-    record.clear();
-    PutVarint64(&record, body.size());
-    record.push_back(static_cast<char>(enc));
-    record.append(body);
-    FB_RETURN_IF_ERROR(SinkString(sink, record, &stats));
-    ++stats.chunks;
-  }
-  return stats;
-}
-
 StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst,
                                     const ForkBase* local) {
   BundleImporter importer(dst, local);
   FB_RETURN_IF_ERROR(importer.Feed(bundle));
   return importer.Finish();
 }
-
-namespace {
-
-// Parse-time sanity caps. A head list or chunk record larger than these is
-// not a plausible bundle; failing fast here turns a hostile length prefix
-// into kCorruption instead of an attempted giant allocation.
-constexpr uint64_t kMaxBundleHeads = 1u << 20;
-constexpr uint64_t kMaxChunkRecordBytes = 1u << 30;
-constexpr size_t kMaxVarintBytes = 10;
-
-}  // namespace
 
 Status BundleImporter::Fail(std::string message) {
   error_ = Status::Corruption(std::move(message));
@@ -429,13 +355,13 @@ Status BundleImporter::Parse() {
       Decoder dec(rest);
       uint32_t magic = 0;
       dec.GetFixed32(&magic);
-      if (magic != kBundleMagic && magic != kBundleMagicV2 &&
+      if (magic != kBundleMagicV1 && magic != kBundleMagicV2 &&
           magic != kBundleMagicV3) {
         return Fail("not a ForkBase bundle");
       }
       pos += 4;
       packed_ = magic == kBundleMagicV3;
-      if (magic == kBundleMagic) {
+      if (magic == kBundleMagicV1) {
         heads_expected_ = 1;
         state_ = State::kHeadList;
       } else {
@@ -500,13 +426,13 @@ Status BundleImporter::Parse() {
         const uint8_t enc =
             static_cast<uint8_t>(rest.data()[dec.position()]);
         const Slice body(rest.data() + prefix, len);
-        if (enc == 0) {
+        if (enc == kRecordRaw) {
           chunk_bytes.assign(body.data(), body.size());
-        } else if (enc == 1) {
-          if (!LzDecompressBlock(body, &chunk_bytes)) {
+        } else if (enc == kRecordLz) {
+          if (!LzDecompressBlock(body, &chunk_bytes, kMaxChunkRecordBytes)) {
             return Fail("bundle: malformed compressed record");
           }
-        } else if (enc == 2) {
+        } else if (enc == kRecordDelta) {
           // The exporter orders bases before dependents, so the base is
           // already admitted to dst — resolve it there, not from staging.
           if (body.size() < kMinPackedDeltaBody) {
@@ -528,7 +454,7 @@ Status BundleImporter::Parse() {
           }
           if (!ApplyDelta(base_chunk->bytes(),
                           Slice(body.data() + 32, body.size() - 32),
-                          &chunk_bytes)) {
+                          &chunk_bytes, kMaxChunkRecordBytes)) {
             return Fail("bundle: delta record does not apply to its base");
           }
         } else {

@@ -8,35 +8,28 @@
 // declared id, and the requested uids must be present, before anything is
 // admitted to the destination store.
 //
-// Three wire layouts, distinguished by magic:
+// One writer, three readable layouts. ExportBundle writes only v3; the
+// importer also reads v1 and v2, whose byte layouts are frozen:
 //   v1 "FBND": [magic][32B head][varint n][length-prefixed chunk bytes × n]
-//              — single head, full closure; byte layout frozen (tooling and
-//              tests poke fixed offsets).
+//              — single head, full closure (read-only).
 //   v2 "FBD2": [magic][varint n_heads][32B × n_heads][varint n_chunks]
-//              [length-prefixed chunk bytes × n_chunks]
-//              — multi-head deltas, the sync protocol's bundle. Chunk
-//              records may be any subset: the import closure check runs
-//              against bundle ∪ destination, which is what makes
-//              incremental push ship only missing chunks.
+//              [length-prefixed chunk bytes × n_chunks] — multi-head, any
+//              subset of chunk records (read-only).
 //   v3 "FBD3": header identical to v2, but each record is
 //              [varint body_len][u8 enc][body] where enc selects the body's
 //              form: 0 = raw chunk bytes, 1 = an LZ block of the chunk
 //              bytes (util/compress.h), 2 = [32B base id][delta bytes]
 //              (util/delta_codec.h) against a chunk that appears EARLIER in
-//              the same bundle. The exporter lifts these straight out of a
-//              delta-encoding store's physical records (no materialize +
-//              recompress round trip on the hot push path) and orders
-//              records base-before-dependent, so the importer can resolve
-//              every delta against chunks it has already admitted. A delta
-//              whose base is outside the shipped set is materialized and
-//              shipped raw instead — v3 bundles are always self-contained
-//              in their physical dependencies even when the logical closure
-//              is a subset.
-// v1/v2 sort chunk records by id, so equal inputs give byte-equal bundles.
-// v3 sorts by (delta chain depth within the bundle, id): byte-equal for
-// equal store states, but the same logical chunks can pack differently on
-// stores whose physical representation differs — ids, not bundle bytes, are
-// the canonical identity.
+//              the same bundle. The writer lifts LZ blocks and in-bundle
+//              deltas straight out of a delta-encoding store's physical
+//              records (no materialize + recompress round trip) and reads
+//              every other chunk through the batched, cached Get path.
+// Chunk records may be any subset of the heads' closure: the import closure
+// check runs against bundle ∪ destination, which is what lets a delta ship
+// only what the receiver lacks. v3 record order is deterministic for equal
+// store states, but the same logical chunks can pack differently on stores
+// whose physical representation differs — ids, not bundle bytes, are the
+// canonical identity.
 #ifndef FORKBASE_STORE_BUNDLE_H_
 #define FORKBASE_STORE_BUNDLE_H_
 
@@ -57,20 +50,11 @@ using BundleSink = std::function<Status(Slice)>;
 struct BundleStats {
   uint64_t chunks = 0;  ///< chunk records written
   uint64_t bytes = 0;   ///< total bundle bytes pushed through the sink
-  /// v3 (packed) exports only: how many records went out in each reduced
-  /// form. `chunks - delta_chunks - compressed_chunks` shipped raw.
+  /// How many records went out in each reduced form.
+  /// `chunks - delta_chunks - compressed_chunks` shipped raw.
   uint64_t delta_chunks = 0;
   uint64_t compressed_chunks = 0;
 };
-
-/// Serializes the closure of `uid` (value tree + full derivation history)
-/// from `store` through `sink`, in the frozen v1 layout.
-StatusOr<BundleStats> ExportBundle(const ChunkStore& store, const Hash256& uid,
-                                   const BundleSink& sink);
-
-/// String-building wrapper over the sink form (identical bytes).
-StatusOr<std::string> ExportBundle(const ChunkStore& store,
-                                   const Hash256& uid);
 
 /// The chunks a receiver holding the closures of the `have` heads needs to
 /// hold the closures of the `want` heads, at a cost independent of history
@@ -99,39 +83,21 @@ StatusOr<std::vector<Hash256>> DeltaClosure(const ChunkStore& store,
                                             const std::vector<Hash256>& have,
                                             CommitGraph* graph = nullptr);
 
-/// Delta closure export (v2): the DeltaClosure of `want` against `have`,
-/// under the `want` heads. `want` uids must resolve.
-StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
-                                        const std::vector<Hash256>& want,
-                                        const std::vector<Hash256>& have,
-                                        const BundleSink& sink,
-                                        CommitGraph* graph = nullptr);
-
-/// Explicit-set export (v2): ships exactly `ids` (sorted, deduplicated)
-/// under the given heads. This is the sync push's post-negotiation pack:
-/// the have/want rounds already decided which chunks the peer lacks.
-/// Every id must resolve in `store` and re-hash to itself.
-StatusOr<BundleStats> ExportBundleOfIds(const ChunkStore& store,
-                                        const std::vector<Hash256>& heads,
-                                        const std::vector<Hash256>& ids,
-                                        const BundleSink& sink);
-
-/// Packed explicit-set export (v3): same contract as ExportBundleOfIds, but
-/// records ship in the store's physical form where that is safe — an
-/// LZ-compressed record goes out as its compressed payload verbatim, and a
-/// delta record whose base is also in `ids` goes out as the stored delta,
-/// ordered after its base. Records the receiver could not reconstruct from
-/// the bundle alone (delta against an out-of-set base) are materialized and
-/// shipped raw. On a store without physical records (GetPhysicalRecord
-/// returns false for everything) every chunk is materialized and the export
-/// degenerates to "v3 framing, raw bodies" — a v2 pack plus one tag byte
-/// per record. End-to-end integrity moves to the importer: each record is
-/// rebuilt and re-hashed at the destination, so a corrupt payload fails the
-/// import rather than the export.
-StatusOr<BundleStats> ExportPackedBundleOfIds(const ChunkStore& store,
-                                              const std::vector<Hash256>& heads,
-                                              const std::vector<Hash256>& ids,
-                                              const BundleSink& sink);
+/// The bundle writer: ships exactly `ids` (deduplicated) under `heads`, in
+/// the v3 layout. Callers pick the ids — DeltaClosure of what the receiver
+/// wants against what it has (with no `have`, the full closure), or the
+/// sync push's negotiated set. A chunk ships in the store's physical form
+/// only where the bundle alone rebuilds it: an LZ block, or a delta whose
+/// base is also in `ids`. Every other chunk is read through
+/// ForEachChunkBatch and must re-hash to its id ("is tampered; refusing to
+/// export"). Self-contained records (LZ blocks, then the materialized ones)
+/// precede the deltas, which follow in in-bundle chain order, so each
+/// delta base comes before its dependents. Physical records are verified
+/// end to end by the importer, which rebuilds and re-hashes them.
+StatusOr<BundleStats> ExportBundle(const ChunkStore& store,
+                                   const std::vector<Hash256>& heads,
+                                   const std::vector<Hash256>& ids,
+                                   const BundleSink& sink);
 
 /// Result of importing a bundle.
 struct ImportResult {

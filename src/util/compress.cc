@@ -83,10 +83,10 @@ void LzCompressBlock(Slice input, std::string* out) {
   AppendLiteralRun(input, literal_start, n, out);
 }
 
-bool LzDecompressBlock(Slice compressed, std::string* out) {
+bool LzDecompressBlock(Slice compressed, std::string* out, uint64_t max_len) {
   Decoder dec(compressed);
   uint64_t raw_len = 0;
-  if (!dec.GetVarint64(&raw_len)) return false;
+  if (!dec.GetVarint64(&raw_len) || raw_len > max_len) return false;
   // The length header sizes the output up front, so the hot loop writes
   // through raw pointers with memcpy instead of per-byte push_back — the
   // difference between a decompressor that scans at memcpy speed and one

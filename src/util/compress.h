@@ -33,9 +33,11 @@ void LzCompressBlock(Slice input, std::string* out);
 
 /// Appends the decompressed bytes to `*out`. Returns false on any malformed
 /// input: truncated stream, distance past the produced prefix, output
-/// overrun, or trailing garbage. `*out` may hold a partial prefix on
-/// failure; callers treat the record as corrupt and discard.
-bool LzDecompressBlock(Slice compressed, std::string* out);
+/// overrun, trailing garbage, or a length header above `max_len` — checked
+/// before anything is allocated, so a hostile header cannot demand a giant
+/// buffer. `*out` may hold a partial prefix on failure; callers treat the
+/// record as corrupt and discard.
+bool LzDecompressBlock(Slice compressed, std::string* out, uint64_t max_len);
 
 /// Decoded raw_len header of a compressed block (0 on malformed input).
 /// Lets callers size-check before committing to a full decompression.

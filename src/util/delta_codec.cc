@@ -103,11 +103,11 @@ void CreateDelta(Slice base, Slice target, std::string* out) {
   PutFixed32(out, DeltaChecksum(target));
 }
 
-bool ApplyDelta(Slice base, Slice delta, std::string* out) {
+bool ApplyDelta(Slice base, Slice delta, std::string* out, uint64_t max_len) {
   if (delta.size() < 4) return false;
   Decoder dec(delta.substr(0, delta.size() - 4));
   uint64_t target_len = 0;
-  if (!dec.GetVarint64(&target_len)) return false;
+  if (!dec.GetVarint64(&target_len) || target_len > max_len) return false;
   const size_t start = out->size();
   out->reserve(start + target_len);
   while (out->size() - start < target_len) {

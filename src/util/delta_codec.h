@@ -37,9 +37,10 @@ void CreateDelta(Slice base, Slice target, std::string* out);
 
 /// Applies `delta` to `base`, appending the rebuilt target to `*out`.
 /// Returns false on malformed input: truncated stream, copy range outside
-/// the base, output overrun, trailing garbage, or checksum mismatch (the
-/// wrong-base case). `*out` may hold a partial prefix on failure.
-bool ApplyDelta(Slice base, Slice delta, std::string* out);
+/// the base, output overrun, trailing garbage, checksum mismatch (the
+/// wrong-base case), or a target length above `max_len` — checked before
+/// anything is reserved. `*out` may hold a partial prefix on failure.
+bool ApplyDelta(Slice base, Slice delta, std::string* out, uint64_t max_len);
 
 /// Decoded target_len header of a delta (0 on malformed input).
 uint64_t DeltaTargetLength(Slice delta);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "chunk/caching_chunk_store.h"
@@ -650,6 +651,7 @@ TEST_F(FileChunkStoreTest, DeltaAndCompressionSurviveReopenBitExact) {
   auto chain = MakeVersionChain(8, 31);
   Chunk compressible =
       MakeTestChunk(std::string(4096, 'a') + "tail to make it unique");
+  std::map<Hash256, ChunkStore::Encoding> encoded;
   {
     auto store = FileChunkStore::Open(dir_, options);
     ASSERT_TRUE(store.ok());
@@ -663,11 +665,21 @@ TEST_F(FileChunkStoreTest, DeltaAndCompressionSurviveReopenBitExact) {
     EXPECT_LT(ms.live_physical_bytes, ms.live_logical_bytes)
         << "encoding must actually shrink the on-disk footprint";
 
-    // At least one version is physically a delta with a resolvable base.
+    // An encoded record reports its encoding and logical length; a verbatim
+    // one has no transformed form and reports false. The store counted
+    // every record it encoded, so exactly that many report true. At least
+    // one version is physically a delta with a resolvable base.
     size_t delta_count = 0;
-    for (const auto& c : chain) {
+    std::vector<Chunk> written = chain;
+    written.push_back(compressible);
+    for (const auto& c : written) {
       ChunkStore::PhysicalRecord rec;
-      ASSERT_TRUE((*store)->GetPhysicalRecord(c.hash(), &rec));
+      if (!(*store)->GetPhysicalRecord(c.hash(), &rec)) {
+        Hash256 base;
+        EXPECT_FALSE((*store)->GetDeltaBase(c.hash(), &base));
+        continue;
+      }
+      encoded[c.hash()] = rec.encoding;
       if (rec.encoding == ChunkStore::Encoding::kDelta) {
         ++delta_count;
         Hash256 base;
@@ -676,6 +688,8 @@ TEST_F(FileChunkStoreTest, DeltaAndCompressionSurviveReopenBitExact) {
       }
       EXPECT_EQ(rec.logical_length, c.size());
     }
+    EXPECT_EQ(encoded.size(), ms.delta_records + ms.compressed_records);
+    EXPECT_LT(encoded.size(), written.size()) << "v0 is stored verbatim";
     EXPECT_GT(delta_count, 0u);
   }
   // Reopen with the same options: every logical read is bit-exact and the
@@ -689,7 +703,12 @@ TEST_F(FileChunkStoreTest, DeltaAndCompressionSurviveReopenBitExact) {
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(got->bytes().ToString(), c.bytes().ToString());
       ChunkStore::PhysicalRecord rec;
-      ASSERT_TRUE((*store)->GetPhysicalRecord(c.hash(), &rec));
+      const bool is_encoded = (*store)->GetPhysicalRecord(c.hash(), &rec);
+      auto was = encoded.find(c.hash());
+      ASSERT_EQ(is_encoded, was != encoded.end());
+      if (!is_encoded) continue;
+      EXPECT_EQ(rec.encoding, was->second);
+      EXPECT_EQ(rec.logical_length, c.size());
       if (rec.encoding == ChunkStore::Encoding::kDelta) ++delta_count;
     }
     EXPECT_GT(delta_count, 0u) << "reopen must not silently flatten chains";
@@ -832,9 +851,12 @@ TEST_F(FileChunkStoreTest, CompactBelowFlattensChainsAndStopsHopAccrual) {
     auto got = store.Get(c.hash());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->bytes().ToString(), c.bytes().ToString());
+    // Compression is off, so a flattened record is verbatim: it has no
+    // transformed form at all, let alone a delta base.
     ChunkStore::PhysicalRecord rec;
-    ASSERT_TRUE(store.GetPhysicalRecord(c.hash(), &rec));
-    EXPECT_NE(rec.encoding, ChunkStore::Encoding::kDelta);
+    EXPECT_FALSE(store.GetPhysicalRecord(c.hash(), &rec));
+    Hash256 base;
+    EXPECT_FALSE(store.GetDeltaBase(c.hash(), &base));
   }
   EXPECT_EQ(store.maintenance_stats().delta_chain_hops, hops_before);
 }

@@ -271,25 +271,83 @@ TEST_F(CliTest, GcInPlaceSweepsTheDatabaseWhereItLives) {
 }
 
 TEST_F(CliTest, PushPullReplicatesBetweenDatabases) {
-  EXPECT_EQ(Run({"put", "doc", "shared content"}), 0);
-  EXPECT_EQ(Run({"put", "doc", "shared content v2"}), 0);
-  std::string bundle_path = ::testing::TempDir() + "/cli_bundle.fbb";
-  EXPECT_EQ(Run({"push", "doc", bundle_path}), 0);
+  // From a plain source and from an encoded one (LZ records, delta chains)
+  // into a plain database: the pulled values and histories are bit-exact,
+  // and the encoded source's bundle ships its reduced records as stored.
+  CsvGenOptions opts;
+  opts.num_rows = 1500;
+  CsvDocument table = GenerateCsv(opts);
+  const std::string csv_path = ::testing::TempDir() + "/cli_push.csv";
+  const std::string edited_path = ::testing::TempDir() + "/cli_push2.csv";
+  {
+    std::ofstream f(csv_path);
+    f << WriteCsv(table);
+    table.rows[700][2] = "edited";
+    std::ofstream g(edited_path);
+    g << WriteCsv(table);
+  }
+  const std::string bundle_path = ::testing::TempDir() + "/cli_bundle.fbb";
+  const std::string db2 = ::testing::TempDir() + "/cli_db2";
+  auto run = [](const std::string& db, const std::vector<std::string>& flags,
+                std::vector<std::string> args, std::string* out = nullptr) {
+    args.insert(args.begin(), flags.begin(), flags.end());
+    args.insert(args.begin(), {"--db", db});
+    std::ostringstream oss, ess;
+    const int rc = RunCli(args, oss, ess);
+    EXPECT_EQ(rc, 0) << ess.str();
+    if (out) *out = oss.str();
+    return rc;
+  };
+  auto read_file = [](const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+  };
+  const std::vector<std::vector<std::string>> sources = {
+      {}, {"--compress", "--delta-depth", "3"}};
+  std::vector<uintmax_t> table_bundle_bytes;
+  for (const auto& flags : sources) {
+    SCOPED_TRACE(flags.empty() ? "plain source" : "encoded source");
+    std::filesystem::remove_all(db_dir_);
+    std::filesystem::remove_all(db2);
+    ASSERT_EQ(run(db_dir_, flags, {"put", "doc", "shared content"}), 0);
+    ASSERT_EQ(run(db_dir_, flags, {"put", "doc", "shared content v2"}), 0);
+    ASSERT_EQ(run(db_dir_, flags, {"put-csv", "ds", csv_path}), 0);
+    ASSERT_EQ(run(db_dir_, flags, {"put-csv", "ds", edited_path}), 0);
 
-  // Pull into a second, independent database.
-  std::string db2 = ::testing::TempDir() + "/cli_db2";
-  std::filesystem::remove_all(db2);
-  std::ostringstream oss, ess;
-  ASSERT_EQ(RunCli({"--db", db2, "pull", bundle_path}, oss, ess), 0)
-      << ess.str();
-  std::ostringstream get_out, get_err;
-  ASSERT_EQ(RunCli({"--db", db2, "get", "doc"}, get_out, get_err), 0);
-  EXPECT_EQ(get_out.str(), "shared content v2\n");
-  // History travelled too.
-  std::ostringstream hist_out, hist_err;
-  ASSERT_EQ(RunCli({"--db", db2, "history", "doc"}, hist_out, hist_err), 0);
-  const std::string hist = hist_out.str();
-  EXPECT_EQ(std::count(hist.begin(), hist.end(), '\n'), 2);
+    for (const std::string key : {"doc", "ds"}) {
+      ASSERT_EQ(run(db_dir_, flags, {"push", key, bundle_path}), 0);
+      if (key == "ds") {
+        table_bundle_bytes.push_back(std::filesystem::file_size(bundle_path));
+      }
+      // Pull into a second, independent, plain database.
+      ASSERT_EQ(run(db2, {}, {"pull", bundle_path}), 0);
+      std::string src_history, dst_history;
+      ASSERT_EQ(run(db_dir_, flags, {"history", key}, &src_history), 0);
+      ASSERT_EQ(run(db2, {}, {"history", key}, &dst_history), 0);
+      EXPECT_EQ(dst_history, src_history);
+      EXPECT_EQ(std::count(dst_history.begin(), dst_history.end(), '\n'), 2)
+          << "history travelled too";
+    }
+    std::string src_get, dst_get;
+    ASSERT_EQ(run(db_dir_, flags, {"get", "doc"}, &src_get), 0);
+    ASSERT_EQ(run(db2, {}, {"get", "doc"}, &dst_get), 0);
+    EXPECT_EQ(dst_get, "shared content v2\n");
+    EXPECT_EQ(dst_get, src_get);
+    const std::string src_csv = ::testing::TempDir() + "/cli_push_src.csv";
+    const std::string dst_csv = ::testing::TempDir() + "/cli_push_dst.csv";
+    ASSERT_EQ(run(db_dir_, flags, {"export", "ds", src_csv}), 0);
+    ASSERT_EQ(run(db2, {}, {"export", "ds", dst_csv}), 0);
+    EXPECT_EQ(read_file(dst_csv), read_file(src_csv));
+    std::filesystem::remove(src_csv);
+    std::filesystem::remove(dst_csv);
+  }
+  ASSERT_EQ(table_bundle_bytes.size(), 2u);
+  EXPECT_LT(table_bundle_bytes[1], table_bundle_bytes[0])
+      << "the encoded source must ship reduced records";
+  std::filesystem::remove(csv_path);
+  std::filesystem::remove(edited_path);
   std::filesystem::remove(bundle_path);
   std::filesystem::remove_all(db2);
 }

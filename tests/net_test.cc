@@ -556,6 +556,47 @@ TEST(ServerTest, IngressLimitedUploadCompletes) {
   (*server)->Stop();
 }
 
+TEST(ServerTest, HostileBundleUploadFailsItsSessionNotTheServer) {
+  // One v3 record whose LZ header claims 2^62 output bytes: the importer
+  // must refuse the claim before sizing a buffer for it.
+  std::string body;
+  PutVarint64(&body, uint64_t{1} << 62);
+  PutVarint64(&body, 1u << 1);
+  body.push_back('x');
+  std::string bundle;
+  PutFixed32(&bundle, 0x46424433);  // "FBD3"
+  PutVarint64(&bundle, 1);
+  const Hash256 head = Sha256(Slice("head"));
+  bundle.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
+  PutVarint64(&bundle, 1);
+  PutVarint64(&bundle, body.size());
+  bundle.push_back(1);  // LZ block
+  bundle.append(body);
+
+  ForkBase db(std::make_shared<MemChunkStore>());
+  auto server = ForkBaseServer::Start(&db, TestAddress("hostile_bundle"));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  {
+    auto client = ForkBaseClient::Connect((*server)->address());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->BeginBundle().ok());
+    ASSERT_TRUE(client->SendBundlePart(Slice(bundle)).ok());
+    auto ended = client->EndBundle();
+    ASSERT_FALSE(ended.ok());
+  }
+  EXPECT_GE((*server)->stats().protocol_errors, 1u);
+
+  // The server lives on and serves the next request.
+  auto client = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto uid = client->Put("after", "still serving", "master", "a", "m");
+  ASSERT_TRUE(uid.ok()) << uid.status().ToString();
+  auto got = client->Get("after", "master");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->value, "still serving");
+  (*server)->Stop();
+}
+
 // -- Backpressure acceptance --------------------------------------------------
 
 TEST(ServerTest, SlowPullReaderIsBoundedAndDisconnectedWhileOthersServe) {

@@ -472,9 +472,8 @@ TEST(SyncTest, DeltaClosureCostIsIndependentOfHistoryLength) {
     auto ids = DeltaClosure(*store, {*want}, {*have}, db.commit_graph());
     EXPECT_TRUE(ids.ok()) << ids.status().ToString();
     const size_t loads = store->TakeLoaded().size();
-    auto bundle = ExportDeltaBundle(
-        *store, {*want}, {*have}, [](Slice) { return Status::OK(); },
-        db.commit_graph());
+    auto bundle = ExportBundle(*store, {*want}, *ids,
+                               [](Slice) { return Status::OK(); });
     EXPECT_TRUE(bundle.ok());
     EXPECT_EQ(bundle->chunks, ids->size());
     return std::make_pair(loads, bundle->chunks);
@@ -520,7 +519,7 @@ TEST(SyncTest, UpdateHeadRefusesAVersionWhoseClosureIsIncomplete) {
   delta->erase(leaf);
   auto upload = [&](const std::vector<Hash256>& ids) {
     std::string bundle;
-    EXPECT_TRUE(ExportBundleOfIds(*a_store, {v2}, ids, [&](Slice bytes) {
+    EXPECT_TRUE(ExportBundle(*a_store, {v2}, ids, [&](Slice bytes) {
                   bundle.append(bytes.data(), bytes.size());
                   return Status::OK();
                 }).ok());

@@ -199,7 +199,7 @@ TEST(CompressTest, RoundTripsCompressibleAndRandomInput) {
   EXPECT_LT(packed.size(), repetitive.size() / 2);
   EXPECT_EQ(LzDecompressedLength(packed), repetitive.size());
   std::string back;
-  ASSERT_TRUE(LzDecompressBlock(packed, &back));
+  ASSERT_TRUE(LzDecompressBlock(packed, &back, repetitive.size()));
   EXPECT_EQ(back, repetitive);
 
   // Random input degenerates to literals but still round-trips.
@@ -210,14 +210,14 @@ TEST(CompressTest, RoundTripsCompressibleAndRandomInput) {
   packed.clear();
   LzCompressBlock(random_bytes, &packed);
   back.clear();
-  ASSERT_TRUE(LzDecompressBlock(packed, &back));
+  ASSERT_TRUE(LzDecompressBlock(packed, &back, random_bytes.size()));
   EXPECT_EQ(back, random_bytes);
 
   // Empty input round-trips too.
   packed.clear();
   back.clear();
   LzCompressBlock(Slice(""), &packed);
-  ASSERT_TRUE(LzDecompressBlock(packed, &back));
+  ASSERT_TRUE(LzDecompressBlock(packed, &back, 0));
   EXPECT_TRUE(back.empty());
 }
 
@@ -227,14 +227,30 @@ TEST(CompressTest, RejectsTruncatedAndTamperedBlocks) {
   LzCompressBlock(input, &packed);
   std::string out;
   EXPECT_FALSE(LzDecompressBlock(Slice(packed.data(), packed.size() / 2),
-                                 &out));
+                                 &out, input.size()));
   out.clear();
-  EXPECT_FALSE(LzDecompressBlock(Slice(""), &out));
+  EXPECT_FALSE(LzDecompressBlock(Slice(""), &out, input.size()));
   // A length header promising more than the ops produce is malformed.
   std::string short_block;
   PutVarint64(&short_block, 50);  // promises 50 bytes, delivers none
   out.clear();
-  EXPECT_FALSE(LzDecompressBlock(short_block, &out));
+  EXPECT_FALSE(LzDecompressBlock(short_block, &out, input.size()));
+}
+
+TEST(CompressTest, LengthHeaderAboveTheCapFailsBeforeAllocating) {
+  std::string input(1000, 'a');
+  std::string packed;
+  LzCompressBlock(input, &packed);
+  std::string out;
+  EXPECT_FALSE(LzDecompressBlock(packed, &out, input.size() - 1));
+  EXPECT_TRUE(out.empty());
+  // A header claiming 2^62 bytes would otherwise size the output first.
+  std::string hostile;
+  PutVarint64(&hostile, uint64_t{1} << 62);
+  PutVarint64(&hostile, 1u << 1);
+  hostile.push_back('x');
+  EXPECT_FALSE(LzDecompressBlock(hostile, &out, uint64_t{1} << 30));
+  EXPECT_TRUE(out.empty());
 }
 
 // ----------------------------------------------------------- delta codec --
@@ -254,8 +270,22 @@ TEST(DeltaCodecTest, RoundTripsNearIdenticalInputs) {
       << "near-identical versions must delta small";
   EXPECT_EQ(DeltaTargetLength(delta), target.size());
   std::string rebuilt;
-  ASSERT_TRUE(ApplyDelta(base, delta, &rebuilt));
+  ASSERT_TRUE(ApplyDelta(base, delta, &rebuilt, target.size()));
   EXPECT_EQ(rebuilt, target);
+  rebuilt.clear();
+  EXPECT_FALSE(ApplyDelta(base, delta, &rebuilt, target.size() - 1))
+      << "a target longer than the cap must be refused";
+}
+
+TEST(DeltaCodecTest, TargetLengthAboveTheCapFailsBeforeReserving) {
+  std::string hostile;
+  PutVarint64(&hostile, uint64_t{1} << 62);
+  PutVarint64(&hostile, 1u << 1);
+  hostile.push_back('x');
+  PutFixed32(&hostile, DeltaChecksum(Slice("x")));
+  std::string rebuilt;
+  EXPECT_FALSE(ApplyDelta(Slice("base"), hostile, &rebuilt, uint64_t{1} << 30));
+  EXPECT_TRUE(rebuilt.empty());
 }
 
 TEST(DeltaCodecTest, WrongBaseFailsTheChecksum) {
@@ -264,12 +294,12 @@ TEST(DeltaCodecTest, WrongBaseFailsTheChecksum) {
   std::string delta;
   CreateDelta(base_a, target, &delta);
   std::string rebuilt;
-  ASSERT_TRUE(ApplyDelta(base_a, delta, &rebuilt));
+  ASSERT_TRUE(ApplyDelta(base_a, delta, &rebuilt, target.size()));
   ASSERT_EQ(rebuilt, target);
   // Same length, different content: COPY offsets stay structurally valid,
   // so only the FNV trailer can catch the mixup — that is its whole job.
   rebuilt.clear();
-  EXPECT_FALSE(ApplyDelta(base_b, delta, &rebuilt));
+  EXPECT_FALSE(ApplyDelta(base_b, delta, &rebuilt, target.size()));
 }
 
 TEST(DeltaCodecTest, RejectsTamperedDelta) {
@@ -284,12 +314,12 @@ TEST(DeltaCodecTest, RejectsTamperedDelta) {
     std::string bad = delta;
     bad[flip] ^= 0x04;
     rebuilt.clear();
-    EXPECT_FALSE(ApplyDelta(base, bad, &rebuilt))
+    EXPECT_FALSE(ApplyDelta(base, bad, &rebuilt, target.size()))
         << "tampered delta at byte " << flip << " was accepted";
   }
   rebuilt.clear();
   EXPECT_FALSE(ApplyDelta(base, Slice(delta.data(), delta.size() - 5),
-                          &rebuilt))
+                          &rebuilt, target.size()))
       << "truncated delta was accepted";
 }
 
