@@ -139,6 +139,13 @@ TRACKED_PAIRS = [
     # and SHA support: floor only.
     ("BM_MapValidateFileSync/real_time", "BM_MapScanFileSync/real_time", 0.5,
      False),
+    # Parallel bulk-load criterion: a 100k-row table load that splits,
+    # encodes and hashes its leaf segments across the hash pool must run
+    # >= 1.3x faster in wall-clock time than the bench-local streaming
+    # reference building the same row map on one thread. The ratio scales
+    # with the runner's core count: floor only.
+    ("BM_TableFromCsv/100000/real_time",
+     "BM_TableFromCsvStreaming/100000/real_time", 1.3, False),
 ]
 
 

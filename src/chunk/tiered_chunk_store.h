@@ -3,8 +3,9 @@
 //
 // The multi-backend milestone: any ChunkStore can be the hot tier (a
 // FileChunkStore on local disk, a MemChunkStore in tests) and any other the
-// cold tier (a RemoteChunkStore over a second directory today; S3 or an
-// io_uring-backed store later — they only need the ChunkStore interface).
+// cold tier (ForkBase::Open puts a FileChunkStore over a second directory
+// there; tests use the simulated RemoteChunkStore of src/testing; S3 or an
+// io_uring-backed store would only need the ChunkStore interface).
 // Chunk immutability keeps tiering trivially coherent: a chunk resident in
 // both tiers is bit-identical in both, so there is no invalidation, only
 // placement.

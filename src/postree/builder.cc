@@ -1,6 +1,128 @@
 #include "postree/builder.h"
 
+#include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
+
+#include "util/sha256.h"
+#include "util/worker_pool.h"
+
 namespace forkbase {
+
+namespace {
+// Closed nodes staged before one batched store write. 64 nodes ≈ a few
+// hundred KiB — enough to amortize the store's per-batch flush without
+// holding a meaningful slice of the tree in memory.
+constexpr size_t kPutBatch = 64;
+
+Status NotAscending(size_t i) {
+  return Status::InvalidArgument("keys not strictly ascending at entry " +
+                                 std::to_string(i));
+}
+}  // namespace
+
+// Entries [begin, end) of a bulk load, split from a fresh node start the way
+// a stream splits them: each entry is encoded into the open node's buffer,
+// and a closing node becomes a leaf chunk. Written by the thread that claims
+// it; read by the caller once the round has joined.
+struct TreeBuilder::BulkSegment {
+  struct Leaf {
+    size_t begin = 0;  ///< first entry
+    size_t end = 0;    ///< one past the last entry
+    Chunk chunk;       ///< hashed
+  };
+  size_t begin = 0;
+  size_t end = 0;
+  /// Entry begin+k spans [offsets[k], offsets[k+1]) of the segment's bytes,
+  /// which are its leaves' payloads followed by `tail`.
+  std::vector<size_t> offsets;
+  std::vector<Slice> keys;
+  std::vector<Leaf> leaves;  ///< closed nodes, in order
+  std::string tail;          ///< the open node after the last leaf
+  size_t bad_key = 0;        ///< first entry whose key does not ascend, or 0
+
+  Slice Entry(size_t i) const {
+    const size_t k = i - begin;
+    const size_t size = offsets[k + 1] - offsets[k];
+    auto leaf = std::upper_bound(
+        leaves.begin(), leaves.end(), i,
+        [](size_t entry, const Leaf& l) { return entry < l.end; });
+    const size_t first = leaf == leaves.end() ? TailBegin() : leaf->begin;
+    const char* base =
+        leaf == leaves.end() ? tail.data() : leaf->chunk.payload().data();
+    return Slice(base + offsets[k] - offsets[first - begin], size);
+  }
+  size_t TailBegin() const {
+    return leaves.empty() ? begin : leaves.back().end;
+  }
+
+  // Runs on pool threads: it may call nothing that submits to the pool and
+  // waits (PutMany, PrecomputeHashes with a pool, Sha256Many with a pool) —
+  // on a saturated pool that wait would never end.
+  void Build(const EntryEncoder& encode, ChunkType type,
+             const SplitConfig& split, bool keyed) {
+    NodeSplitter splitter(split);
+    offsets.reserve(end - begin + 1);
+    keys.reserve(end - begin);
+    offsets.push_back(0);
+    size_t leaf_bytes = 0;  // payload bytes of the closed leaves
+    for (size_t i = begin; i < end; ++i) {
+      const size_t entry_start = tail.size();
+      const Slice key = encode(i, &tail);
+      if (keyed && i > begin && !(keys.back() < key)) {
+        bad_key = i;  // the stitch reports it; nothing after it is needed
+        return;
+      }
+      keys.push_back(key);
+      offsets.push_back(leaf_bytes + tail.size());
+      if (splitter.AddEntry(Slice(tail.data() + entry_start,
+                                  tail.size() - entry_start))) {
+        Chunk leaf = Chunk::Make(type, tail);
+        leaf.hash();
+        leaves.push_back(Leaf{TailBegin(), i + 1, std::move(leaf)});
+        leaf_bytes += tail.size();
+        tail.clear();
+        splitter.ResetNode();
+      }
+    }
+  }
+};
+
+// One round of segments, claimed from a shared counter by the caller and
+// the pool helpers it submitted. Held by shared_ptr: a helper that runs late
+// (the pool was busy) finds nothing left to claim and touches only `next`,
+// so a saturated pool degrades to the caller building every segment itself.
+struct TreeBuilder::BulkRound {
+  const EntryEncoder* encode = nullptr;  ///< caller's; used under a claim
+  ChunkType type = ChunkType::kMapLeaf;
+  SplitConfig split;
+  bool keyed = false;
+  size_t count = 0;  ///< segments in the round
+  std::vector<BulkSegment> segments;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t built = 0;  ///< guarded by mu
+
+  /// Claims and builds segments until none is left to claim.
+  void Drain() {
+    for (size_t s = next.fetch_add(1); s < count; s = next.fetch_add(1)) {
+      segments[s].Build(*encode, type, split, keyed);
+      std::lock_guard<std::mutex> lock(mu);
+      ++built;
+      cv.notify_all();
+    }
+  }
+
+  /// Ends claiming and waits only for the segments already claimed, each of
+  /// which is being built by a running thread.
+  void Join() {
+    const size_t claimed = std::min(next.exchange(count), count);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return built == claimed; });
+  }
+};
 
 TreeBuilder::TreeBuilder(ChunkStore* store, ChunkType leaf_type,
                          TreeConfig config)
@@ -97,12 +219,105 @@ Status TreeBuilder::AddBytes(Slice bytes) {
   return Status::OK();
 }
 
-namespace {
-// Closed nodes staged before one batched store write. 64 nodes ≈ a few
-// hundred KiB — enough to amortize the store's per-batch flush without
-// holding a meaningful slice of the tree in memory.
-constexpr size_t kPutBatch = 64;
-}  // namespace
+Status TreeBuilder::AddEntries(size_t n, const EntryEncoder& encode) {
+  if (finished_) return Status::InvalidArgument("builder already finished");
+  if (!AlignedThrough(0)) {
+    return Status::InvalidArgument("AddEntries on a builder with an open leaf");
+  }
+  const bool keyed =
+      leaf_type_ == ChunkType::kMapLeaf || leaf_type_ == ChunkType::kSetLeaf;
+  constexpr size_t kRoundEntries = kBulkSegmentEntries * kBulkRoundSegments;
+  WorkerPool* pool = SharedHashPool();
+  auto start_round = [&](size_t first) {
+    auto round = std::make_shared<BulkRound>();
+    round->encode = &encode;
+    round->type = leaf_type_;
+    round->split = config_.leaf;
+    round->keyed = keyed;
+    const size_t last = std::min(n, first + kRoundEntries);
+    for (size_t b = first; b < last; b += kBulkSegmentEntries) {
+      BulkSegment& seg = round->segments.emplace_back();
+      seg.begin = b;
+      seg.end = std::min(last, b + kBulkSegmentEntries);
+    }
+    round->count = round->segments.size();
+    const size_t helpers = std::min(pool->thread_count(), round->count - 1);
+    for (size_t h = 0; h < helpers; ++h) {
+      pool->Submit([round] { round->Drain(); });
+    }
+    return round;
+  };
+  // The round in flight is joined on every exit, so no helper still builds
+  // from `encode` once this returns.
+  std::shared_ptr<BulkRound> ahead = n > 0 ? start_round(0) : nullptr;
+  struct JoinOnExit {
+    std::shared_ptr<BulkRound>* round;
+    ~JoinOnExit() {
+      if (*round) (*round)->Join();
+    }
+  } join_on_exit{&ahead};
+  Slice prev_key;
+  for (size_t first = 0; first < n; first += kRoundEntries) {
+    std::shared_ptr<BulkRound> round = std::move(ahead);
+    round->Drain();
+    round->Join();
+    // The next round builds on the helpers while this one is stitched.
+    if (first + kRoundEntries < n) ahead = start_round(first + kRoundEntries);
+    for (BulkSegment& seg : round->segments) {
+      FB_RETURN_IF_ERROR(StitchSegment(seg, keyed, &prev_key));
+    }
+    // Late helpers may still hold the round; its segments are done with.
+    std::vector<BulkSegment>().swap(round->segments);
+  }
+  return Status::OK();
+}
+
+Status TreeBuilder::StitchSegment(BulkSegment& seg, bool keyed,
+                                  Slice* prev_key) {
+  if (keyed && seg.begin > 0 && !(*prev_key < seg.keys.front())) {
+    return NotAscending(seg.begin);
+  }
+  if (seg.bad_key != 0) return NotAscending(seg.bad_key);
+  // Stream entries into the open leaf (re-splitting the true chain) until
+  // it closes exactly where one of the segment's leaves begins. From a node
+  // start on, cut points depend only on the bytes that follow, so from
+  // there the segment's own leaves are the true chain: adopt them. Its open
+  // tail is streamed, to carry into the next segment. If no start matches,
+  // the whole segment is streamed.
+  size_t next_leaf = 0;
+  for (size_t i = seg.begin; i < seg.end;) {
+    if (AlignedThrough(0)) {
+      while (next_leaf < seg.leaves.size() && seg.leaves[next_leaf].begin < i) {
+        ++next_leaf;
+      }
+      if (next_leaf < seg.leaves.size() && seg.leaves[next_leaf].begin == i) {
+        for (; next_leaf < seg.leaves.size(); ++next_leaf) {
+          BulkSegment::Leaf& leaf = seg.leaves[next_leaf];
+          IndexEntry e;
+          e.child = leaf.chunk.hash();
+          e.count = leaf.end - leaf.begin;
+          e.key = seg.keys[leaf.end - 1 - seg.begin].ToString();
+          FB_RETURN_IF_ERROR(AddLeaf(std::move(leaf.chunk), std::move(e)));
+        }
+        i = seg.leaves.back().end;
+        continue;
+      }
+    }
+    FB_RETURN_IF_ERROR(AddEntry(seg.Entry(i), seg.keys[i - seg.begin]));
+    ++i;
+  }
+  if (!seg.keys.empty()) *prev_key = seg.keys.back();
+  return Status::OK();
+}
+
+Status TreeBuilder::AddLeaf(Chunk leaf, IndexEntry e) {
+  pending_chunks_.push_back(std::move(leaf));
+  if (pending_chunks_.size() >= kPutBatch) {
+    FB_RETURN_IF_ERROR(FlushPending());
+  }
+  ++nodes_written_;
+  return AddSubtree(0, e);
+}
 
 Status TreeBuilder::FlushPending() {
   if (pending_chunks_.empty()) return Status::OK();

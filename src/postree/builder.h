@@ -13,9 +13,13 @@
 // Incremental updates go further: AddSubtree hands the builder a whole
 // untouched subtree of an earlier build as its index entry, which is what a
 // re-stream of its entries would have produced (see PosTree::ApplyKeyedOps).
+// Bulk loads go wide: AddEntries splits fixed-size segments of a random-
+// access entry source in parallel, each from a fresh node start, and
+// stitches the segment seams back onto the one chain a stream would cut.
 #ifndef FORKBASE_POSTREE_BUILDER_H_
 #define FORKBASE_POSTREE_BUILDER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +63,29 @@ class TreeBuilder {
   /// order for keyed trees (not checked here — callers own ordering).
   Status AddEntry(Slice entry_bytes, Slice key);
 
+  /// Random-access entry source of a bulk load: appends entry `i`'s
+  /// serialized bytes to `*out` and returns its sort key (empty for
+  /// positional trees). The key must stay valid until AddEntries returns.
+  /// Called concurrently, from pool threads, for distinct `i`.
+  using EntryEncoder = std::function<Slice(size_t i, std::string* out)>;
+
+  /// Appends entries 0..n-1 of `encode`: the same chunks, put in the same
+  /// order, as n AddEntry calls. The leaf level is built in segments of
+  /// kBulkSegmentEntries entries, claimed by the caller and SharedHashPool()
+  /// helpers; each segment encodes, splits from a fresh node start, and
+  /// makes and hashes its leaves. The caller then walks the segments in
+  /// order, re-splitting from the open node until it closes on a node start
+  /// the segment produced, and adopts the segment's leaves from there (cut
+  /// points are a pure function of the bytes since the node start). At most
+  /// two rounds of kBulkRoundSegments segments are in memory at once.
+  /// Keyed leaf types need strictly ascending keys: InvalidArgument names
+  /// the first entry that is not. Precondition: AlignedThrough(0). On error
+  /// the builder must be discarded.
+  Status AddEntries(size_t n, const EntryEncoder& encode);
+
+  static constexpr size_t kBulkSegmentEntries = 4096;
+  static constexpr size_t kBulkRoundSegments = 8;
+
   /// Appends raw bytes to a kBlobLeaf tree (each byte is one entry).
   Status AddBytes(Slice bytes);
 
@@ -95,6 +122,15 @@ class TreeBuilder {
     IndexEntry first_pending;     ///< first entry of the open node (collapse)
   };
 
+  struct BulkSegment;
+  struct BulkRound;
+
+  /// Appends one segment of a bulk load to the leaf level (see AddEntries).
+  /// `prev_key` is the last key before the segment (keyed trees).
+  Status StitchSegment(BulkSegment& seg, bool keyed, Slice* prev_key);
+  /// Stages a finished leaf as CloseNode(0) would and feeds its index entry
+  /// through AddSubtree(0, e).
+  Status AddLeaf(Chunk leaf, IndexEntry e);
   /// Closes the open node at `level`, stages its chunk for a batched write,
   /// pushes an index entry into level+1 (creating it on demand).
   Status CloseNode(size_t level);

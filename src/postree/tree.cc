@@ -16,23 +16,18 @@ StatusOr<TreeInfo> PosTree::BuildKeyed(
   if (leaf_type != ChunkType::kMapLeaf && leaf_type != ChunkType::kSetLeaf) {
     return Status::InvalidArgument("BuildKeyed requires a keyed leaf type");
   }
+  const bool map = leaf_type == ChunkType::kMapLeaf;
   TreeBuilder builder(store, leaf_type, config);
-  std::string entry;
-  for (size_t i = 0; i < sorted_kvs.size(); ++i) {
-    const auto& [key, value] = sorted_kvs[i];
-    if (i > 0 && !(sorted_kvs[i - 1].first < key)) {
-      return Status::InvalidArgument(
-          "BuildKeyed: keys not strictly ascending at entry " +
-          std::to_string(i));
-    }
-    entry.clear();
-    if (leaf_type == ChunkType::kMapLeaf) {
-      AppendMapEntry(&entry, key, value);
-    } else {
-      AppendSetEntry(&entry, key);
-    }
-    FB_RETURN_IF_ERROR(builder.AddEntry(entry, key));
-  }
+  FB_RETURN_IF_ERROR(builder.AddEntries(
+      sorted_kvs.size(), [&](size_t i, std::string* out) -> Slice {
+        const auto& [key, value] = sorted_kvs[i];
+        if (map) {
+          AppendMapEntry(out, key, value);
+        } else {
+          AppendSetEntry(out, key);
+        }
+        return key;
+      }));
   return builder.Finish();
 }
 
@@ -40,12 +35,11 @@ StatusOr<TreeInfo> PosTree::BuildList(ChunkStore* store,
                                       const std::vector<std::string>& elements,
                                       TreeConfig config) {
   TreeBuilder builder(store, ChunkType::kListLeaf, config);
-  std::string entry;
-  for (const auto& e : elements) {
-    entry.clear();
-    AppendListEntry(&entry, e);
-    FB_RETURN_IF_ERROR(builder.AddEntry(entry, Slice()));
-  }
+  FB_RETURN_IF_ERROR(builder.AddEntries(
+      elements.size(), [&](size_t i, std::string* out) -> Slice {
+        AppendListEntry(out, elements[i]);
+        return Slice();
+      }));
   return builder.Finish();
 }
 

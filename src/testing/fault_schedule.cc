@@ -1,4 +1,4 @@
-#include "util/fault_schedule.h"
+#include "testing/fault_schedule.h"
 
 namespace forkbase {
 

@@ -16,8 +16,8 @@
 // reporting a short read. Scripted faults always win over probabilistic
 // ones, and draws consume exactly one decision per call, so a test can count
 // injected faults to assert its schedule actually fired.
-#ifndef FORKBASE_UTIL_FAULT_SCHEDULE_H_
-#define FORKBASE_UTIL_FAULT_SCHEDULE_H_
+#ifndef FORKBASE_TESTING_FAULT_SCHEDULE_H_
+#define FORKBASE_TESTING_FAULT_SCHEDULE_H_
 
 #include <cstdint>
 #include <deque>
@@ -95,4 +95,4 @@ class FaultSchedule {
 
 }  // namespace forkbase
 
-#endif  // FORKBASE_UTIL_FAULT_SCHEDULE_H_
+#endif  // FORKBASE_TESTING_FAULT_SCHEDULE_H_

@@ -1,4 +1,4 @@
-#include "chunk/remote_chunk_store.h"
+#include "testing/remote_chunk_store.h"
 
 #include <chrono>
 #include <string>

@@ -1,7 +1,8 @@
 // RemoteChunkStore — a simulated network backend over any local store.
 //
-// The first cold-tier implementation for TieredChunkStore, and the engine of
-// the fault-injection test harness. It decorates a real ChunkStore (a
+// A test double (built into forkbase_testing, not the library): the
+// simulated cold tier for TieredChunkStore tests, and the engine of the
+// fault-injection test harness. It decorates a real ChunkStore (a
 // FileChunkStore for a persistent "remote", a MemChunkStore for tests) with
 // the three properties that make a network backend different from a disk:
 //
@@ -25,13 +26,13 @@
 // on an internal connection pool, so a tiered store or prefetching scan can
 // overlap remote fetches with local work; `connections` models how many
 // round trips the "server" serves concurrently.
-#ifndef FORKBASE_CHUNK_REMOTE_CHUNK_STORE_H_
-#define FORKBASE_CHUNK_REMOTE_CHUNK_STORE_H_
+#ifndef FORKBASE_TESTING_REMOTE_CHUNK_STORE_H_
+#define FORKBASE_TESTING_REMOTE_CHUNK_STORE_H_
 
 #include <memory>
 
 #include "chunk/chunk_store.h"
-#include "util/fault_schedule.h"
+#include "testing/fault_schedule.h"
 #include "util/worker_pool.h"
 
 namespace forkbase {
@@ -110,4 +111,4 @@ class RemoteChunkStore : public ChunkStore {
 
 }  // namespace forkbase
 
-#endif  // FORKBASE_CHUNK_REMOTE_CHUNK_STORE_H_
+#endif  // FORKBASE_TESTING_REMOTE_CHUNK_STORE_H_

@@ -13,12 +13,11 @@ StatusOr<FSet> FSet::Create(ChunkStore* store,
     members.erase(std::unique(members.begin(), members.end()), members.end());
   }
   TreeBuilder builder(store, ChunkType::kSetLeaf, TreeConfig::ForEntries());
-  std::string entry;
-  for (const auto& m : members) {
-    entry.clear();
-    AppendSetEntry(&entry, m);
-    FB_RETURN_IF_ERROR(builder.AddEntry(entry, m));
-  }
+  FB_RETURN_IF_ERROR(builder.AddEntries(
+      members.size(), [&](size_t i, std::string* out) -> Slice {
+        AppendSetEntry(out, members[i]);
+        return members[i];
+      }));
   FB_ASSIGN_OR_RETURN(TreeInfo info, builder.Finish());
   return FSet(PosTree(store, ChunkType::kSetLeaf, info.root));
 }

@@ -91,19 +91,23 @@ StatusOr<FTable> FTable::Create(
   }
   if (duplicate) return Status::InvalidArgument("duplicate primary key");
 
-  // Stream each row's map entry, (key, EncodeRow(row)), into the builder
-  // through two reused buffers.
+  // Each row's map entry, (key, EncodeRow(row)), is encoded straight into
+  // the bulk builder's node buffer: the row's length prefix is computed up
+  // front, so no row is encoded twice.
   TreeBuilder builder(store, ChunkType::kMapLeaf, TreeConfig::ForEntries());
-  std::string encoded, entry;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const std::vector<std::string>& row =
-        ascending ? rows[i] : *order[i].second;
-    encoded.clear();
-    AppendRow(&encoded, row);
-    entry.clear();
-    AppendMapEntry(&entry, row[key_column], encoded);
-    FB_RETURN_IF_ERROR(builder.AddEntry(entry, row[key_column]));
-  }
+  FB_RETURN_IF_ERROR(builder.AddEntries(
+      rows.size(), [&](size_t i, std::string* out) -> Slice {
+        const std::vector<std::string>& row =
+            ascending ? rows[i] : *order[i].second;
+        size_t row_bytes = 0;
+        for (const auto& c : row) {
+          row_bytes += VarintLength(c.size()) + c.size();
+        }
+        PutLengthPrefixed(out, row[key_column]);
+        PutVarint64(out, row_bytes);
+        AppendRow(out, row);
+        return row[key_column];
+      }));
   FB_ASSIGN_OR_RETURN(TreeInfo info, builder.Finish());
   return WriteHeader(store, std::move(columns), key_column,
                      FMap::Attach(store, info.root));
@@ -291,11 +295,18 @@ StatusOr<FTable> FTable::RenameColumn(size_t column,
 
 Status FTable::Scan(const std::function<Status(
                         Slice key, const std::vector<std::string>&)>& fn) const {
+  // One cells buffer for the whole scan: each row is assigned into the
+  // strings the previous row left, so a row costs no allocation once the
+  // strings have grown to fit.
   const size_t ncols = columns_.size();
+  std::vector<std::string> cells(ncols);
+  std::vector<Slice> views;
   return rows_.ForEach([&](Slice key, Slice value) -> Status {
-    std::vector<std::string> cells;
-    if (!DecodeRow(value, ncols, &cells)) {
+    if (!SplitRow(value, ncols, &views)) {
       return Status::Corruption("malformed row for key " + key.ToString());
+    }
+    for (size_t c = 0; c < ncols; ++c) {
+      cells[c].assign(views[c].data(), views[c].size());
     }
     return fn(key, cells);
   });

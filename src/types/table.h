@@ -71,7 +71,8 @@ class FTable {
   StatusOr<FTable> DropColumn(size_t column) const;
   StatusOr<FTable> RenameColumn(size_t column, const std::string& name) const;
 
-  /// In-order scan: fn(primary key, cells).
+  /// In-order scan: fn(primary key, cells). `cells` is one buffer reused
+  /// across rows: copy what must outlive the call.
   Status Scan(const std::function<Status(
                   Slice key, const std::vector<std::string>&)>& fn) const;
 

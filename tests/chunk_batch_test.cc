@@ -9,7 +9,7 @@
 #include "chunk/caching_chunk_store.h"
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
-#include "chunk/remote_chunk_store.h"
+#include "testing/remote_chunk_store.h"
 #include "util/random.h"
 
 namespace forkbase {

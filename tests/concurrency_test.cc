@@ -16,6 +16,8 @@
 #include "chunk/mem_chunk_store.h"
 #include "postree/tree.h"
 #include "store/forkbase.h"
+#include "types/table.h"
+#include "util/datagen.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -309,6 +311,65 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(**db.GetMap("live")->Get("hot-key"), "99");
+}
+
+TEST(ConcurrencyTest, BulkLoadsShareTheHashPoolWithVerifyAndPutMany) {
+  // Four table loads fan their segments out over the shared hash pool while
+  // a Verify loop (its level walk re-hashes through the same pool) and a
+  // PutMany loop (whose hash precompute submits to it too) keep it busy.
+  // Every call must complete, and every load must give its serial root.
+  constexpr int kLoads = 4;
+  std::vector<CsvDocument> docs;
+  std::vector<Hash256> serial;
+  for (int t = 0; t < kLoads; ++t) {
+    CsvGenOptions opts;
+    opts.seed = 100 + t;
+    opts.num_rows = 20000;
+    docs.push_back(GenerateCsv(opts));
+    MemChunkStore alone;
+    auto table = FTable::FromCsv(&alone, docs.back());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    serial.push_back(table->id());
+  }
+  ForkBase db(std::make_shared<MemChunkStore>());
+  auto verified = db.PutTableFromCsv("verified", docs[0]);
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread verifier([&] {
+    do {
+      if (!db.Verify(*verified).ok()) ++failures;
+    } while (!stop);
+  });
+  std::thread putter([&] {
+    Rng rng(9);
+    do {
+      std::vector<Chunk> batch;
+      for (int i = 0; i < 64; ++i) {
+        batch.push_back(Chunk::Make(ChunkType::kCell, rng.NextBytes(512)));
+      }
+      if (!db.store()->PutMany(batch).ok()) ++failures;
+    } while (!stop);
+  });
+  std::vector<Hash256> roots(kLoads);
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < kLoads; ++t) {
+    loaders.emplace_back([&, t] {
+      auto table = FTable::FromCsv(db.store(), docs[t]);
+      if (table.ok()) {
+        roots[t] = table->id();
+      } else {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : loaders) t.join();
+  stop = true;
+  verifier.join();
+  putter.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (int t = 0; t < kLoads; ++t) EXPECT_EQ(roots[t], serial[t]) << t;
 }
 
 TEST(ConcurrencyTest, GroupCommitSameBranchLinearizesRacingPuts) {

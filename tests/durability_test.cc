@@ -12,9 +12,9 @@
 #include <thread>
 
 #include "chunk/file_chunk_store.h"
-#include "chunk/remote_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
 #include "store/forkbase.h"
+#include "testing/remote_chunk_store.h"
 #include "util/random.h"
 
 namespace forkbase {

@@ -16,9 +16,9 @@
 
 #include "chunk/caching_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
-#include "chunk/remote_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
 #include "store/forkbase.h"
+#include "testing/remote_chunk_store.h"
 #include "util/random.h"
 
 namespace forkbase {

@@ -25,8 +25,8 @@
 #include "chunk/dirty_manifest.h"
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
-#include "chunk/remote_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
+#include "testing/remote_chunk_store.h"
 #include "util/random.h"
 
 namespace forkbase {

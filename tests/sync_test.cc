@@ -19,8 +19,8 @@
 #include "store/bundle.h"
 #include "store/commit_graph.h"
 #include "store/forkbase.h"
+#include "testing/fault_schedule.h"
 #include "util/datagen.h"
-#include "util/fault_schedule.h"
 #include "util/random.h"
 
 namespace forkbase {

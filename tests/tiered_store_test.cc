@@ -14,10 +14,10 @@
 
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
-#include "chunk/remote_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
 #include "store/forkbase.h"
 #include "store/gc.h"
+#include "testing/remote_chunk_store.h"
 #include "util/random.h"
 
 namespace forkbase {
