@@ -1049,7 +1049,6 @@ void RunCompactBench(benchmark::State& state, uint32_t threads) {
   FileChunkStore::Options options;
   options.segment_bytes = 64 << 10;  // ~37 segments of 256 B records
   options.compact_live_ratio = 0;    // nothing rewrites until CompactBelow
-  options.background_compaction = true;
   options.maintenance_threads = threads;
   options.fsync_on_flush = true;  // rewrites pay the pre-truncate sync
   // Model a device with ~500us sync latency (same methodology as the

@@ -42,12 +42,8 @@ constexpr size_t kMinDeltaChunk = 128;
 constexpr int kMaxChainHops = 128;
 // Delta cache budget: materialized base bytes kept for chain resolution.
 constexpr uint64_t kDeltaCacheBytes = 4ull << 20;
-
-uint32_t NormalizeShardCount(uint32_t requested) {
-  uint32_t n = 1;
-  while (n < requested && n < 1024) n <<= 1;
-  return n;
-}
+// Mutex stripes for the index (a power of two).
+constexpr size_t kIndexShards = 16;
 
 void AppendHeader(std::string* buf, uint32_t magic, const Hash256& id,
                   uint32_t len) {
@@ -88,10 +84,9 @@ bool FsyncPath(const std::string& path) {
 FileChunkStore::FileChunkStore(std::string dir, Options options)
     : dir_(std::move(dir)),
       options_(options),
-      shards_(NormalizeShardCount(options.index_shards)),
+      shards_(kIndexShards),
       prefetch_pool_(options.prefetch_threads),
-      compact_pool_(options.background_compaction ? options.maintenance_threads
-                                                  : 0) {}
+      compact_pool_(options.maintenance_threads) {}
 
 FileChunkStore::~FileChunkStore() {
   // Scheduled rewrites still need the index and the append stream; run them
@@ -110,11 +105,8 @@ std::string FileChunkStore::SegmentPath(uint32_t seg_no) const {
 }
 
 size_t FileChunkStore::ShardIndexOf(const Hash256& id) const {
-  // Digest bytes are uniformly distributed; two bytes cover the full 1024-
-  // stripe range NormalizeShardCount permits.
-  const size_t v = static_cast<size_t>(id.bytes[0]) |
-                   (static_cast<size_t>(id.bytes[2]) << 8);
-  return v & (shards_.size() - 1);
+  // Digest bytes are uniformly distributed.
+  return id.bytes[0] & (kIndexShards - 1);
 }
 
 FileChunkStore::Shard& FileChunkStore::ShardFor(const Hash256& id) const {
@@ -357,32 +349,73 @@ void FileChunkStore::CachePut(const Hash256& id,
   }
 }
 
-StatusOr<std::string> FileChunkStore::ReadPayloadWithRetry(
-    const Hash256& id, Location* loc) const {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const std::string path = SegmentPath(loc->segment);
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f) {
-      std::string payload(loc->length, '\0');
-      const bool ok =
-          std::fseek(f, static_cast<long>(loc->offset), SEEK_SET) == 0 &&
-          std::fread(payload.data(), 1, loc->length, f) == loc->length;
-      std::fclose(f);
-      if (ok) return payload;
-    }
-    // A segment rewrite may have moved the record (and truncated its old
-    // segment) between lookup and read. Re-resolve once; if the id left the
-    // index entirely it was erased mid-read.
-    Location now;
-    if (!Lookup(id, &now)) {
-      return Status::NotFound("chunk " + id.ToBase32() + " (erased mid-read)");
-    }
-    if (now.segment == loc->segment && now.offset == loc->offset) {
-      return Status::IOError("short read from " + path);
-    }
-    *loc = now;
+// Reads record payloads out of one segment file, opened once. Every segment
+// read outside Recover's sequential replay goes through a SegmentReader.
+class FileChunkStore::SegmentReader {
+ public:
+  SegmentReader(const FileChunkStore& store, uint32_t segment)
+      : segment_(segment),
+        path_(store.SegmentPath(segment)),
+        file_(std::fopen(path_.c_str(), "rb")),
+        open_errno_(file_ ? 0 : errno) {}
+  ~SegmentReader() {
+    if (file_) std::fclose(file_);
   }
-  return Status::IOError("segment read failed twice for " + id.ToBase32());
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
+
+  uint32_t segment() const { return segment_; }
+
+  /// The physical payload at `loc`, which must lie in this segment.
+  StatusOr<std::string> Read(const Location& loc) {
+    if (!file_) {
+      return Status::IOError("open " + path_ + ": " +
+                             std::strerror(open_errno_));
+    }
+    std::string payload(loc.length, '\0');
+    if (std::fseek(file_, static_cast<long>(loc.offset), SEEK_SET) != 0 ||
+        std::fread(payload.data(), 1, loc.length, file_) != loc.length) {
+      return Status::IOError("short read from " + path_);
+    }
+    return payload;
+  }
+
+ private:
+  const uint32_t segment_;
+  const std::string path_;
+  std::FILE* const file_;
+  const int open_errno_;
+};
+
+template <typename Decode>
+auto FileChunkStore::ReadHealed(const Hash256& id, Location* loc,
+                                SegmentReader* reader, Decode decode) const
+    -> decltype(decode(*loc, std::string())) {
+  auto attempt = [&]() -> decltype(decode(*loc, std::string())) {
+    std::optional<SegmentReader> own;
+    SegmentReader* r = reader;
+    if (!r || r->segment() != loc->segment) {
+      r = &own.emplace(*this, loc->segment);
+    }
+    FB_ASSIGN_OR_RETURN(std::string payload, r->Read(*loc));
+    return decode(*loc, std::move(payload));
+  };
+  auto result = attempt();
+  if (result.ok()) return result;
+  // A segment rewrite may have moved the record (and truncated its old
+  // segment) between the index lookup and the read, and a delta's base may
+  // have been erased right after the delta was flattened elsewhere. If the
+  // id left the index, it was erased mid-read: linearize after the erase
+  // and report absent, not a phantom error. If it moved, retry once at the
+  // new home. A real disk or decode error keeps its index entry and
+  // surfaces unchanged.
+  Location now;
+  if (!Lookup(id, &now)) {
+    return Status::NotFound("chunk " + id.ToBase32() + " (erased mid-read)");
+  }
+  if (now.segment == loc->segment && now.offset == loc->offset) return result;
+  *loc = now;
+  return attempt();
 }
 
 StatusOr<std::string> FileChunkStore::DecodePayload(const Hash256& id,
@@ -441,61 +474,30 @@ StatusOr<std::string> FileChunkStore::MaterializeLogical(const Hash256& id,
   if (!Lookup(id, &loc)) {
     return Status::NotFound("delta base " + id.ToBase32() + " missing");
   }
-  FB_ASSIGN_OR_RETURN(std::string payload, ReadPayloadWithRetry(id, &loc));
-  FB_ASSIGN_OR_RETURN(std::string logical,
-                      DecodePayload(id, loc, std::move(payload), depth));
+  FB_ASSIGN_OR_RETURN(
+      std::string logical,
+      ReadHealed(id, &loc, nullptr,
+                 [&](const Location& at, std::string payload) {
+                   return DecodePayload(id, at, std::move(payload), depth);
+                 }));
   CachePut(id, logical);
   return logical;
 }
 
-StatusOr<Chunk> FileChunkStore::ReadRecord(std::FILE* f,
-                                           const std::string& path,
-                                           const Hash256& id,
-                                           const Location& loc) const {
-  std::string payload(loc.length, '\0');
-  if (std::fseek(f, static_cast<long>(loc.offset), SEEK_SET) != 0 ||
-      std::fread(payload.data(), 1, loc.length, f) != loc.length) {
-    return Status::IOError("short read from " + path);
-  }
-  FB_ASSIGN_OR_RETURN(std::string logical,
-                      DecodePayload(id, loc, std::move(payload), 0));
-  Chunk chunk = Chunk::FromBytes(std::move(logical));
-  if (options_.verify_on_get && chunk.hash() != id) {
-    return Status::Corruption("chunk bytes do not match id " + id.ToBase32());
-  }
-  return chunk;
-}
-
-StatusOr<Chunk> FileChunkStore::ReadAt(const Hash256& id,
-                                       const Location& loc) const {
-  const std::string path = SegmentPath(loc.segment);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    return Status::IOError("open " + path + ": " + std::strerror(errno));
-  }
-  auto chunk = ReadRecord(f, path, id, loc);
-  std::fclose(f);
-  return chunk;
-}
-
-StatusOr<Chunk> FileChunkStore::ReadAtWithRetry(const Hash256& id,
-                                                const Location& loc) const {
-  auto chunk = ReadAt(id, loc);
-  if (chunk.ok()) return chunk;
-  // A segment rewrite may have moved the record (and truncated its old
-  // segment) between our index lookup and the file read. If the index now
-  // disagrees with the location we used, the record has a new home; if the
-  // id left the index entirely, it was erased mid-read — linearize after
-  // the erase and report absent, not a phantom I/O error. A real disk
-  // error keeps its index entry and surfaces unchanged.
-  Location now;
-  if (!Lookup(id, &now)) {
-    return Status::NotFound("chunk " + id.ToBase32() + " (erased mid-read)");
-  }
-  if (now.segment != loc.segment || now.offset != loc.offset) {
-    return ReadAt(id, now);
-  }
-  return chunk;
+StatusOr<Chunk> FileChunkStore::ReadChunk(const Hash256& id, Location loc,
+                                          SegmentReader* reader) const {
+  return ReadHealed(
+      id, &loc, reader,
+      [&](const Location& at, std::string payload) -> StatusOr<Chunk> {
+        FB_ASSIGN_OR_RETURN(std::string logical,
+                            DecodePayload(id, at, std::move(payload), 0));
+        Chunk chunk = Chunk::FromBytes(std::move(logical));
+        if (options_.verify_on_get && chunk.hash() != id) {
+          return Status::Corruption("chunk bytes do not match id " +
+                                    id.ToBase32());
+        }
+        return chunk;
+      });
 }
 
 StatusOr<Chunk> FileChunkStore::Get(const Hash256& id) const {
@@ -504,7 +506,7 @@ StatusOr<Chunk> FileChunkStore::Get(const Hash256& id) const {
   if (!Lookup(id, &loc)) {
     return Status::NotFound("chunk " + id.ToBase32());
   }
-  return ReadAtWithRetry(id, loc);
+  return ReadChunk(id, loc, nullptr);
 }
 
 std::vector<StatusOr<Chunk>> FileChunkStore::GetMany(
@@ -534,31 +536,9 @@ std::vector<StatusOr<Chunk>> FileChunkStore::GetMany(
               [](const Pending& a, const Pending& b) {
                 return a.loc.offset < b.loc.offset;
               });
-    const std::string path = SegmentPath(segment);
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-      Status err = Status::IOError("open " + path + ": " +
-                                   std::strerror(errno));
-      for (const Pending& p : pendings) slots[p.slot] = StatusOr<Chunk>(err);
-      continue;
-    }
+    SegmentReader reader(*this, segment);
     for (const Pending& p : pendings) {
-      slots[p.slot] = ReadRecord(f, path, ids[p.slot], p.loc);
-    }
-    std::fclose(f);
-    // Heal the read-vs-rewrite race per slot: a record that moved while we
-    // were reading re-resolves through the index once, and one erased
-    // mid-read reports absent (see ReadAtWithRetry for the reasoning).
-    for (const Pending& p : pendings) {
-      if (slots[p.slot]->ok()) continue;
-      Location now;
-      if (!Lookup(ids[p.slot], &now)) {
-        slots[p.slot] = StatusOr<Chunk>(Status::NotFound(
-            "chunk " + ids[p.slot].ToBase32() + " (erased mid-read)"));
-      } else if (now.segment != p.loc.segment ||
-                 now.offset != p.loc.offset) {
-        slots[p.slot] = ReadAt(ids[p.slot], now);
-      }
+      slots[p.slot] = ReadChunk(ids[p.slot], p.loc, &reader);
     }
   }
 
@@ -588,14 +568,40 @@ void FileChunkStore::WindowPush(const Hash256& id, const Chunk& chunk,
   while (window_.size() > options_.delta_window) window_.pop_front();
 }
 
+void FileChunkStore::EncodeSelfContained(const Hash256& id, Slice bytes,
+                                         std::string* buffer,
+                                         Location* loc) const {
+  loc->logical = static_cast<uint32_t>(bytes.size());
+  // Keep LZ only for a >= 1/16 saving, so incompressible payloads stay raw
+  // and readable without any codec.
+  std::string lz;
+  if (options_.compression == Compression::kLz) {
+    LzCompressBlock(bytes, &lz);
+    if (lz.size() > bytes.size() - bytes.size() / 16) lz.clear();
+  }
+  if (!lz.empty()) {
+    AppendHeader2(buffer, id, static_cast<uint32_t>(lz.size()), kEncLz,
+                  loc->logical);
+    buffer->append(lz);
+    loc->length = static_cast<uint32_t>(lz.size());
+    loc->enc = kEncLz;
+    loc->header = static_cast<uint8_t>(kHeader2Bytes);
+    return;
+  }
+  // Raw records keep the legacy FBC1 layout (5 bytes smaller, and a store
+  // with the default options stays byte-identical to the pre-FBC2 format).
+  AppendRecord(buffer, id, bytes);
+  loc->length = loc->logical;
+  loc->enc = kEncRaw;
+  loc->header = static_cast<uint8_t>(kHeaderBytes);
+}
+
 uint64_t FileChunkStore::SerializeRecord(const Chunk& chunk,
                                          std::string* buffer,
                                          PendingEntry* entry) {
   const Hash256& id = chunk.hash();
   const Slice raw = chunk.bytes();
-  const uint32_t logical = static_cast<uint32_t>(raw.size());
   entry->id = id;
-  entry->loc.logical = logical;
   entry->depth = 0;
 
   // Delta attempt: best (smallest) delta against a window entry whose chain
@@ -626,42 +632,60 @@ uint64_t FileChunkStore::SerializeRecord(const Chunk& chunk,
     }
   }
 
-  // Compression attempt: keep only a >= 1/16 saving, so incompressible
-  // payloads stay raw and readable without any codec.
-  std::string lz;
-  if (options_.compression == Compression::kLz) {
-    LzCompressBlock(raw, &lz);
-    if (lz.size() > raw.size() - raw.size() / 16) lz.clear();
-  }
-
-  if (!delta_payload.empty() &&
-      (lz.empty() || delta_payload.size() < lz.size())) {
+  // The delta wins only where it beats the self-contained form (which is
+  // raw, or LZ when that pays).
+  const size_t mark = buffer->size();
+  EncodeSelfContained(id, raw, buffer, &entry->loc);
+  if (!delta_payload.empty() && delta_payload.size() < entry->loc.length) {
+    buffer->resize(mark);
     AppendHeader2(buffer, id, static_cast<uint32_t>(delta_payload.size()),
-                  kEncDelta, logical);
+                  kEncDelta, entry->loc.logical);
     buffer->append(delta_payload);
     entry->loc.length = static_cast<uint32_t>(delta_payload.size());
     entry->loc.enc = kEncDelta;
     entry->loc.header = static_cast<uint8_t>(kHeader2Bytes);
     entry->base = delta_base;
     entry->depth = delta_depth;
-    return kHeader2Bytes + delta_payload.size();
   }
-  if (!lz.empty()) {
-    AppendHeader2(buffer, id, static_cast<uint32_t>(lz.size()), kEncLz,
-                  logical);
-    buffer->append(lz);
-    entry->loc.length = static_cast<uint32_t>(lz.size());
-    entry->loc.enc = kEncLz;
-    entry->loc.header = static_cast<uint8_t>(kHeader2Bytes);
-    return kHeader2Bytes + lz.size();
+  return entry->loc.header + static_cast<uint64_t>(entry->loc.length);
+}
+
+Status FileChunkStore::AppendRun(const std::string& buffer, bool sync) {
+  if (!append_file_) {
+    return Status::IOError("append segment unavailable after prior failure");
   }
-  // Raw records keep the legacy FBC1 layout (5 bytes smaller, and a store
-  // with the default options stays byte-identical to the pre-FBC2 format).
-  AppendRecord(buffer, id, raw);
-  entry->loc.length = logical;
-  entry->loc.enc = kEncRaw;
-  entry->loc.header = static_cast<uint8_t>(kHeaderBytes);
-  return kHeaderBytes + logical;
+  if (std::fwrite(buffer.data(), 1, buffer.size(), append_file_) ==
+          buffer.size() &&
+      std::fflush(append_file_) == 0 &&
+      (!sync || ::fsync(fileno(append_file_)) == 0)) {
+    append_offset_ += buffer.size();
+    return Status::OK();
+  }
+  Status err =
+      Status::IOError("append failed: " + std::string(strerror(errno)));
+  // A partial run may have reached the file, desyncing append_offset_ from
+  // the true EOF — and later successful appends behind a torn record would
+  // be discarded by the next Recover. Truncate back to the last published
+  // record boundary and reopen so a retry appends at a consistent offset; if
+  // that fails too, poison the append stream (checked above) rather than
+  // corrupt locations. The recency window may reference the discarded
+  // records — drop it wholesale.
+  window_.clear();
+  std::fclose(append_file_);
+  append_file_ = nullptr;
+  std::error_code ec;
+  std::filesystem::resize_file(SegmentPath(append_segment_), append_offset_,
+                               ec);
+  if (!ec) (void)OpenSegmentForAppend(append_segment_);
+  return err;
+}
+
+Status FileChunkStore::RollIfFull(std::vector<uint32_t>* rolled) {
+  if (!append_file_ || append_offset_ < options_.segment_bytes) {
+    return Status::OK();
+  }
+  if (rolled) rolled->push_back(append_segment_);
+  return OpenSegmentForAppend(append_segment_ + 1);
 }
 
 Status FileChunkStore::PutImpl(const Chunk& chunk) {
@@ -748,34 +772,8 @@ Status FileChunkStore::PutManyImpl(std::span<const Chunk> chunks) {
 
     auto flush = [&]() -> Status {
       if (buffer.empty()) return Status::OK();
-      if (!append_file_) {
-        return Status::IOError(
-            "append segment unavailable after prior failure");
-      }
-      if (std::fwrite(buffer.data(), 1, buffer.size(), append_file_) !=
-              buffer.size() ||
-          std::fflush(append_file_) != 0 ||
-          (options_.fsync_on_flush && ::fsync(fileno(append_file_)) != 0)) {
-        Status err = Status::IOError("append failed: " +
-                                     std::string(strerror(errno)));
-        // A partial run may have reached the file, desyncing append_offset_
-        // from the true EOF — and later successful appends behind a torn
-        // record would be discarded by the next Recover. Truncate back to the
-        // last published record boundary and reopen so a retry appends at a
-        // consistent offset; if that fails too, poison the append stream
-        // (checked above) rather than corrupt locations. The recency window
-        // may reference the discarded records — drop it wholesale.
-        window_.clear();
-        std::fclose(append_file_);
-        append_file_ = nullptr;
-        std::error_code ec;
-        std::filesystem::resize_file(SegmentPath(append_segment_),
-                                     append_offset_, ec);
-        if (!ec) (void)OpenSegmentForAppend(append_segment_);
-        return err;
-      }
+      FB_RETURN_IF_ERROR(AppendRun(buffer, options_.fsync_on_flush));
       const uint64_t flushed = buffer.size();
-      append_offset_ = offset;
       // Publish grouped by stripe so each shard mutex is taken once per
       // batch, not once per chunk: counting-sort the entry indices by stripe,
       // then walk each stripe's contiguous run under its lock.
@@ -842,8 +840,7 @@ Status FileChunkStore::PutManyImpl(std::span<const Chunk> chunks) {
         }
         if (offset >= options_.segment_bytes) {
           FB_RETURN_IF_ERROR(flush());
-          rolled.push_back(append_segment_);
-          FB_RETURN_IF_ERROR(OpenSegmentForAppend(append_segment_ + 1));
+          FB_RETURN_IF_ERROR(RollIfFull(&rolled));
           offset = append_offset_;
         }
         PendingEntry entry;
@@ -880,24 +877,30 @@ bool FileChunkStore::GetPhysicalRecord(const Hash256& id,
                                        PhysicalRecord* rec) const {
   Location loc;
   if (!Lookup(id, &loc) || loc.enc == kEncRaw) return false;
-  auto payload = ReadPayloadWithRetry(id, &loc);
-  if (!payload.ok()) return false;
-  rec->logical_length = loc.logical;
-  switch (loc.enc) {
-    case kEncDelta:
-      if (payload->size() < kMinDeltaPayload) return false;
-      rec->encoding = Encoding::kDelta;
-      std::memcpy(rec->delta_base.bytes.data(), payload->data(), 32);
-      rec->payload.assign(payload->data() + 32, payload->size() - 32);
-      return true;
-    case kEncLz:
-      rec->encoding = Encoding::kCompressed;
-      rec->delta_base = Hash256{};
-      rec->payload = std::move(*payload);
-      return true;
-    default:  // a retried read that landed on a flattened, verbatim copy
-      return false;
-  }
+  auto encoded = ReadHealed(
+      id, &loc, nullptr,
+      [&](const Location& at, std::string payload) -> StatusOr<bool> {
+        rec->logical_length = at.logical;
+        switch (at.enc) {
+          case kEncDelta:
+            if (payload.size() < kMinDeltaPayload) {
+              return Status::Corruption("truncated delta record for " +
+                                        id.ToBase32());
+            }
+            rec->encoding = Encoding::kDelta;
+            std::memcpy(rec->delta_base.bytes.data(), payload.data(), 32);
+            rec->payload.assign(payload.data() + 32, payload.size() - 32);
+            return true;
+          case kEncLz:
+            rec->encoding = Encoding::kCompressed;
+            rec->delta_base = Hash256{};
+            rec->payload = std::move(payload);
+            return true;
+          default:  // a retried read that landed on a flattened, raw copy
+            return false;
+        }
+      });
+  return encoded.ok() && *encoded;
 }
 
 // ---- erase & segment rewrite ---------------------------------------------
@@ -960,18 +963,18 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
   flats.reserve(deps.size());
   for (const Hash256& dep : deps) {
     Location loc;
-    if (!Lookup(dep, &loc)) continue;
-    if (loc.enc != kEncDelta) continue;
-    auto payload = ReadPayloadWithRetry(dep, &loc);
-    if (!payload.ok()) {
-      if (payload.status().IsNotFound()) continue;  // erased concurrently
-      return payload.status();
+    if (!Lookup(dep, &loc) || loc.enc != kEncDelta) continue;
+    auto logical = ReadHealed(
+        dep, &loc, nullptr, [&](const Location& at, std::string payload) {
+          return DecodePayload(dep, at, std::move(payload), 0);
+        });
+    if (!logical.ok()) {
+      if (!Contains(dep)) continue;  // erased concurrently
+      // Failing to flatten a live dependent would strand its chain once the
+      // base is gone — refuse the erase instead.
+      return logical.status();
     }
     if (loc.enc != kEncDelta) continue;  // retry landed on a flattened copy
-    auto logical = DecodePayload(dep, loc, std::move(*payload), 0);
-    // Failing to flatten a live dependent would strand its chain once the
-    // base is gone — refuse the erase instead.
-    FB_RETURN_IF_ERROR(logical.status());
     flats.push_back(Flat{dep, loc, std::move(*logical)});
   }
   if (flats.empty()) return Status::OK();
@@ -994,55 +997,17 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
 
     auto flush = [&]() -> Status {
       if (buffer.empty()) return Status::OK();
-      if (!append_file_) {
-        return Status::IOError(
-            "append segment unavailable after prior failure");
-      }
-      if (std::fwrite(buffer.data(), 1, buffer.size(), append_file_) !=
-              buffer.size() ||
-          std::fflush(append_file_) != 0 ||
-          (options_.fsync_on_flush && ::fsync(fileno(append_file_)) != 0)) {
-        Status err = Status::IOError("flatten append failed: " +
-                                     std::string(strerror(errno)));
-        window_.clear();
-        std::fclose(append_file_);
-        append_file_ = nullptr;
-        std::error_code ec;
-        std::filesystem::resize_file(SegmentPath(append_segment_),
-                                     append_offset_, ec);
-        if (!ec) (void)OpenSegmentForAppend(append_segment_);
-        return err;
-      }
-      append_offset_ = offset;
-      uint64_t live_phys = 0, live_logical = 0, count = 0;
+      FB_RETURN_IF_ERROR(AppendRun(buffer, options_.fsync_on_flush));
+      uint64_t live_phys = 0, live_logical = 0;
       for (const Out& out : outs) {
-        const Flat& fl = flats[out.idx];
-        bool repointed = false;
-        {
-          Shard& shard = ShardFor(fl.id);
-          std::lock_guard<std::mutex> shard_lock(shard.mu);
-          auto it = shard.index.find(fl.id);
-          if (it != shard.index.end() &&
-              it->second.segment == fl.old_loc.segment &&
-              it->second.offset == fl.old_loc.offset) {
-            it->second = out.loc;
-            repointed = true;
-          }
+        // Moved or erased meanwhile: the copy is dead.
+        if (!Repoint(flats[out.idx].id, flats[out.idx].old_loc, out.loc)) {
+          continue;
         }
-        if (!repointed) continue;  // moved/erased meanwhile: copy is dead
         live_phys += out.loc.header + out.loc.length;
         live_logical += out.loc.logical;
-        NoteDead(fl.old_loc.segment,
-                 fl.old_loc.header + static_cast<uint64_t>(fl.old_loc.length),
-                 fl.old_loc.logical);
-        physical_bytes_.fetch_add(out.loc.length, std::memory_order_relaxed);
-        physical_bytes_.fetch_sub(fl.old_loc.length,
-                                  std::memory_order_relaxed);
-        ForgetDelta(fl.id);
-        ++count;
       }
       NoteAppend(append_segment_, buffer.size(), live_phys, live_logical);
-      flattened_chains_.fetch_add(count, std::memory_order_relaxed);
       buffer.clear();
       outs.clear();
       return Status::OK();
@@ -1052,33 +1017,13 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
       for (size_t i = 0; i < flats.size(); ++i) {
         if (offset >= options_.segment_bytes) {
           FB_RETURN_IF_ERROR(flush());
-          rolled.push_back(append_segment_);
-          FB_RETURN_IF_ERROR(OpenSegmentForAppend(append_segment_ + 1));
+          FB_RETURN_IF_ERROR(RollIfFull(&rolled));
           offset = append_offset_;
         }
-        const std::string& logical = flats[i].logical;
-        const Hash256& id = flats[i].id;
         Location loc;
         loc.segment = append_segment_;
-        loc.logical = static_cast<uint32_t>(logical.size());
-        std::string lz;
-        if (options_.compression == Compression::kLz) {
-          LzCompressBlock(Slice(logical), &lz);
-          if (lz.size() > logical.size() - logical.size() / 16) lz.clear();
-        }
-        if (!lz.empty()) {
-          AppendHeader2(&buffer, id, static_cast<uint32_t>(lz.size()), kEncLz,
-                        loc.logical);
-          buffer.append(lz);
-          loc.length = static_cast<uint32_t>(lz.size());
-          loc.enc = kEncLz;
-          loc.header = static_cast<uint8_t>(kHeader2Bytes);
-        } else {
-          AppendRecord(&buffer, id, Slice(logical));
-          loc.length = loc.logical;
-          loc.enc = kEncRaw;
-          loc.header = static_cast<uint8_t>(kHeaderBytes);
-        }
+        EncodeSelfContained(flats[i].id, Slice(flats[i].logical), &buffer,
+                            &loc);
         loc.offset = offset + loc.header;
         outs.push_back(Out{i, loc});
         offset += loc.header + loc.length;
@@ -1141,35 +1086,13 @@ Status FileChunkStore::Erase(std::span<const Hash256> ids) {
     }
     journal = [&]() -> Status {
       if (buffer.empty()) return Status::OK();
-      if (!append_file_) {
-        return Status::IOError(
-            "append segment unavailable after prior failure");
-      }
-      if (append_offset_ >= options_.segment_bytes) {
-        // Roll before journaling, like PutMany does per record. An
-        // erase-only workload (a GC sweep on a freshly reopened store)
-        // must still close an over-limit active segment — otherwise the
-        // garbage it holds stays exempt from compaction behind the
-        // never-rewrite-the-active-segment rule until some future Put.
-        rolled.push_back(append_segment_);
-        FB_RETURN_IF_ERROR(OpenSegmentForAppend(append_segment_ + 1));
-      }
-      if (std::fwrite(buffer.data(), 1, buffer.size(), append_file_) !=
-              buffer.size() ||
-          std::fflush(append_file_) != 0 ||
-          (options_.fsync_on_flush && ::fsync(fileno(append_file_)) != 0)) {
-        Status err = Status::IOError("tombstone append failed: " +
-                                     std::string(strerror(errno)));
-        window_.clear();
-        std::fclose(append_file_);
-        append_file_ = nullptr;
-        std::error_code ec;
-        std::filesystem::resize_file(SegmentPath(append_segment_),
-                                     append_offset_, ec);
-        if (!ec) (void)OpenSegmentForAppend(append_segment_);
-        return err;
-      }
-      append_offset_ += buffer.size();
+      // Roll before journaling, like PutMany does per record. An erase-only
+      // workload (a GC sweep on a freshly reopened store) must still close
+      // an over-limit active segment — otherwise the garbage it holds stays
+      // exempt from compaction behind the never-rewrite-the-active-segment
+      // rule until some future Put.
+      FB_RETURN_IF_ERROR(RollIfFull(&rolled));
+      FB_RETURN_IF_ERROR(AppendRun(buffer, options_.fsync_on_flush));
       NoteAppend(append_segment_, buffer.size(), 0, 0);  // tombstones: dead
       tombstone_records_.fetch_add(tombstones, std::memory_order_relaxed);
       return Status::OK();
@@ -1235,7 +1158,11 @@ void FileChunkStore::MaybeScheduleCompaction(uint32_t segment) {
     it->second.compaction_scheduled = true;
     ++compactions_pending_;
   }
-  // With background_compaction off, Submit runs this inline — which is why
+  SubmitCompaction(segment);
+}
+
+void FileChunkStore::SubmitCompaction(uint32_t segment) {
+  // With maintenance_threads = 0, Submit runs this inline — which is why
   // callers must not hold store locks here.
   compact_pool_.Submit([this, segment] {
     CompactSegment(segment);
@@ -1243,6 +1170,33 @@ void FileChunkStore::MaybeScheduleCompaction(uint32_t segment) {
     --compactions_pending_;
     compact_cv_.notify_all();
   });
+}
+
+bool FileChunkStore::Repoint(const Hash256& id, const Location& old_loc,
+                             const Location& fresh) {
+  {
+    Shard& shard = ShardFor(id);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(id);
+    // Repoint only if the entry still references the record that was
+    // copied; an id erased (or tombstoned-and-re-put) meanwhile leaves its
+    // copy as immediately-dead bytes.
+    if (it == shard.index.end() || it->second.segment != old_loc.segment ||
+        it->second.offset != old_loc.offset) {
+      return false;
+    }
+    it->second = fresh;
+  }
+  NoteDead(old_loc.segment,
+           old_loc.header + static_cast<uint64_t>(old_loc.length),
+           old_loc.logical);
+  physical_bytes_.fetch_add(fresh.length, std::memory_order_relaxed);
+  physical_bytes_.fetch_sub(old_loc.length, std::memory_order_relaxed);
+  if (old_loc.enc == kEncDelta) {
+    ForgetDelta(id);
+    flattened_chains_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return true;
 }
 
 void FileChunkStore::CompactSegment(uint32_t segment) {
@@ -1261,7 +1215,6 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
               return a.second.offset < b.second.offset;
             });
 
-  const std::string path = SegmentPath(segment);
   bool aborted = false;
   uint64_t moved_live = 0;
   // Segments the moved records landed in. Batches are flushed to the OS but
@@ -1273,195 +1226,82 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
   // the sync count — and keeps concurrent rewrites from serializing on the
   // device behind append_mu_.
   std::vector<uint32_t> new_homes;
-  if (!entries.empty()) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-      aborted = true;
-    } else {
-      // Stream the live records in bounded batches (the same shape as GC's
-      // CopyLive sweep): read a run from the old file, re-encode it (delta
-      // records are materialized self-contained — the rewrite is where
-      // chains die — and raw records pick up compression when the store
-      // has it on), append it to the active segment in one flushed run,
-      // then repoint the index entries that still reference their old
-      // location.
-      const size_t kBatch = 128;
-      struct Move {
-        size_t entry_idx;
-        uint8_t enc;
-        uint8_t header;
-        uint32_t length;
-        uint32_t logical;
-        bool flattened;
-      };
-      for (size_t start = 0; start < entries.size() && !aborted;
-           start += kBatch) {
-        const size_t n = std::min(kBatch, entries.size() - start);
-        std::string buffer;
-        std::vector<Move> moves;
-        moves.reserve(n);
-        for (size_t i = 0; i < n && !aborted; ++i) {
-          const auto& [id, loc] = entries[start + i];
-          std::string payload(loc.length, '\0');
-          if (std::fseek(f, static_cast<long>(loc.offset), SEEK_SET) != 0 ||
-              std::fread(payload.data(), 1, loc.length, f) != loc.length) {
-            // Unreadable live record: leave the whole segment in place
-            // rather than truncate data the index still points at.
-            aborted = true;
-            break;
-          }
-          Move mv{start + i, loc.enc, loc.header, loc.length, loc.logical,
-                  false};
-          if (loc.enc == kEncDelta) {
-            // Flatten: materialize and re-encode self-contained. If the
-            // chain cannot be resolved, distinguish "the record moved or
-            // was erased under us" (skip it — its copy would lose the
-            // repoint race anyway) from genuine corruption (abort, keep
-            // the segment).
-            auto logical = DecodePayload(id, loc, std::move(payload), 0);
-            if (!logical.ok()) {
-              Location now;
-              if (!Lookup(id, &now) || now.segment != loc.segment ||
-                  now.offset != loc.offset) {
-                continue;  // superseded meanwhile; nothing to move
-              }
-              aborted = true;
-              break;
-            }
-            mv.flattened = true;
-            payload = std::move(*logical);
-            std::string lz;
-            if (options_.compression == Compression::kLz) {
-              LzCompressBlock(Slice(payload), &lz);
-              if (lz.size() > payload.size() - payload.size() / 16) {
-                lz.clear();
-              }
-            }
-            if (!lz.empty()) {
-              mv.enc = kEncLz;
-              mv.header = static_cast<uint8_t>(kHeader2Bytes);
-              mv.length = static_cast<uint32_t>(lz.size());
-              AppendHeader2(&buffer, id, mv.length, kEncLz, mv.logical);
-              buffer.append(lz);
-            } else {
-              mv.enc = kEncRaw;
-              mv.header = static_cast<uint8_t>(kHeaderBytes);
-              mv.length = static_cast<uint32_t>(payload.size());
-              AppendRecord(&buffer, id, Slice(payload));
-            }
-          } else if (loc.enc == kEncRaw &&
-                     options_.compression == Compression::kLz) {
-            // The rewrite is a free shot at compressing legacy records.
-            std::string lz;
-            LzCompressBlock(Slice(payload), &lz);
-            if (lz.size() <= payload.size() - payload.size() / 16) {
-              mv.enc = kEncLz;
-              mv.header = static_cast<uint8_t>(kHeader2Bytes);
-              mv.length = static_cast<uint32_t>(lz.size());
-              AppendHeader2(&buffer, id, mv.length, kEncLz, mv.logical);
-              buffer.append(lz);
-            } else {
-              AppendRecord(&buffer, id, Slice(payload));
-            }
-          } else if (loc.enc == kEncRaw) {
-            AppendRecord(&buffer, id, Slice(payload));
-          } else {
-            // Compressed records move verbatim — no point re-coding.
-            AppendHeader2(&buffer, id, mv.length, mv.enc, mv.logical);
-            buffer.append(payload);
-          }
-          moves.push_back(mv);
-        }
-        if (aborted || buffer.empty()) continue;
-
-        std::lock_guard<std::mutex> lock(append_mu_);
-        if (!append_file_) {
-          aborted = true;
-          break;
-        }
-        if (append_offset_ >= options_.segment_bytes) {
-          // Roll without a pending put buffer; the closed segment is fully
-          // accounted already.
-          if (!OpenSegmentForAppend(append_segment_ + 1).ok()) {
-            aborted = true;
-            break;
-          }
-        }
-        if (std::fwrite(buffer.data(), 1, buffer.size(), append_file_) !=
-                buffer.size() ||
-            std::fflush(append_file_) != 0) {
-          window_.clear();
-          std::fclose(append_file_);
-          append_file_ = nullptr;
-          std::error_code ec;
-          std::filesystem::resize_file(SegmentPath(append_segment_),
-                                       append_offset_, ec);
-          if (!ec) (void)OpenSegmentForAppend(append_segment_);
-          aborted = true;
-          break;
-        }
-        if (new_homes.empty() || new_homes.back() != append_segment_) {
-          new_homes.push_back(append_segment_);
-        }
-        uint64_t offset = append_offset_;
-        append_offset_ += buffer.size();
-        uint64_t batch_live = 0;
-        uint64_t batch_live_logical = 0;
-        uint64_t old_live = 0;
-        uint64_t old_live_logical = 0;
-        uint64_t flattened = 0;
-        for (const Move& mv : moves) {
-          const auto& [id, old_loc] = entries[mv.entry_idx];
-          Location fresh;
-          fresh.segment = append_segment_;
-          fresh.offset = offset + mv.header;
-          fresh.length = mv.length;
-          fresh.logical = mv.logical;
-          fresh.enc = mv.enc;
-          fresh.header = mv.header;
-          offset += static_cast<uint64_t>(mv.header) + mv.length;
-          bool repointed = false;
-          {
-            Shard& shard = ShardFor(id);
-            std::lock_guard<std::mutex> shard_lock(shard.mu);
-            auto it = shard.index.find(id);
-            // Repoint only if the entry still references the record we
-            // copied; an id erased (or tombstoned-and-re-put) meanwhile
-            // leaves its copy as immediately-dead bytes in the new segment.
-            if (it != shard.index.end() &&
-                it->second.segment == old_loc.segment &&
-                it->second.offset == old_loc.offset) {
-              it->second = fresh;
-              repointed = true;
-            }
-          }
-          if (!repointed) continue;
-          batch_live += static_cast<uint64_t>(mv.header) + mv.length;
-          batch_live_logical += mv.logical;
-          old_live += static_cast<uint64_t>(old_loc.header) + old_loc.length;
-          old_live_logical += old_loc.logical;
-          physical_bytes_.fetch_add(mv.length, std::memory_order_relaxed);
-          physical_bytes_.fetch_sub(old_loc.length,
-                                    std::memory_order_relaxed);
-          if (mv.flattened) {
-            ForgetDelta(id);
-            ++flattened;
-          }
-        }
-        NoteAppend(append_segment_, buffer.size(), batch_live,
-                   batch_live_logical);
-        // The moved records are no longer live in the old segment. Keeping
-        // its accounting honest batch-by-batch matters on the abort path:
-        // an overcounted old segment could stop qualifying for rewrite
-        // until a reopen recomputes live bytes.
-        NoteDead(segment, old_live, old_live_logical);
-        moved_live += batch_live;
-        if (flattened) {
-          flattened_chains_.fetch_add(flattened, std::memory_order_relaxed);
-        }
+  // Stream the live records in bounded batches (the same shape as GC's
+  // CopyLive sweep): read a run from the old file, re-encode it (delta
+  // records are materialized self-contained — the rewrite is where chains
+  // die — and raw records pick up compression when the store has it on),
+  // append it to the active segment in one flushed run, then repoint the
+  // index entries that still reference their old location.
+  SegmentReader reader(*this, segment);
+  const size_t kBatch = 128;
+  struct Move {
+    size_t entry_idx;
+    Location fresh;
+  };
+  for (size_t start = 0; start < entries.size() && !aborted; start += kBatch) {
+    const size_t n = std::min(kBatch, entries.size() - start);
+    std::string buffer;
+    std::vector<Move> moves;
+    moves.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const auto& [id, loc] = entries[start + i];
+      auto payload = reader.Read(loc);
+      if (payload.ok() && loc.enc == kEncDelta) {
+        payload = DecodePayload(id, loc, std::move(*payload), 0);
       }
-      std::fclose(f);
+      if (!payload.ok()) {
+        // A record moved or erased under us needs no copy (it would lose
+        // the repoint race anyway). A live record we cannot read or
+        // resolve leaves the whole segment in place rather than truncate
+        // data the index still points at.
+        Location now;
+        if (!Lookup(id, &now) || now.segment != loc.segment ||
+            now.offset != loc.offset) {
+          continue;
+        }
+        aborted = true;
+        break;
+      }
+      Move mv{start + i, loc};
+      if (loc.enc == kEncLz) {
+        // Compressed records move verbatim — no point re-coding.
+        AppendHeader2(&buffer, id, loc.length, kEncLz, loc.logical);
+        buffer.append(*payload);
+      } else {
+        EncodeSelfContained(id, Slice(*payload), &buffer, &mv.fresh);
+      }
+      moves.push_back(mv);
     }
+    if (aborted || buffer.empty()) continue;
+
+    std::lock_guard<std::mutex> lock(append_mu_);
+    // Roll without a pending put buffer; the closed segment is fully
+    // accounted already.
+    if (!RollIfFull(nullptr).ok()) {
+      aborted = true;
+      break;
+    }
+    uint64_t offset = append_offset_;
+    if (!AppendRun(buffer, /*sync=*/false).ok()) {
+      aborted = true;
+      break;
+    }
+    if (new_homes.empty() || new_homes.back() != append_segment_) {
+      new_homes.push_back(append_segment_);
+    }
+    uint64_t batch_live = 0;
+    uint64_t batch_live_logical = 0;
+    for (Move& mv : moves) {
+      mv.fresh.segment = append_segment_;
+      mv.fresh.offset = offset + mv.fresh.header;
+      offset += static_cast<uint64_t>(mv.fresh.header) + mv.fresh.length;
+      const auto& [id, old_loc] = entries[mv.entry_idx];
+      if (!Repoint(id, old_loc, mv.fresh)) continue;
+      batch_live += static_cast<uint64_t>(mv.fresh.header) + mv.fresh.length;
+      batch_live_logical += mv.fresh.logical;
+    }
+    NoteAppend(append_segment_, buffer.size(), batch_live, batch_live_logical);
+    moved_live += batch_live;
   }
 
   if (!aborted && options_.fsync_on_flush) {
@@ -1492,7 +1332,7 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
   // Truncate to zero rather than unlink so Recover's contiguous segment
   // scan still sees the file.
   std::error_code ec;
-  std::filesystem::resize_file(path, 0, ec);
+  std::filesystem::resize_file(SegmentPath(segment), 0, ec);
   uint64_t reclaimed = 0;
   {
     std::lock_guard<std::mutex> lock(seg_mu_);
@@ -1539,14 +1379,7 @@ size_t FileChunkStore::CompactBelow(double live_ratio) {
       targets.push_back(seg);
     }
   }
-  for (uint32_t seg : targets) {
-    compact_pool_.Submit([this, seg] {
-      CompactSegment(seg);
-      std::lock_guard<std::mutex> lock(seg_mu_);
-      --compactions_pending_;
-      compact_cv_.notify_all();
-    });
-  }
+  for (uint32_t seg : targets) SubmitCompaction(seg);
   return targets.size();
 }
 

@@ -49,7 +49,7 @@
 // Encoded stores make the two diverge; conflating them is how a tiered
 // budget silently over- or under-evicts.
 //
-// Concurrency: the hash->location index is striped across N shards, each
+// Concurrency: the hash->location index is striped across 16 shards, each
 // behind its own mutex, so lookups (Get/Contains) from different threads
 // rarely contend. Appends are serialized by a single append mutex — there is
 // one active segment — but PutMany batches an entire record run into a
@@ -95,7 +95,6 @@ class FileChunkStore : public ChunkStore {
   struct Options {
     uint64_t segment_bytes = 64ull << 20;  ///< roll segments at 64 MiB
     bool verify_on_get = false;  ///< recompute hash on every read
-    uint32_t index_shards = 16;  ///< mutex stripes for the index (power of 2)
     /// Background readers serving GetManyAsync. Threads spawn lazily on the
     /// first async read. 0 (the default — bare stores keep their purely
     /// synchronous semantics, which is also faster on page-cache-warm
@@ -114,15 +113,13 @@ class FileChunkStore : public ChunkStore {
     /// compaction: Erase still drops index entries and appends tombstones,
     /// but disk space is never given back.
     double compact_live_ratio = 0.5;
-    /// Run segment rewrites on background maintenance threads (spawned
-    /// lazily on the first rewrite). Off = rewrites run inline inside the
-    /// Erase/PutMany call that crossed the threshold — deterministic for
-    /// tests, and what keeps space_used() exact for tight budget loops.
-    bool background_compaction = true;
     /// Maintenance pool width: how many segment rewrites run concurrently
-    /// (each is a work item; excess queue). Rewrites block on cold device
+    /// on background threads (spawned lazily on the first rewrite; each
+    /// rewrite is a work item, excess queue). Rewrites block on cold device
     /// reads and the pre-truncate fsync, so >1 pays off even on a single
-    /// core. 0 behaves like background_compaction = false (inline).
+    /// core. 0 runs rewrites inline inside the Erase/PutMany call that
+    /// crossed the threshold — deterministic for tests, and what keeps
+    /// space_used() exact for tight budget loops.
     uint32_t maintenance_threads = 1;
     /// Benchmark/testing hook: extra latency added to each pre-truncate
     /// segment sync a rewrite performs, modeling a device with non-trivial
@@ -193,7 +190,7 @@ class FileChunkStore : public ChunkStore {
   Status Flush();
 
   /// Blocks until every scheduled background segment rewrite has completed.
-  /// No-op with background_compaction off. Tests (and budget-sensitive
+  /// No-op with maintenance_threads = 0. Tests (and budget-sensitive
   /// callers about to measure disk) use this as the quiesce barrier.
   void WaitForMaintenance();
 
@@ -255,6 +252,8 @@ class FileChunkStore : public ChunkStore {
     bool compaction_scheduled = false;
   };
 
+  class SegmentReader;
+
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<Hash256, Location, Hash256Hasher> index;
@@ -294,22 +293,18 @@ class FileChunkStore : public ChunkStore {
   Shard& ShardFor(const Hash256& id) const;
   /// Looks up `id` in its shard. Returns true and fills `loc` when present.
   bool Lookup(const Hash256& id, Location* loc) const;
-  /// Reads one record at `loc` from an already-open segment stream, decodes
-  /// it to the logical chunk (resolving delta chains through the index),
-  /// and re-verifies when configured. `path` is for error messages only.
-  StatusOr<Chunk> ReadRecord(std::FILE* f, const std::string& path,
-                             const Hash256& id, const Location& loc) const;
-  /// Opens the segment of `loc`, reads the record, closes it.
-  StatusOr<Chunk> ReadAt(const Hash256& id, const Location& loc) const;
-  /// ReadAt, healing the read-vs-rewrite race: if the read fails and the
-  /// index meanwhile points the id somewhere else (a segment rewrite moved
-  /// it), retry once at the new location.
-  StatusOr<Chunk> ReadAtWithRetry(const Hash256& id, const Location& loc) const;
-  /// Reads the raw physical payload at `loc` (no decoding). On failure,
-  /// re-resolves through the index once (the read-vs-rewrite heal) and
-  /// updates `*loc` to where the payload was actually read from.
-  StatusOr<std::string> ReadPayloadWithRetry(const Hash256& id,
-                                             Location* loc) const;
+  /// Reads the payload of `id` at `*loc` (through `reader` when it has that
+  /// segment open) and returns `decode(loc, payload)`. If either step
+  /// fails, heals the read-vs-rewrite race: re-resolves `id` — gone means
+  /// NotFound (erased mid-read), moved means one retry at the new location
+  /// (updating `*loc`), unchanged means the original error.
+  template <typename Decode>
+  auto ReadHealed(const Hash256& id, Location* loc, SegmentReader* reader,
+                  Decode decode) const -> decltype(decode(*loc, std::string()));
+  /// ReadHealed to the logical chunk (resolving delta chains through the
+  /// index), re-verified when configured.
+  StatusOr<Chunk> ReadChunk(const Hash256& id, Location loc,
+                            SegmentReader* reader) const;
   /// Decodes a physical payload to the logical chunk bytes. `depth` guards
   /// against runaway chains (cycles cannot occur, but corruption could
   /// manufacture one).
@@ -323,12 +318,27 @@ class FileChunkStore : public ChunkStore {
   bool CacheGet(const Hash256& id, std::string* bytes) const;
   void CachePut(const Hash256& id, const std::string& bytes) const;
 
-  /// Chooses the stored form of `chunk` under append_mu_: consults the
-  /// recency window for a delta base, falls back to LZ, then raw. Appends
+  /// Appends `bytes` as a self-contained record of `id` to `buffer`: LZ
+  /// when the store compresses and the block saves >= 1/16, else raw FBC1.
+  /// Fills loc's enc, header, length and logical.
+  void EncodeSelfContained(const Hash256& id, Slice bytes,
+                           std::string* buffer, Location* loc) const;
+  /// Chooses the stored form of `chunk` under append_mu_: a delta against
+  /// the recency window when it beats EncodeSelfContained's form. Appends
   /// header+payload to `buffer` and fills `entry` (loc.segment/offset set
   /// by the caller). Returns the record's total appended bytes.
   uint64_t SerializeRecord(const Chunk& chunk, std::string* buffer,
                            PendingEntry* entry);
+  /// The one append run (caller holds append_mu_): writes `buffer` at the
+  /// end of the active segment, flushes it to the OS (fsyncs when `sync`)
+  /// and advances append_offset_. On failure it truncates the segment back
+  /// to append_offset_ and reopens it (or, failing that, leaves the stream
+  /// closed so later appends fail fast), and drops the recency window.
+  Status AppendRun(const std::string& buffer, bool sync);
+  /// Starts the next segment when the active one has reached segment_bytes
+  /// (caller holds append_mu_; a failed stream stays failed). Adds the
+  /// closed segment to `rolled` when given.
+  Status RollIfFull(std::vector<uint32_t>* rolled);
   /// Pushes a freshly serialized chunk into the recency window (caller
   /// holds append_mu_).
   void WindowPush(const Hash256& id, const Chunk& chunk, uint32_t depth);
@@ -346,9 +356,18 @@ class FileChunkStore : public ChunkStore {
   /// True when `space` is rewrite-worthy (dead-heavy). Caller holds seg_mu_.
   bool BelowLiveRatio(const SegmentSpace& space) const;
   /// Queues `segment` for rewrite if it is closed, dead-heavy, and not
-  /// already queued (runs inline when background_compaction is off).
-  /// Caller must hold NO store locks.
+  /// already queued. Caller must hold NO store locks.
   void MaybeScheduleCompaction(uint32_t segment);
+  /// Runs CompactSegment on the maintenance pool (inline with
+  /// maintenance_threads = 0) for a segment the caller marked scheduled.
+  /// Caller must hold NO store locks.
+  void SubmitCompaction(uint32_t segment);
+  /// Points `id` at its copy `fresh` if the index still names `old_loc`,
+  /// moving the record's accounting over (and dropping its chain edge when
+  /// the old record was a delta). False when the id moved or left the
+  /// index meanwhile: the copy is dead bytes.
+  bool Repoint(const Hash256& id, const Location& old_loc,
+               const Location& fresh);
   /// Streams the live records of `segment` into the active segment
   /// (flattening delta records and re-compressing per the current options),
   /// repoints their index entries, truncates the old file.

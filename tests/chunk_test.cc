@@ -2,9 +2,11 @@
 // accounting, file-store persistence/recovery, LRU caching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <thread>
 
@@ -385,7 +387,7 @@ TEST_F(FileChunkStoreTest, SegmentRewriteReclaimsDiskSpace) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;         // many small segments
   options.compact_live_ratio = 0.5;
-  options.background_compaction = false;  // deterministic: rewrite inline
+  options.maintenance_threads = 0;  // deterministic: rewrite inline
   auto store_or = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(store_or.ok());
   auto& store = **store_or;
@@ -467,25 +469,48 @@ TEST_F(FileChunkStoreTest, TornTombstoneTailIsDiscardedOnReopen) {
   EXPECT_TRUE((*reopened)->Get(fresh.hash()).ok());
 }
 
-TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewrites) {
-  // Background compaction moves records while readers chase locations they
-  // resolved before the move; the per-slot index re-check must heal every
-  // such race (no spurious IOError/NotFound for a live chunk).
+// Background compaction moves records while readers chase locations they
+// resolved before the move; the heal rule must cover every such race (no
+// spurious IOError/NotFound for a live chunk). With `encoded`, the chunks
+// are near-identical compressible versions, so every record is LZ or a
+// delta, erased victims are delta bases of survivors (Erase flattens them
+// while readers run), and GetPhysicalRecord must succeed for every survivor.
+void RunReadersSurviveRewrites(const std::string& dir, bool encoded) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;
   options.compact_live_ratio = 0.6;
-  options.background_compaction = true;
-  auto store_or = FileChunkStore::Open(dir_, options);
+  if (encoded) {
+    options.compression = FileChunkStore::Compression::kLz;
+    options.delta_chain_depth = 2;
+    options.delta_window = 8;
+  }
+  auto store_or = FileChunkStore::Open(dir, options);
   ASSERT_TRUE(store_or.ok());
   auto& store = **store_or;
 
   Rng rng(78);
+  // Random text with a compressible tail: LZ pays, a delta pays more.
+  const std::string base =
+      encoded ? rng.NextString(512) + std::string(128, 'x') : "";
   std::vector<Hash256> survivors;
   std::vector<Hash256> victims;
   for (int i = 0; i < 200; ++i) {
-    Chunk c = MakeTestChunk(rng.NextBytes(200));
+    std::string version = base;
+    if (encoded) version.replace(i % 500, 4, std::to_string(1000 + i));
+    Chunk c = MakeTestChunk(encoded ? version : rng.NextBytes(200));
     ASSERT_TRUE(store.Put(c).ok());
     (i % 2 ? victims : survivors).push_back(c.hash());
+  }
+  if (encoded) {
+    size_t chained = 0;
+    for (const auto& id : survivors) {
+      Hash256 base;
+      if (store.GetDeltaBase(id, &base) &&
+          std::find(victims.begin(), victims.end(), base) != victims.end()) {
+        ++chained;
+      }
+    }
+    ASSERT_GT(chained, 0u) << "no survivor is a delta against a victim";
   }
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -496,6 +521,8 @@ TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewrites) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       std::vector<Hash256> batch(survivors.begin(), survivors.begin() + 8);
       for (auto& slot : store.GetMany(batch)) ASSERT_TRUE(slot.ok());
+      ChunkStore::PhysicalRecord rec;
+      ASSERT_EQ(store.GetPhysicalRecord(id, &rec), encoded);
     }
   });
   // Erase in small slices so rewrites keep firing under the reader.
@@ -511,6 +538,56 @@ TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewrites) {
   for (const auto& id : victims) EXPECT_FALSE(store.Contains(id));
 }
 
+TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewrites) {
+  RunReadersSurviveRewrites(dir_, /*encoded=*/false);
+}
+
+TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewritesOfEncodedRecords) {
+  RunReadersSurviveRewrites(dir_, /*encoded=*/true);
+}
+
+TEST_F(FileChunkStoreTest, TruncatedSegmentReadsFailAsIOError) {
+  // A segment cut short from outside while the index still points into it:
+  // no rewrite moved the records and no erase dropped them, so the heal
+  // rule must surface the failed read as an I/O error — not NotFound —
+  // and only for the slots that live in the damaged segment.
+  FileChunkStore::Options options;
+  options.segment_bytes = 4096;
+  options.compact_live_ratio = 0;
+  options.compression = FileChunkStore::Compression::kLz;
+  auto store_or = FileChunkStore::Open(dir_, options);
+  ASSERT_TRUE(store_or.ok());
+  auto& store = **store_or;
+
+  Rng rng(82);
+  Chunk damaged = MakeTestChunk(std::string(1024, 'd') + rng.NextString(16));
+  ASSERT_TRUE(store.Put(damaged).ok());
+  ASSERT_TRUE(store.Put(MakeTestChunk(rng.NextBytes(4096))).ok());  // roll
+  std::vector<Chunk> intact;
+  for (int i = 0; i < 3; ++i) {
+    intact.push_back(MakeTestChunk(rng.NextBytes(100)));
+    ASSERT_TRUE(store.Put(intact.back()).ok());
+  }
+  ChunkStore::PhysicalRecord rec;
+  ASSERT_TRUE(store.GetPhysicalRecord(damaged.hash(), &rec));
+  std::filesystem::resize_file(dir_ + "/segment-0.fbc", 0);
+
+  auto got = store.Get(damaged.hash());
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kIOError)
+      << got.status().ToString();
+  auto slots = store.GetMany(std::vector<Hash256>{
+      intact[0].hash(), damaged.hash(), intact[1].hash(), intact[2].hash()});
+  ASSERT_EQ(slots.size(), 4u);
+  EXPECT_EQ(slots[1].status().code(), StatusCode::kIOError);
+  for (size_t i : {0, 2, 3}) {
+    ASSERT_TRUE(slots[i].ok()) << i << ": " << slots[i].status().ToString();
+  }
+  EXPECT_EQ(slots[2]->bytes().ToString(), intact[1].bytes().ToString());
+  EXPECT_FALSE(store.GetPhysicalRecord(damaged.hash(), &rec));
+  EXPECT_TRUE(store.Contains(damaged.hash()));
+}
+
 TEST_F(FileChunkStoreTest, ParallelCompactionReclaimsEverySegment) {
   // Segment rewrites are independent work items; with a 4-thread pool an
   // administrative CompactBelow must queue one per eligible segment, run
@@ -518,7 +595,6 @@ TEST_F(FileChunkStoreTest, ParallelCompactionReclaimsEverySegment) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;
   options.compact_live_ratio = 0;  // no automatic rewrites: we queue them
-  options.background_compaction = true;
   options.maintenance_threads = 4;
   auto store_or = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(store_or.ok());
@@ -593,7 +669,6 @@ TEST_F(FileChunkStoreTest, EraseOnlyWorkloadRollsOversizedActiveSegment) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;
   options.compact_live_ratio = 0.5;
-  options.background_compaction = true;
   options.maintenance_threads = 2;
   auto reopened = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(reopened.ok());
@@ -859,6 +934,97 @@ TEST_F(FileChunkStoreTest, CompactBelowFlattensChainsAndStopsHopAccrual) {
     EXPECT_FALSE(store.GetDeltaBase(c.hash(), &base));
   }
   EXPECT_EQ(store.maintenance_stats().delta_chain_hops, hops_before);
+}
+
+namespace {
+// SHA-256 (hex) of every segment file in `dir`, keyed by file name.
+std::map<std::string, std::string> SegmentDigests(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".fbc") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    out[entry.path().filename().string()] = Sha256(Slice(bytes)).ToHex();
+  }
+  return out;
+}
+}  // namespace
+
+TEST_F(FileChunkStoreTest, SegmentBytesAreStable) {
+  // Golden segment bytes for every write path: raw, LZ and delta records,
+  // the dependent flatten and tombstone journal of an erase, a segment
+  // roll, and a rewrite that flattens, compresses and copies records.
+  // Maintenance runs inline, so the sequence is deterministic.
+  FileChunkStore::Options options;
+  options.segment_bytes = 8192;
+  options.compact_live_ratio = 0;  // only the explicit CompactBelow rewrites
+  options.maintenance_threads = 0;
+  Rng rng(91);
+  // The last chunk's LZ block saves between 1/16 and 1/8: it pins the
+  // compression threshold.
+  std::vector<Chunk> raw = {
+      MakeTestChunk(rng.NextBytes(300)),
+      MakeTestChunk(std::string(600, 'r') + "legacy"),
+      MakeTestChunk(rng.NextBytes(200)),
+      MakeTestChunk(rng.NextBytes(1000) + std::string(100, 'q'))};
+  {
+    auto store = FileChunkStore::Open(dir_, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->PutMany(raw).ok());
+  }
+
+  options.compression = FileChunkStore::Compression::kLz;
+  options.delta_chain_depth = 2;
+  options.delta_window = 8;
+  auto store_or = FileChunkStore::Open(dir_, options);
+  ASSERT_TRUE(store_or.ok());
+  auto& store = **store_or;
+  auto chain = MakeVersionChain(6, 92);
+  ASSERT_TRUE(store.PutMany(chain).ok());
+  ASSERT_TRUE(
+      store.Put(MakeTestChunk(std::string(2048, 'z') + "compressible")).ok());
+  EXPECT_GT(store.maintenance_stats().delta_records, 0u);
+  EXPECT_GT(store.maintenance_stats().compressed_records, 0u);
+
+  ASSERT_TRUE(
+      store.Erase(std::vector<Hash256>{chain[0].hash(), raw[0].hash()}).ok());
+  EXPECT_GT(store.maintenance_stats().flattened_chains, 0u);
+  EXPECT_EQ(store.maintenance_stats().tombstone_records, 2u);
+
+  // Fill segment 0 past its limit; the next put rolls to segment 1.
+  ASSERT_TRUE(store.Put(MakeTestChunk(rng.NextBytes(8192))).ok());
+  ASSERT_TRUE(store.Put(MakeTestChunk(rng.NextBytes(100))).ok());
+  EXPECT_EQ(SegmentDigests(dir_),
+            (std::map<std::string, std::string>{
+                {"segment-0.fbc",
+                 "7a3f1fe54f97aabb2e0eda857692cf68"
+                 "932380ecdf9caf800c9bee5df384c956"},
+                {"segment-1.fbc",
+                 "36a1e6075566b247c5ab8b7c014da36f"
+                 "ea1be65b02dcc4f34acf3637af1abb61"},
+            }));
+
+  const uint64_t flattened = store.maintenance_stats().flattened_chains;
+  ASSERT_EQ(store.CompactBelow(1.0), 1u);
+  store.WaitForMaintenance();
+  EXPECT_EQ(store.maintenance_stats().segments_rewritten, 1u);
+  EXPECT_GT(store.maintenance_stats().flattened_chains, flattened);
+  EXPECT_EQ(SegmentDigests(dir_),
+            (std::map<std::string, std::string>{
+                {"segment-0.fbc",
+                 "e3b0c44298fc1c149afbf4c8996fb924"
+                 "27ae41e4649b934ca495991b7852b855"},
+                {"segment-1.fbc",
+                 "0ba5ac20637231cfcee7ca7a987f1131"
+                 "dab8917ba2af0e8891ff90ec042842f0"},
+            }));
+  for (const auto& c : chain) {
+    if (c.hash() == chain[0].hash()) continue;
+    auto got = store.Get(c.hash());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->bytes().ToString(), c.bytes().ToString());
+  }
 }
 
 // ------------------------------------------------------------ put pins --
