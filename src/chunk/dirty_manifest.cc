@@ -1,6 +1,5 @@
 #include "chunk/dirty_manifest.h"
 
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
@@ -23,14 +22,6 @@ void AppendManifestRecord(std::string* buf, char op, const Hash256& id) {
 
 DirtyManifest::DirtyManifest(std::string path) : path_(std::move(path)) {}
 
-DirtyManifest::~DirtyManifest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
 StatusOr<std::unique_ptr<DirtyManifest>> DirtyManifest::Open(
     const std::string& dir) {
   std::error_code ec;
@@ -47,54 +38,29 @@ StatusOr<std::unique_ptr<DirtyManifest>> DirtyManifest::Open(
 
 Status DirtyManifest::Replay() {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t valid_end = 0;
-  if (existed_) {
-    std::FILE* f = std::fopen(path_.c_str(), "rb");
-    if (!f) {
-      return Status::IOError("open " + path_ + ": " + std::strerror(errno));
+  auto apply = [this](Slice rest) -> size_t {
+    if (rest.size() < kRecordBytes) return 0;  // torn tail or EOF
+    uint32_t magic = 0;
+    std::memcpy(&magic, rest.data(), 4);
+    const char op = rest[4];
+    if (magic != kManifestMagic || (op != kOpMark && op != kOpClear)) {
+      return 0;  // corruption: treat like a torn tail, keep the good prefix
     }
-    char record[kRecordBytes];
-    for (;;) {
-      size_t got = std::fread(record, 1, kRecordBytes, f);
-      if (got < kRecordBytes) break;  // torn tail or EOF
-      uint32_t magic = 0;
-      std::memcpy(&magic, record, 4);
-      const char op = record[4];
-      if (magic != kManifestMagic || (op != kOpMark && op != kOpClear)) {
-        break;  // corruption: treat like a torn tail, keep the good prefix
-      }
-      Hash256 id;
-      std::memcpy(id.bytes.data(), record + 5, 32);
-      if (op == kOpMark) {
-        dirty_.insert(id);
-      } else {
-        dirty_.erase(id);
-      }
-      ++records_;
-      valid_end += kRecordBytes;
+    Hash256 id;
+    std::memcpy(id.bytes.data(), rest.data() + 5, 32);
+    if (op == kOpMark) {
+      dirty_.insert(id);
+    } else {
+      dirty_.erase(id);
     }
-    std::fclose(f);
-    std::error_code ec;
-    auto size = std::filesystem::file_size(path_, ec);
-    if (!ec && size > valid_end) {
-      // Drop the torn tail so future appends start at a record boundary.
-      std::filesystem::resize_file(path_, valid_end, ec);
-    }
-  }
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (!f) {
-    return Status::IOError("open " + path_ + ": " + std::strerror(errno));
-  }
-  file_ = f;
-  return Status::OK();
+    return kRecordBytes;
+  };
+  return ReplayJournal(path_, apply, &file_).status();
 }
 
 Status DirtyManifest::AppendLocked(char op, std::span<const Hash256> ids,
                                    size_t count) {
   if (count == 0) return Status::OK();
-  if (!file_) {
-    return Status::IOError("manifest unavailable after prior failure");
-  }
   std::string buffer;
   buffer.reserve(count * kRecordBytes);
   for (const Hash256& id : ids) {
@@ -103,22 +69,7 @@ Status DirtyManifest::AppendLocked(char op, std::span<const Hash256> ids,
     AppendManifestRecord(&buffer, op, id);
   }
   if (buffer.empty()) return Status::OK();
-  if (std::fwrite(buffer.data(), 1, buffer.size(), file_) != buffer.size() ||
-      std::fflush(file_) != 0) {
-    Status err = Status::IOError("manifest append failed: " +
-                                 std::string(std::strerror(errno)));
-    // A partial record at the tail would desynchronize every later append
-    // (replay stops at the first bad record). Truncate back to the last
-    // good boundary and reopen; on failure poison the handle.
-    std::fclose(file_);
-    file_ = nullptr;
-    std::error_code ec;
-    std::filesystem::resize_file(path_, records_ * kRecordBytes, ec);
-    if (!ec) file_ = std::fopen(path_.c_str(), "ab");
-    return err;
-  }
-  records_ += buffer.size() / kRecordBytes;
-  return Status::OK();
+  return file_.Append(buffer, /*sync=*/false);
 }
 
 Status DirtyManifest::MarkDirty(std::span<const Hash256> ids) {
@@ -144,44 +95,19 @@ Status DirtyManifest::MarkClean(std::span<const Hash256> ids) {
   // Once MARK/CLEAR churn dominates the live set, fold the journal down to
   // the live marks. The floor keeps small stores from compacting on every
   // drain.
-  if (records_ > 2 * dirty_.size() + 1024) return CompactLocked();
+  if (file_.size() / kRecordBytes > 2 * dirty_.size() + 1024) {
+    return CompactLocked();
+  }
   return Status::OK();
 }
 
 Status DirtyManifest::CompactLocked() {
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) {
-    return Status::IOError("open " + tmp + ": " + std::strerror(errno));
-  }
   std::string buffer;
   buffer.reserve(dirty_.size() * kRecordBytes);
   for (const Hash256& id : dirty_) {
     AppendManifestRecord(&buffer, kOpMark, id);
   }
-  if ((!buffer.empty() &&
-       std::fwrite(buffer.data(), 1, buffer.size(), f) != buffer.size()) ||
-      std::fflush(f) != 0) {
-    std::fclose(f);
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("manifest compaction write failed");
-  }
-  std::fclose(f);
-  // Atomic swap: the journal is either the old file or the complete new
-  // one, never a half-state.
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("manifest compaction rename failed");
-  }
-  if (file_) std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (!file_) {
-    return Status::IOError("reopen " + path_ + ": " + std::strerror(errno));
-  }
-  records_ = dirty_.size();
+  FB_RETURN_IF_ERROR(file_.Replace(buffer));
   ++compactions_;
   return Status::OK();
 }
@@ -198,7 +124,7 @@ size_t DirtyManifest::dirty_count() const {
 
 uint64_t DirtyManifest::record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return file_.size() / kRecordBytes;
 }
 
 uint64_t DirtyManifest::compactions() const {

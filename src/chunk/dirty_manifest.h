@@ -10,24 +10,24 @@
 //
 // On-disk format (one file, `dirty-manifest.fbm`, beside the hot segments):
 //   [magic u32][op u8][hash 32B]    op: 'D' = mark dirty, 'C' = mark clean
-// Append-only; torn tails (a partial record after a crash) are detected by
-// the magic/size check and truncated away on open, exactly like the chunk
-// segments. Every append run is flushed to the OS before the corresponding
-// Put returns, so an acknowledged dirty chunk is never missing from the
-// journal after a process crash.
+// Append-only through AppendFile (util/file_io.h); ReplayJournal finds a
+// torn tail (a partial record after a crash) by the magic/size check and
+// truncates it away on open. Every append run is flushed to the OS before
+// the corresponding Put returns, so an acknowledged dirty chunk is never
+// missing from the journal after a process crash.
 //
 // The journal self-compacts: once the record count is dominated by
 // MARK/CLEAR churn (records > 2x the live dirty set + a floor), it is
-// rewritten as a fresh file holding only the live marks and atomically
-// renamed into place — so a long-lived write-back store's manifest stays
-// proportional to its dirty set, not its write history.
+// rewritten as a fresh file holding only the live marks and swapped in by
+// AtomicReplaceFile (tmp + fsync + rename + directory fsync) — so a
+// long-lived write-back store's manifest stays proportional to its dirty
+// set, not its write history.
 //
 // Thread-safe; all operations serialize on one internal mutex (manifest
 // appends are tiny next to the chunk I/O they ride behind).
 #ifndef FORKBASE_CHUNK_DIRTY_MANIFEST_H_
 #define FORKBASE_CHUNK_DIRTY_MANIFEST_H_
 
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "chunk/chunk.h"
+#include "util/file_io.h"
 #include "util/status.h"
 
 namespace forkbase {
@@ -47,8 +48,6 @@ class DirtyManifest {
   /// file — the signal to fall back to hot-vs-cold reconciliation.
   static StatusOr<std::unique_ptr<DirtyManifest>> Open(
       const std::string& dir);
-
-  ~DirtyManifest();
 
   /// False when Open created the file: there was no journal to replay, so
   /// the replayed dirty set is empty *by absence*, not by knowledge.
@@ -79,9 +78,8 @@ class DirtyManifest {
   bool existed_ = false;
 
   mutable std::mutex mu_;
-  std::FILE* file_ = nullptr;
+  AppendFile file_;
   std::unordered_set<Hash256, Hash256Hasher> dirty_;
-  uint64_t records_ = 0;
   uint64_t compactions_ = 0;
 };
 

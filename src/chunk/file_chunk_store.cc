@@ -1,9 +1,5 @@
 #include "chunk/file_chunk_store.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -70,15 +66,6 @@ void AppendHeader2(std::string* buf, const Hash256& id, uint32_t payload_len,
   buf->append(reinterpret_cast<const char*>(header), kHeader2Bytes);
 }
 
-// fsync by path, for callers that must not sit on append_mu_ while the
-// device syncs (any fd reaches the same inode's dirty pages).
-bool FsyncPath(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
 }  // namespace
 
 FileChunkStore::FileChunkStore(std::string dir, Options options)
@@ -94,10 +81,7 @@ FileChunkStore::~FileChunkStore() {
   compact_pool_.Shutdown();
   prefetch_pool_.Shutdown();
   std::lock_guard<std::mutex> lock(append_mu_);
-  if (append_file_) {
-    std::fclose(append_file_);
-    append_file_ = nullptr;
-  }
+  append_.Close();
 }
 
 std::string FileChunkStore::SegmentPath(uint32_t seg_no) const {
@@ -304,21 +288,9 @@ Status FileChunkStore::Recover() {
 }
 
 Status FileChunkStore::OpenSegmentForAppend(uint32_t seg_no) {
-  if (append_file_) {
-    std::fclose(append_file_);
-    append_file_ = nullptr;
-  }
-  const std::string path = SegmentPath(seg_no);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (!f) {
-    return Status::IOError("open " + path + ": " + std::strerror(errno));
-  }
-  append_file_ = f;
+  FB_RETURN_IF_ERROR(append_.Open(SegmentPath(seg_no)));
   append_segment_ = seg_no;
   active_segment_.store(seg_no, std::memory_order_relaxed);
-  std::error_code ec;
-  auto size = std::filesystem::file_size(path, ec);
-  append_offset_ = ec ? 0 : size;
   return Status::OK();
 }
 
@@ -651,37 +623,14 @@ uint64_t FileChunkStore::SerializeRecord(const Chunk& chunk,
 }
 
 Status FileChunkStore::AppendRun(const std::string& buffer, bool sync) {
-  if (!append_file_) {
-    return Status::IOError("append segment unavailable after prior failure");
-  }
-  if (std::fwrite(buffer.data(), 1, buffer.size(), append_file_) ==
-          buffer.size() &&
-      std::fflush(append_file_) == 0 &&
-      (!sync || ::fsync(fileno(append_file_)) == 0)) {
-    append_offset_ += buffer.size();
-    return Status::OK();
-  }
-  Status err =
-      Status::IOError("append failed: " + std::string(strerror(errno)));
-  // A partial run may have reached the file, desyncing append_offset_ from
-  // the true EOF — and later successful appends behind a torn record would
-  // be discarded by the next Recover. Truncate back to the last published
-  // record boundary and reopen so a retry appends at a consistent offset; if
-  // that fails too, poison the append stream (checked above) rather than
-  // corrupt locations. The recency window may reference the discarded
-  // records — drop it wholesale.
-  window_.clear();
-  std::fclose(append_file_);
-  append_file_ = nullptr;
-  std::error_code ec;
-  std::filesystem::resize_file(SegmentPath(append_segment_), append_offset_,
-                               ec);
-  if (!ec) (void)OpenSegmentForAppend(append_segment_);
-  return err;
+  Status appended = append_.Append(buffer, sync);
+  // The recency window may reference records the failed run discarded.
+  if (!appended.ok()) window_.clear();
+  return appended;
 }
 
 Status FileChunkStore::RollIfFull(std::vector<uint32_t>* rolled) {
-  if (!append_file_ || append_offset_ < options_.segment_bytes) {
+  if (!append_.is_open() || append_.size() < options_.segment_bytes) {
     return Status::OK();
   }
   if (rolled) rolled->push_back(append_segment_);
@@ -768,7 +717,7 @@ Status FileChunkStore::PutManyImpl(std::span<const Chunk> chunks) {
       buffer.reserve(projected);
       pending.reserve(candidates.size());
     }
-    uint64_t offset = append_offset_;
+    uint64_t offset = append_.size();
 
     auto flush = [&]() -> Status {
       if (buffer.empty()) return Status::OK();
@@ -841,7 +790,7 @@ Status FileChunkStore::PutManyImpl(std::span<const Chunk> chunks) {
         if (offset >= options_.segment_bytes) {
           FB_RETURN_IF_ERROR(flush());
           FB_RETURN_IF_ERROR(RollIfFull(&rolled));
-          offset = append_offset_;
+          offset = append_.size();
         }
         PendingEntry entry;
         const uint64_t appended = SerializeRecord(*chunk, &buffer, &entry);
@@ -993,7 +942,7 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
       Location loc;
     };
     std::vector<Out> outs;
-    uint64_t offset = append_offset_;
+    uint64_t offset = append_.size();
 
     auto flush = [&]() -> Status {
       if (buffer.empty()) return Status::OK();
@@ -1018,7 +967,7 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
         if (offset >= options_.segment_bytes) {
           FB_RETURN_IF_ERROR(flush());
           FB_RETURN_IF_ERROR(RollIfFull(&rolled));
-          offset = append_offset_;
+          offset = append_.size();
         }
         Location loc;
         loc.segment = append_segment_;
@@ -1281,7 +1230,7 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
       aborted = true;
       break;
     }
-    uint64_t offset = append_offset_;
+    uint64_t offset = append_.size();
     if (!AppendRun(buffer, /*sync=*/false).ok()) {
       aborted = true;
       break;
@@ -1409,6 +1358,23 @@ FileChunkStore::MaintenanceStats FileChunkStore::maintenance_stats() const {
   return stats;
 }
 
+FileChunkStore::MaintenanceStats& FileChunkStore::MaintenanceStats::operator+=(
+    const MaintenanceStats& o) {
+  erased_chunks += o.erased_chunks;
+  tombstone_records += o.tombstone_records;
+  segments_rewritten += o.segments_rewritten;
+  rewritten_bytes += o.rewritten_bytes;
+  reclaimed_bytes += o.reclaimed_bytes;
+  pending_compactions += o.pending_compactions;
+  delta_records += o.delta_records;
+  compressed_records += o.compressed_records;
+  delta_chain_hops += o.delta_chain_hops;
+  flattened_chains += o.flattened_chains;
+  live_logical_bytes += o.live_logical_bytes;
+  live_physical_bytes += o.live_physical_bytes;
+  return *this;
+}
+
 ChunkStoreStats FileChunkStore::stats() const {
   ChunkStoreStats s;
   s.chunk_count = chunk_count_.load(std::memory_order_relaxed);
@@ -1459,14 +1425,8 @@ void FileChunkStore::ForEachId(
 
 Status FileChunkStore::Flush() {
   std::lock_guard<std::mutex> lock(append_mu_);
-  if (append_file_ && std::fflush(append_file_) != 0) {
-    return Status::IOError("fflush failed");
-  }
-  if (options_.fsync_on_flush && append_file_ &&
-      ::fsync(fileno(append_file_)) != 0) {
-    return Status::IOError("fsync failed");
-  }
-  return Status::OK();
+  // An empty run: flushes what is buffered and fsyncs when configured.
+  return append_.Append(Slice(), options_.fsync_on_flush);
 }
 
 }  // namespace forkbase

@@ -69,7 +69,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <list>
 #include <memory>
@@ -79,6 +78,7 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "util/file_io.h"
 #include "util/worker_pool.h"
 
 namespace forkbase {
@@ -223,6 +223,9 @@ class FileChunkStore : public ChunkStore {
     /// included (physical). physical/logical is the realized storage ratio.
     uint64_t live_logical_bytes = 0;
     uint64_t live_physical_bytes = 0;
+
+    /// Field-wise sum (ForkBase::Stat folds a tiered stack's two stores).
+    MaintenanceStats& operator+=(const MaintenanceStats& o);
   };
   MaintenanceStats maintenance_stats() const;
 
@@ -329,11 +332,9 @@ class FileChunkStore : public ChunkStore {
   /// by the caller). Returns the record's total appended bytes.
   uint64_t SerializeRecord(const Chunk& chunk, std::string* buffer,
                            PendingEntry* entry);
-  /// The one append run (caller holds append_mu_): writes `buffer` at the
-  /// end of the active segment, flushes it to the OS (fsyncs when `sync`)
-  /// and advances append_offset_. On failure it truncates the segment back
-  /// to append_offset_ and reopens it (or, failing that, leaves the stream
-  /// closed so later appends fail fast), and drops the recency window.
+  /// The one append run (caller holds append_mu_): AppendFile::Append of
+  /// `buffer` to the active segment (fsynced when `sync`); a failed run
+  /// also drops the recency window.
   Status AppendRun(const std::string& buffer, bool sync);
   /// Starts the next segment when the active one has reached segment_bytes
   /// (caller holds append_mu_; a failed stream stays failed). Adds the
@@ -385,9 +386,8 @@ class FileChunkStore : public ChunkStore {
   mutable std::vector<Shard> shards_;
 
   std::mutex append_mu_;  ///< serializes all segment appends and rolls
-  std::FILE* append_file_ = nullptr;
+  AppendFile append_;  ///< the active segment
   uint32_t append_segment_ = 0;
-  uint64_t append_offset_ = 0;
   /// Recency window for delta-base selection; lives under append_mu_ with
   /// the rest of the append state. Cleared on flush failure (its entries
   /// may reference records that never reached the file).

@@ -5,7 +5,6 @@
 #include <csignal>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <thread>
 
 #include "chunk/file_chunk_store.h"
@@ -17,6 +16,7 @@
 #include "store/forkbase.h"
 #include "store/bundle.h"
 #include "store/gc.h"
+#include "util/file_io.h"
 
 namespace forkbase {
 
@@ -27,31 +27,15 @@ struct CliContext {
   std::string branch = ForkBase::kDefaultBranch;
   std::string author = "cli";
   std::string message;
-  ForkBase::Config config;  // storage-stack knobs
-
-  // Network knobs. The serve timeouts use -1 = "keep the server default"
-  // so an explicit 0 can still mean "disable the check".
-  uint64_t max_outbox_kb = 0;          // 0 = server default
-  int64_t handshake_timeout_ms = -1;
-  int64_t idle_timeout_ms = -1;
-  int64_t request_timeout_ms = -1;
-  int64_t stall_timeout_ms = -1;
-  uint64_t session_rps = 0;            // 0 = unlimited
-  uint64_t global_rps = 0;
-  uint64_t max_sessions = 0;
-  uint64_t max_queued_requests = 0;
+  ForkBase::Config config;             // storage-stack knobs
+  ForkBaseServer::Options server;      // serve knobs (server defaults)
   bool gc_in_place = false;            // gc: sweep the store where it lives
   bool verify_deep = false;            // verify: audit physical records too
-  uint64_t retries = 3;                // client sync attempts (1 = no retry)
-  uint64_t connect_timeout_ms = 10'000;
-  uint64_t io_timeout_ms = 30'000;
+  /// Client knobs: sync attempts (1 = no retry) and transport deadlines.
+  RetryPolicy retry{.max_attempts = 3};
 
   std::vector<std::string> positional;
 };
-
-std::string BranchFilePath(const CliContext& ctx) {
-  return ctx.db_dir + "/branches.tsv";
-}
 
 StatusOr<uint64_t> ParseCount(const std::string& flag,
                               const std::string& value, uint64_t max) {
@@ -86,6 +70,18 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
       *dst = args[++i];
       return Status::OK();
     };
+    // The flag's value as a count in [min, max]; `hint` explains the floor.
+    auto count = [&](uint64_t max, uint64_t min = 0,
+                     const std::string& hint = "") -> StatusOr<uint64_t> {
+      std::string v;
+      FB_RETURN_IF_ERROR(next(&v));
+      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, max));
+      if (n < min) {
+        return Status::InvalidArgument(a + " must be >= " +
+                                       std::to_string(min) + hint);
+      }
+      return n;
+    };
     if (a == "--db") {
       FB_RETURN_IF_ERROR(next(&ctx->db_dir));
     } else if (a == "--branch" || a == "-b") {
@@ -95,23 +91,13 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
     } else if (a == "--message" || a == "-m") {
       FB_RETURN_IF_ERROR(next(&ctx->message));
     } else if (a == "--prefetch-threads") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 256));
-      ctx->config.prefetch_threads = static_cast<uint32_t>(n);
+      FB_ASSIGN_OR_RETURN(ctx->config.prefetch_threads, count(256));
     } else if (a == "--prefetch-depth") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 64));
-      if (n == 0) {
-        return Status::InvalidArgument("--prefetch-depth must be >= 1");
-      }
-      SetScanPrefetchDepth(n);
+      FB_ASSIGN_OR_RETURN(uint64_t depth, count(64, 1));
+      SetScanPrefetchDepth(depth);
     } else if (a == "--cache-mb") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 1u << 20));
-      ctx->config.cache_bytes = n << 20;
+      FB_ASSIGN_OR_RETURN(uint64_t mb, count(1u << 20));
+      ctx->config.cache_bytes = mb << 20;
     } else if (a == "--tier-cold") {
       FB_RETURN_IF_ERROR(next(&ctx->config.tier.cold_dir));
     } else if (a == "--tier-policy") {
@@ -127,102 +113,60 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
             "--tier-policy expects write-through or write-back, got " + v);
       }
     } else if (a == "--tier-hot-budget-mb") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 1u << 20));
-      if (n == 0) {
-        return Status::InvalidArgument(
-            "--tier-hot-budget-mb must be >= 1 (omit the flag for an "
-            "unbounded hot tier)");
-      }
-      ctx->config.tier.hot_bytes_budget = n << 20;
+      FB_ASSIGN_OR_RETURN(
+          uint64_t mb,
+          count(1u << 20, 1, " (omit the flag for an unbounded hot tier)"));
+      ctx->config.tier.hot_bytes_budget = mb << 20;
     } else if (a == "--fsync") {
       ctx->config.fsync = true;
     } else if (a == "--maintenance-threads") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 256));
-      ctx->config.maintenance_threads = static_cast<uint32_t>(n);
+      FB_ASSIGN_OR_RETURN(ctx->config.maintenance_threads, count(256));
     } else if (a == "--segment-kb") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 1u << 20));
-      if (n == 0) {
-        return Status::InvalidArgument(
-            "--segment-kb must be >= 1 (omit the flag for the default)");
-      }
-      ctx->config.segment_bytes = n << 10;
+      FB_ASSIGN_OR_RETURN(
+          uint64_t kb, count(1u << 20, 1, " (omit the flag for the default)"));
+      ctx->config.segment_bytes = kb << 10;
     } else if (a == "--compress") {
       ctx->config.compression = true;
     } else if (a == "--delta-depth") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 128));
-      ctx->config.delta_chain_depth = static_cast<uint32_t>(n);
+      FB_ASSIGN_OR_RETURN(ctx->config.delta_chain_depth, count(128));
     } else if (a == "--delta-window") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 1u << 10));
-      if (n == 0) {
-        return Status::InvalidArgument(
-            "--delta-window must be >= 1 (use --delta-depth 0 to disable "
-            "delta encoding)");
-      }
-      ctx->config.delta_window = static_cast<uint32_t>(n);
+      FB_ASSIGN_OR_RETURN(
+          ctx->config.delta_window,
+          count(1u << 10, 1,
+                " (use --delta-depth 0 to disable delta encoding)"));
     } else if (a == "--deep") {
       ctx->verify_deep = true;
     } else if (a == "--in-place") {
       ctx->gc_in_place = true;
     } else if (a == "--max-outbox-kb") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 1u << 20));
-      if (n == 0) {
-        return Status::InvalidArgument("--max-outbox-kb must be >= 1");
-      }
-      ctx->max_outbox_kb = n;
+      FB_ASSIGN_OR_RETURN(uint64_t kb, count(1u << 20, 1));
+      ctx->server.max_outbox_bytes = kb << 10;
     } else if (a == "--handshake-timeout-ms" || a == "--idle-timeout-ms" ||
                a == "--request-timeout-ms" || a == "--stall-timeout-ms") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(uint64_t n, ParseCount(a, v, 86'400'000));
-      int64_t* dst = a == "--handshake-timeout-ms" ? &ctx->handshake_timeout_ms
-                     : a == "--idle-timeout-ms"    ? &ctx->idle_timeout_ms
-                     : a == "--request-timeout-ms" ? &ctx->request_timeout_ms
-                                                   : &ctx->stall_timeout_ms;
-      *dst = static_cast<int64_t>(n);
+      ForkBaseServer::Options& o = ctx->server;
+      int64_t* dst = a == "--handshake-timeout-ms" ? &o.handshake_timeout_millis
+                     : a == "--idle-timeout-ms"    ? &o.idle_timeout_millis
+                     : a == "--request-timeout-ms"
+                         ? &o.request_timeout_millis
+                         : &o.write_stall_timeout_millis;
+      FB_ASSIGN_OR_RETURN(*dst, count(86'400'000));
     } else if (a == "--session-rps") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->session_rps, ParseCount(a, v, 1u << 20));
+      FB_ASSIGN_OR_RETURN(ctx->server.session_requests_per_sec,
+                          count(1u << 20));
     } else if (a == "--global-rps") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->global_rps, ParseCount(a, v, 1u << 20));
+      FB_ASSIGN_OR_RETURN(ctx->server.global_requests_per_sec,
+                          count(1u << 20));
     } else if (a == "--max-sessions") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->max_sessions, ParseCount(a, v, 1u << 20));
+      FB_ASSIGN_OR_RETURN(ctx->server.max_sessions, count(1u << 20));
     } else if (a == "--max-queued-requests") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->max_queued_requests, ParseCount(a, v, 1u << 20));
+      FB_ASSIGN_OR_RETURN(ctx->server.max_queued_requests, count(1u << 20));
     } else if (a == "--retries") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->retries, ParseCount(a, v, 100));
-      if (ctx->retries == 0) {
-        return Status::InvalidArgument("--retries must be >= 1");
-      }
+      FB_ASSIGN_OR_RETURN(ctx->retry.max_attempts, count(100, 1));
     } else if (a == "--connect-timeout-ms") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->connect_timeout_ms,
-                          ParseCount(a, v, 86'400'000));
+      FB_ASSIGN_OR_RETURN(ctx->retry.connect_timeout_millis,
+                          count(86'400'000));
     } else if (a == "--io-timeout-ms") {
-      std::string v;
-      FB_RETURN_IF_ERROR(next(&v));
-      FB_ASSIGN_OR_RETURN(ctx->io_timeout_ms, ParseCount(a, v, 86'400'000));
+      FB_ASSIGN_OR_RETURN(ctx->retry.io_timeout_millis, count(86'400'000));
     } else if (a.rfind("--", 0) == 0) {
       return Status::InvalidArgument("unknown flag " + a);
     } else {
@@ -240,14 +184,6 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
         "single-tier store has nowhere to evict to)");
   }
   return Status::OK();
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot read " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 Status WriteFile(const std::string& path, const std::string& content) {
@@ -280,17 +216,9 @@ void PrintSyncStats(const SyncStats& stats, bool push, std::ostream& out) {
 
 ForkBaseClient::Options ClientOptionsFrom(const CliContext& ctx) {
   ForkBaseClient::Options options;
-  options.connect_timeout_millis = static_cast<int64_t>(ctx.connect_timeout_ms);
-  options.io_timeout_millis = static_cast<int64_t>(ctx.io_timeout_ms);
+  options.connect_timeout_millis = ctx.retry.connect_timeout_millis;
+  options.io_timeout_millis = ctx.retry.io_timeout_millis;
   return options;
-}
-
-RetryPolicy RetryPolicyFrom(const CliContext& ctx) {
-  RetryPolicy policy;
-  policy.max_attempts = static_cast<int>(ctx.retries);
-  policy.connect_timeout_millis = static_cast<int64_t>(ctx.connect_timeout_ms);
-  policy.io_timeout_millis = static_cast<int64_t>(ctx.io_timeout_ms);
-  return policy;
 }
 
 Status RunRetryingSync(CliContext& ctx, ForkBase& db, SyncDirection direction,
@@ -299,7 +227,7 @@ Status RunRetryingSync(CliContext& ctx, ForkBase& db, SyncDirection direction,
   SyncOptions sync_options;
   if (pos.size() == 3) sync_options.keys.push_back(pos[2]);
   SyncRetryReport report = SyncWithRetry(&db, direction, pos[1],
-                                         RetryPolicyFrom(ctx), sync_options);
+                                         ctx.retry, sync_options);
   if (report.attempts.size() > 1) {
     out << (report.succeeded ? "succeeded after " : "gave up after ")
         << report.attempts.size() << " attempts\n";
@@ -338,7 +266,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
   if (cmd == "put-blob") {
     // put-blob KEY FILE
     if (pos.size() != 3) return Status::InvalidArgument("put-blob KEY FILE");
-    FB_ASSIGN_OR_RETURN(std::string bytes, ReadFile(pos[2]));
+    FB_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(pos[2]));
     FB_ASSIGN_OR_RETURN(Hash256 uid, db.PutBlob(pos[1], bytes, ctx.branch,
                                                 meta));
     out << uid.ToBase32() << "\n";
@@ -347,7 +275,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
   if (cmd == "put-csv") {
     // put-csv KEY FILE   (load a CSV dataset as a table; key column = 0)
     if (pos.size() != 3) return Status::InvalidArgument("put-csv KEY FILE");
-    FB_ASSIGN_OR_RETURN(std::string text, ReadFile(pos[2]));
+    FB_ASSIGN_OR_RETURN(std::string text, ReadWholeFile(pos[2]));
     FB_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsv(text));
     FB_ASSIGN_OR_RETURN(Hash256 uid, db.PutTableFromCsv(pos[1], doc, 0,
                                                         ctx.branch, meta));
@@ -515,34 +443,8 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
   if (cmd == "serve") {
     // serve ADDRESS — run the multi-client server until SIGINT/SIGTERM.
     if (pos.size() != 2) return Status::InvalidArgument("serve ADDRESS");
-    ForkBaseServer::Options server_options;
-    const std::string branch_file = BranchFilePath(ctx);
-    server_options.after_mutation = [&db, branch_file]() {
-      (void)db.branches().SaveToFile(branch_file);
-    };
-    if (ctx.max_outbox_kb > 0) {
-      server_options.max_outbox_bytes = ctx.max_outbox_kb << 10;
-    }
-    if (ctx.handshake_timeout_ms >= 0) {
-      server_options.handshake_timeout_millis = ctx.handshake_timeout_ms;
-    }
-    if (ctx.idle_timeout_ms >= 0) {
-      server_options.idle_timeout_millis = ctx.idle_timeout_ms;
-    }
-    if (ctx.request_timeout_ms >= 0) {
-      server_options.request_timeout_millis = ctx.request_timeout_ms;
-    }
-    if (ctx.stall_timeout_ms >= 0) {
-      server_options.write_stall_timeout_millis = ctx.stall_timeout_ms;
-    }
-    server_options.session_requests_per_sec =
-        static_cast<double>(ctx.session_rps);
-    server_options.global_requests_per_sec =
-        static_cast<double>(ctx.global_rps);
-    server_options.max_sessions = ctx.max_sessions;
-    server_options.max_queued_requests = ctx.max_queued_requests;
     FB_ASSIGN_OR_RETURN(auto server,
-                        ForkBaseServer::Start(&db, pos[1], server_options));
+                        ForkBaseServer::Start(&db, pos[1], ctx.server));
     g_shutdown_requested.store(false);
     std::signal(SIGINT, OnShutdownSignal);
     std::signal(SIGTERM, OnShutdownSignal);
@@ -593,11 +495,12 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     if (pos.size() != 2) {
       return Status::InvalidArgument("pull FILE | pull ADDRESS [KEY]");
     }
-    FB_ASSIGN_OR_RETURN(std::string bundle, ReadFile(pos[1]));
+    FB_ASSIGN_OR_RETURN(std::string bundle, ReadWholeFile(pos[1]));
     FB_ASSIGN_OR_RETURN(ImportResult result,
                         ImportBundle(bundle, db.store(), &db));
     FB_ASSIGN_OR_RETURN(VersionInfo info, db.Meta(result.head));
-    db.branches().SetHead(info.key, ctx.branch, result.head);
+    FB_RETURN_IF_ERROR(db.branches().SetHead(info.key, ctx.branch,
+                                             result.head));
     out << "pulled " << info.key << "@" << ctx.branch << " = "
         << result.head.ToBase32() << " (" << result.new_chunks << " new of "
         << result.chunks << " chunks)\n";
@@ -660,8 +563,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
                         ParseCount("MILLIS", pos[2], 3'600'000));
     FB_ASSIGN_OR_RETURN(
         auto stream,
-        SocketStream::Connect(pos[1],
-                              static_cast<int64_t>(ctx.connect_timeout_ms)));
+        SocketStream::Connect(pos[1], ctx.retry.connect_timeout_millis));
     stream->SetIoTimeout(static_cast<int64_t>(hold_millis));
     uint64_t received = 0;
     for (;;) {
@@ -722,7 +624,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     FB_ASSIGN_OR_RETURN(auto dst_store, FileChunkStore::Open(pos[1]));
     FB_ASSIGN_OR_RETURN(GcStats stats, CopyLive(db, dst_store.get()));
     FB_RETURN_IF_ERROR(dst_store->Flush());
-    FB_RETURN_IF_ERROR(db.branches().SaveToFile(pos[1] + "/branches.tsv"));
+    FB_RETURN_IF_ERROR(db.branches().WriteSnapshot(pos[1]));
     out << "live:    " << stats.live_chunks << " chunks, "
         << stats.live_bytes << " bytes\n"
         << "garbage: " << stats.garbage_chunks() << " chunks, "
@@ -822,27 +724,9 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     err << db_or.status().ToString() << "\n";
     return 1;
   }
-  ForkBase& db = **db_or;
-  // Branch heads live in a sidecar file (client-held state, §II-D).
-  const std::string branch_file = BranchFilePath(ctx);
-  {
-    std::ifstream probe(branch_file);
-    if (probe) {
-      Status load = db.branches().LoadFromFile(branch_file);
-      if (!load.ok()) {
-        err << load.ToString() << "\n";
-        return 1;
-      }
-    }
-  }
-  Status status = RunCommand(ctx.positional[0], ctx, db, out);
+  Status status = RunCommand(ctx.positional[0], ctx, **db_or, out);
   if (!status.ok()) {
     err << status.ToString() << "\n";
-    return 1;
-  }
-  Status save = db.branches().SaveToFile(branch_file);
-  if (!save.ok()) {
-    err << save.ToString() << "\n";
     return 1;
   }
   return 0;

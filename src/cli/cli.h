@@ -1,8 +1,9 @@
 // forkbase_cli — the command-line semantic view (Fig. 1's "Command Line /
 // scripting"; substitutes for the demo's Web UI, see DESIGN.md §5).
 //
-// The CLI persists a database under --db DIR: chunks in FileChunkStore
-// segments, branch heads in DIR/branches.tsv.
+// The CLI opens a database under --db DIR through ForkBase::Open, which
+// keeps chunks in FileChunkStore segments and branch heads in the head log
+// DIR/heads.fbh; every command is one fresh process over that directory.
 #ifndef FORKBASE_CLI_CLI_H_
 #define FORKBASE_CLI_CLI_H_
 

@@ -613,7 +613,6 @@ std::string ForkBaseServer::HandleRequest(
   Decoder dec{Slice(frame.payload)};
   std::string payload;
   Status status = Status::OK();
-  bool mutated = false;
 
   // Shared field parsers for the write verbs.
   Slice key, branch, author, message, value;
@@ -661,7 +660,6 @@ std::string ForkBaseServer::HandleRequest(
         break;
       }
       AppendHash(&payload, *uid);
-      mutated = true;
       break;
     }
     case Verb::kCommit: {
@@ -689,7 +687,6 @@ std::string ForkBaseServer::HandleRequest(
         break;
       }
       AppendHash(&payload, *uid);
-      mutated = true;
       break;
     }
     case Verb::kBranch: {
@@ -702,7 +699,6 @@ std::string ForkBaseServer::HandleRequest(
       }
       status = db_->Branch(key.ToString(), new_branch.ToString(),
                            from.ToString());
-      mutated = status.ok();
       break;
     }
     case Verb::kDiff: {
@@ -848,7 +844,6 @@ std::string ForkBaseServer::HandleRequest(
     }
     case Verb::kUpdateHead: {
       status = HandleUpdateHead(&dec, &payload);
-      mutated = status.ok();
       break;
     }
     default:
@@ -860,10 +855,6 @@ std::string ForkBaseServer::HandleRequest(
     return EncodeFrame(Verb::kError, EncodeError(status));
   }
   requests_served_.fetch_add(1);
-  if (mutated && options_.after_mutation) {
-    std::lock_guard<std::mutex> lock(mutation_mu_);
-    options_.after_mutation();
-  }
   return EncodeFrame(Verb::kOk, Slice(payload));
 }
 

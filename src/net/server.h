@@ -12,7 +12,9 @@
 // stack: reads go straight to ForkBase's const surface, commits go through
 // Put/PutIf and therefore through the group-commit queue — N sessions
 // committing to one branch get the queue's linear chaining, not
-// last-writer-wins.
+// last-writer-wins. Heads persist inside the store (ForkBase::Open's head
+// log, store/branch_table.h): a reply for a mutating verb is sent after its
+// head was logged, so the server keeps no persistence hook of its own.
 //
 // Sync verbs (kHeads/kOffer/kBundle*/kUpdateHead/kPullDelta) make the same
 // server the replication peer: see net/sync.h for the client half.
@@ -32,7 +34,6 @@
 #define FORKBASE_NET_SERVER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,10 +56,6 @@ class ForkBaseServer {
     uint64_t max_frame_payload = kDefaultMaxFramePayload;
     /// Cap on one streamed bundle upload (sum of kBundlePart payloads).
     uint64_t max_bundle_bytes = 1ull << 30;
-    /// Invoked (serialized) after every successful mutating request — the
-    /// CLI persists the branch sidecar here so a crash after a client
-    /// commit cannot lose the head.
-    std::function<void()> after_mutation;
 
     // --- backpressure ---
     /// Per-session outbox cap. Over it the loop stops reading the session
@@ -198,9 +195,6 @@ class ForkBaseServer {
 
   std::mutex mu_;  ///< guards sessions_; taken before any session mutex
   std::map<int, std::shared_ptr<Session>> sessions_;
-
-  /// Serializes after_mutation callbacks across worker threads.
-  std::mutex mutation_mu_;
 
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> sessions_accepted_{0};

@@ -127,13 +127,22 @@ void CommitQueue::Drain(const std::vector<Entry*>& batch) {
     chunks.push_back(std::move(chunk));
   }
 
-  // One record run, one flush for the whole group.
+  // One record run, one flush for the whole group; then one head-log
+  // append publishes every head of the group in enqueue order.
   Status landed = store_->PutMany(chunks);
+  if (landed.ok()) {
+    std::vector<BranchTable::HeadUpdate> heads;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (uids[i]) heads.push_back({batch[i]->req.key, batch[i]->req.branch,
+                                    *uids[i]});
+    }
+    landed = branches_->SetHeads(heads);
+  }
   if (!landed.ok()) {
     // No head moved: every follower sees the same failure and no reader
-    // can observe a head whose FNode may not be on disk. Advances fail
-    // too — applying them ahead of failed commits would reorder publishes
-    // relative to enqueue order.
+    // can observe a head whose FNode (or log record) may not be on disk.
+    // Advances fail too — applying them ahead of failed commits would
+    // reorder publishes relative to enqueue order.
     for (Entry* entry : batch) entry->result = landed;
     return;
   }
@@ -144,7 +153,6 @@ void CommitQueue::Drain(const std::vector<Entry*>& batch) {
           "head moved past the expected version; recompute and retry");
       continue;
     }
-    branches_->SetHead(batch[i]->req.key, batch[i]->req.branch, *uids[i]);
     (batch[i]->advance ? landed_advances_ : landed_commits_).fetch_add(1);
     batch[i]->result = *uids[i];
   }

@@ -7,7 +7,8 @@
 // thread: builds the FNode chunks in enqueue order, lands them with ONE
 // ChunkStore::PutMany — on FileChunkStore that is one record run, one
 // fwrite and one flush for the whole group — then publishes the branch
-// heads in the same order, wakes every follower of the group with its
+// heads in the same order through one BranchTable::SetHeads (one head-log
+// append for the group), wakes every follower of the group with its
 // result, and hands leadership to the oldest waiting entry. Callers that
 // arrive while a leader is draining wait and land together in the next
 // group. A lone writer leads a group of one and never waits; the queue
@@ -18,9 +19,10 @@
 //     its parent at drain time, against heads that include earlier commits
 //     of the same group — so N racing Puts to one branch form a chain of N
 //     versions instead of racing read-modify-write and losing updates;
-//   * durability order: heads are published only after PutMany returned,
-//     and PutMany flushes before returning, so a crash never leaves a head
-//     pointing at an unwritten FNode, at one flush per group.
+//   * durability order: heads are logged and published only after PutMany
+//     returned, and PutMany flushes before returning, so a crash never
+//     leaves a head pointing at an unwritten FNode, at one flush per group
+//     plus one head-log append.
 #ifndef FORKBASE_STORE_COMMIT_QUEUE_H_
 #define FORKBASE_STORE_COMMIT_QUEUE_H_
 

@@ -4,9 +4,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "chunk/caching_chunk_store.h"
-#include "chunk/file_chunk_store.h"
-#include "chunk/tiered_chunk_store.h"
 #include "store/gc.h"
 #include "store/merge_engine.h"
 
@@ -49,53 +46,43 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path) {
 
 StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
                                                    const Config& config) {
-  FileChunkStore::Options store_options;
-  store_options.prefetch_threads = config.prefetch_threads;
-  store_options.fsync_on_flush = config.fsync;
-  store_options.maintenance_threads = config.maintenance_threads;
-  store_options.compression = config.compression
-                                  ? FileChunkStore::Compression::kLz
-                                  : FileChunkStore::Compression::kNone;
-  store_options.delta_chain_depth = config.delta_chain_depth;
-  store_options.delta_window = config.delta_window;
-  if (config.tier.hot_bytes_budget > 0) {
-    // A bounded hot tier wants segments much smaller than the budget:
-    // eviction reclaims disk at segment-rewrite granularity, and the
-    // budget's slack is "one active segment". Keep several segments per
-    // budget, within sane bounds.
-    store_options.segment_bytes = std::clamp<uint64_t>(
-        config.tier.hot_bytes_budget / 8, 1ull << 20, 64ull << 20);
-  }
-  if (config.segment_bytes > 0) {
-    store_options.segment_bytes = config.segment_bytes;
-  }
+  // Hot and cold file stores share every knob but two: only the hot store
+  // gets the budget clamp, and the cold store keeps a prefetch worker even
+  // when the hot tier runs synchronously, because TieredChunkStore::GetMany
+  // overlaps the cold ranged fetch with the hot read through it.
+  auto file_options = [&config](bool hot) {
+    FileChunkStore::Options options;
+    options.prefetch_threads =
+        hot ? config.prefetch_threads : std::max(config.prefetch_threads, 1u);
+    options.fsync_on_flush = config.fsync;
+    options.maintenance_threads = config.maintenance_threads;
+    options.compression = config.compression
+                              ? FileChunkStore::Compression::kLz
+                              : FileChunkStore::Compression::kNone;
+    options.delta_chain_depth = config.delta_chain_depth;
+    options.delta_window = config.delta_window;
+    if (hot && config.tier.hot_bytes_budget > 0) {
+      // A bounded hot tier wants segments much smaller than the budget:
+      // eviction reclaims disk at segment-rewrite granularity, and the
+      // budget's slack is "one active segment". Keep several segments per
+      // budget, within sane bounds.
+      options.segment_bytes = std::clamp<uint64_t>(
+          config.tier.hot_bytes_budget / 8, 1ull << 20, 64ull << 20);
+    }
+    if (config.segment_bytes > 0) options.segment_bytes = config.segment_bytes;
+    return options;
+  };
   FB_ASSIGN_OR_RETURN(auto file_store,
-                      FileChunkStore::Open(path, store_options));
+                      FileChunkStore::Open(path, file_options(true)));
   FileChunkStore* hot_raw = file_store.get();
   FileChunkStore* cold_raw = nullptr;
   std::shared_ptr<ChunkStore> backing(std::move(file_store));
   std::shared_ptr<TieredChunkStore> tiered;
   if (!config.tier.cold_dir.empty()) {
     // Tiered stack: `path` is the hot tier, tier.cold_dir the cold backend.
-    // The cold store keeps a prefetch worker even when the hot tier runs
-    // synchronously — TieredChunkStore::GetMany overlaps the cold ranged
-    // fetch with the hot read through it.
-    FileChunkStore::Options cold_options;
-    cold_options.prefetch_threads =
-        config.prefetch_threads > 0 ? config.prefetch_threads : 1;
-    cold_options.fsync_on_flush = config.fsync;
-    cold_options.maintenance_threads = config.maintenance_threads;
-    cold_options.compression = config.compression
-                                   ? FileChunkStore::Compression::kLz
-                                   : FileChunkStore::Compression::kNone;
-    cold_options.delta_chain_depth = config.delta_chain_depth;
-    cold_options.delta_window = config.delta_window;
-    if (config.segment_bytes > 0) {
-      cold_options.segment_bytes = config.segment_bytes;
-    }
     FB_ASSIGN_OR_RETURN(
         auto cold_store,
-        FileChunkStore::Open(config.tier.cold_dir, cold_options));
+        FileChunkStore::Open(config.tier.cold_dir, file_options(false)));
     cold_raw = cold_store.get();
     TieredChunkStore::Options tier_options;
     tier_options.policy = config.tier.write_back ? TierPolicy::kWriteBack
@@ -122,6 +109,8 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
   db->hot_file_store_ = hot_raw;
   db->cold_file_store_ = cold_raw;
   db->config_ = config;
+  // Branch heads live beside the (hot) segments, in the head log.
+  FB_RETURN_IF_ERROR(db->branch_table_.Attach(path, config.fsync));
   return db;
 }
 
@@ -375,16 +364,14 @@ StatusOr<std::vector<VersionInfo>> ForkBase::History(const std::string& key,
 Status ForkBase::Branch(const std::string& key, const std::string& new_branch,
                         const std::string& from_branch) {
   auto lease = AcquireWriteLease();
-  return branch_table_.Fork(key, new_branch, from_branch);
+  FB_ASSIGN_OR_RETURN(Hash256 uid, branch_table_.Head(key, from_branch));
+  return branch_table_.Create(key, new_branch, uid);
 }
 
 Status ForkBase::BranchFromVersion(const std::string& key,
                                    const std::string& new_branch,
                                    const Hash256& uid) {
   auto lease = AcquireWriteLease();
-  if (branch_table_.Exists(key, new_branch)) {
-    return Status::AlreadyExists("branch " + new_branch + " of key " + key);
-  }
   FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(store_.get(), uid));
   if (node.key != key) {
     return Status::InvalidArgument("version belongs to key " + node.key);
@@ -392,8 +379,7 @@ Status ForkBase::BranchFromVersion(const std::string& key,
   if (gc_sweep_active()) {
     FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), uid));
   }
-  branch_table_.SetHead(key, new_branch, uid);
-  return Status::OK();
+  return branch_table_.Create(key, new_branch, uid);
 }
 
 Status ForkBase::RenameBranch(const std::string& key, const std::string& from,
@@ -671,53 +657,17 @@ ForkBaseStats ForkBase::Stat() const {
   stats.gc_sweeps = gc_sweeps_.load();
   stats.gc_swept_chunks = gc_swept_chunks_.load();
   stats.gc_swept_bytes = gc_swept_bytes_.load();
-  if (cache_store_) {
-    auto cs = cache_store_->cache_stats();
-    ForkBaseStats::Cache cache;
-    cache.hits = cs.hits;
-    cache.misses = cs.misses;
-    cache.evictions = cs.evictions;
-    cache.resident_bytes = cs.resident_bytes;
-    stats.cache = cache;
-  }
+  if (cache_store_) stats.cache = cache_store_->cache_stats();
   if (hot_file_store_) {
-    // Fold both file stores' maintenance counters into one section: the
-    // operator question is "how much reclamation happened / is queued",
-    // not which tier did it.
-    ForkBaseStats::Maintenance maintenance;
-    for (FileChunkStore* fs : {hot_file_store_, cold_file_store_}) {
-      if (!fs) continue;
-      auto ms = fs->maintenance_stats();
-      maintenance.erased_chunks += ms.erased_chunks;
-      maintenance.tombstone_records += ms.tombstone_records;
-      maintenance.segments_rewritten += ms.segments_rewritten;
-      maintenance.rewritten_bytes += ms.rewritten_bytes;
-      maintenance.reclaimed_bytes += ms.reclaimed_bytes;
-      maintenance.pending_compactions += ms.pending_compactions;
-      maintenance.delta_records += ms.delta_records;
-      maintenance.compressed_records += ms.compressed_records;
-      maintenance.delta_chain_hops += ms.delta_chain_hops;
-      maintenance.flattened_chains += ms.flattened_chains;
-      maintenance.live_physical_bytes += ms.live_physical_bytes;
-      maintenance.live_logical_bytes += ms.live_logical_bytes;
+    stats.maintenance = hot_file_store_->maintenance_stats();
+    if (cold_file_store_) {
+      *stats.maintenance += cold_file_store_->maintenance_stats();
     }
-    stats.maintenance = maintenance;
   }
   if (tiered_store_) {
-    auto ts = tiered_store_->tier_stats();
-    ForkBaseStats::Tier tier;
-    tier.hot_space = tiered_store_->hot()->space_used();
-    tier.hot_budget = config_.tier.hot_bytes_budget;
-    tier.hot_bytes = ts.hot_bytes;
-    tier.pinned_dirty_bytes = ts.pinned_dirty_bytes;
-    tier.dirty_pending = ts.dirty_pending;
-    tier.hot_hits = ts.hot_hits;
-    tier.cold_hits = ts.cold_hits;
-    tier.promotions = ts.promotions;
-    tier.demotions = ts.demotions;
-    tier.evictions = ts.evictions;
-    tier.hot_only_erases = ts.hot_only_erases;
-    stats.tier = tier;
+    stats.tier = tiered_store_->tier_stats();
+    stats.tier_hot_space = tiered_store_->hot()->space_used();
+    stats.tier_hot_budget = config_.tier.hot_bytes_budget;
   }
   return stats;
 }
@@ -772,8 +722,8 @@ std::vector<std::pair<std::string, std::string>> ForkBaseStats::ToKeyValues()
     add("storage_live_logical_bytes", maintenance->live_logical_bytes);
   }
   if (tier) {
-    add("tier_hot_space", tier->hot_space);
-    add("tier_hot_budget", tier->hot_budget);
+    add("tier_hot_space", tier_hot_space);
+    add("tier_hot_budget", tier_hot_budget);
     add("tier_hot_bytes", tier->hot_bytes);
     add("tier_pinned_dirty_bytes", tier->pinned_dirty_bytes);
     add("tier_dirty_pending", tier->dirty_pending);

@@ -16,6 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "chunk/caching_chunk_store.h"
+#include "chunk/file_chunk_store.h"
+#include "chunk/tiered_chunk_store.h"
 #include "postree/diff.h"
 #include "postree/merge.h"
 #include "store/branch_table.h"
@@ -67,70 +70,32 @@ struct ObjectDiff {
 /// Aggregate storage statistics (the demo's Stat view) — the single stats
 /// surface of a ForkBase instance. The commit-queue section is always
 /// present; the other per-layer sections (read cache, file-store
-/// maintenance, tier) are present exactly when the instance has that
-/// layer. The CLI `stat` command and the server's STAT verb both render
-/// the one ToKeyValues() serialization.
+/// maintenance, tier) hold the layers' own structs and are present exactly
+/// when the instance has that layer. The CLI `stat` command and the
+/// server's STAT verb both render the one ToKeyValues() serialization.
 struct ForkBaseStats {
   ChunkStoreStats chunks;
   uint64_t keys = 0;
   uint64_t branches = 0;
   uint64_t commits = 0;  ///< FNodes written by this instance
-
-  struct Cache {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;
-  };
-  struct Maintenance {
-    uint64_t erased_chunks = 0;
-    uint64_t tombstone_records = 0;
-    uint64_t segments_rewritten = 0;
-    uint64_t rewritten_bytes = 0;
-    uint64_t reclaimed_bytes = 0;
-    uint64_t pending_compactions = 0;  ///< rewrites queued but not finished
-    /// Storage-representation counters (non-zero only with compression /
-    /// delta encoding enabled; see docs/storage.md).
-    uint64_t delta_records = 0;       ///< chunks currently stored as deltas
-    uint64_t compressed_records = 0;  ///< chunks currently stored LZ'd
-    uint64_t delta_chain_hops = 0;    ///< chain hops resolved by reads
-    uint64_t flattened_chains = 0;    ///< delta records rewritten raw/LZ
-    uint64_t live_physical_bytes = 0; ///< live record bytes on disk
-    uint64_t live_logical_bytes = 0;  ///< what those records decode to
-  };
-  struct Tier {
-    uint64_t hot_space = 0;   ///< hot-tier disk bytes in use
-    uint64_t hot_budget = 0;  ///< configured budget (0 = unbounded)
-    uint64_t hot_bytes = 0;
-    uint64_t pinned_dirty_bytes = 0;
-    uint64_t dirty_pending = 0;
-    uint64_t hot_hits = 0;
-    uint64_t cold_hits = 0;
-    uint64_t promotions = 0;
-    uint64_t demotions = 0;
-    uint64_t evictions = 0;
-    /// Garbage erased from the hot tier only (dirty, never-demoted chunks
-    /// the sweeper reclaimed without a cold round trip).
-    uint64_t hot_only_erases = 0;
-  };
   /// In-place GC accounting (all zero until the first SweepInPlace).
   uint64_t gc_sweeps = 0;
   uint64_t gc_swept_chunks = 0;
   uint64_t gc_swept_bytes = 0;
   CommitQueue::Stats commit_queue;
-  std::optional<Cache> cache;
-  std::optional<Maintenance> maintenance;
-  std::optional<Tier> tier;
+  std::optional<CachingChunkStore::CacheStats> cache;
+  /// Hot and cold file stores summed: the operator question is how much
+  /// reclamation happened or is queued, not which tier did it.
+  std::optional<FileChunkStore::MaintenanceStats> maintenance;
+  std::optional<TieredChunkStore::TierStats> tier;
+  uint64_t tier_hot_space = 0;   ///< hot-tier disk bytes in use
+  uint64_t tier_hot_budget = 0;  ///< configured budget (0 = unbounded)
 
   /// Flat, ordered (key, value) rendering of every section present. This
   /// is the wire form of the server's STAT verb and the line format of the
   /// CLI's `stat` command: one serialization, two consumers.
   std::vector<std::pair<std::string, std::string>> ToKeyValues() const;
 };
-
-class CachingChunkStore;
-class FileChunkStore;
-class TieredChunkStore;
 
 class ForkBase {
  public:
@@ -214,9 +179,10 @@ class ForkBase {
 
   /// Opens a production-shaped instance at `path`: a sharded-index
   /// FileChunkStore (with async prefetch workers) under a sharded LRU
-  /// read cache, optionally tiered. This is the stack the CLI and the
-  /// server use, and the only open path; tests that need a bare backend
-  /// construct ForkBase directly.
+  /// read cache, optionally tiered, with branch heads in the head log
+  /// `path`/heads.fbh (BranchTable::Attach). This is the stack the CLI and
+  /// the server use, and the only open path; tests that need a bare
+  /// backend construct ForkBase directly, with heads in memory.
   static StatusOr<std::unique_ptr<ForkBase>> Open(const std::string& path);
   static StatusOr<std::unique_ptr<ForkBase>> Open(const std::string& path,
                                                   const Config& config);

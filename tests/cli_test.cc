@@ -178,6 +178,27 @@ TEST_F(CliTest, RenameAndDeleteBranch) {
   EXPECT_EQ(branches, "master\n");
 }
 
+TEST_F(CliTest, HostileNamesKeepTheDirectoryUsableAcrossRestarts) {
+  // Every invocation is a fresh process over the directory: tabs, newlines
+  // and NUL bytes in keys and branches must not make a later open fail.
+  const std::string key = std::string("k\tey\n\0x", 8);
+  const std::string branch = "dev\nbranch\t";
+  EXPECT_EQ(Run({"put", key, "v1"}), 0);
+  EXPECT_EQ(Run({"branch", key, branch}), 0);
+  EXPECT_EQ(Run({"--branch", branch, "put", key, "v2"}), 0);
+  std::string out, err;
+  EXPECT_EQ(Run({"put", "plain", "p"}, &out, &err), 0) << err;
+  EXPECT_EQ(Run({"get", key}, &out, &err), 0) << err;
+  EXPECT_EQ(out, "v1\n");
+  EXPECT_EQ(Run({"--branch", branch, "get", key}, &out), 0);
+  EXPECT_EQ(out, "v2\n");
+  EXPECT_EQ(Run({"rename", key, branch, "re\tnamed"}), 0);
+  EXPECT_EQ(Run({"branches", key}, &out), 0);
+  EXPECT_EQ(out, "master\nre\tnamed\n");
+  EXPECT_EQ(Run({"verify-all"}, &out, &err), 0) << err;
+  EXPECT_NE(out.find("3/3 heads verified"), std::string::npos);
+}
+
 TEST_F(CliTest, VerifyAllSweepsHeads) {
   EXPECT_EQ(Run({"put", "a", "1"}), 0);
   EXPECT_EQ(Run({"put", "b", "2"}), 0);

@@ -1,8 +1,8 @@
 // Durability fuzz: a randomized multi-session workload against a
 // file-backed ForkBase — puts, branches, merges, schema edits — with the
-// process "restarting" (store reopened, branch table reloaded) between
-// sessions, and a final full verification sweep. A shadow model in memory
-// checks every read.
+// process "restarting" (store reopened through ForkBase::Open, which
+// replays the head log) between sessions, and a final full verification
+// sweep. A shadow model in memory checks every read.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -29,18 +29,9 @@ class DurabilityTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::unique_ptr<ForkBase> Open() {
-    auto store_or = FileChunkStore::Open(dir_);
-    EXPECT_TRUE(store_or.ok());
-    auto db = std::make_unique<ForkBase>(
-        std::shared_ptr<ChunkStore>(std::move(*store_or)));
-    std::ifstream probe(dir_ + "/branches.tsv");
-    if (probe) {
-      EXPECT_TRUE(db->branches().LoadFromFile(dir_ + "/branches.tsv").ok());
-    }
-    return db;
-  }
-  void Close(ForkBase* db) {
-    EXPECT_TRUE(db->branches().SaveToFile(dir_ + "/branches.tsv").ok());
+    auto db_or = ForkBase::Open(dir_);
+    EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
+    return std::move(*db_or);
   }
 
   std::string dir_;
@@ -110,8 +101,7 @@ TEST_F(DurabilityTest, RandomWorkloadSurvivesManyReopens) {
         }
       }
     }
-    Close(db.get());
-    // db destroyed here — simulated process exit.
+    // db destroyed here — simulated process exit; nothing is saved by hand.
   }
 
   // Final session: everything must still be present, correct, verifiable.
@@ -132,7 +122,7 @@ TEST_F(DurabilityTest, RandomWorkloadSurvivesManyReopens) {
   EXPECT_GE(verified, 3u);
   // Histories stayed intact across sessions.
   for (const auto& key : keys) {
-    if (!db->branches().Exists(key, "master")) continue;
+    if (!db->branches().Head(key, "master").ok()) continue;
     auto history = db->History(key);
     ASSERT_TRUE(history.ok());
     EXPECT_GE(history->size(), 1u);
@@ -164,7 +154,6 @@ TEST_F(DurabilityTest, GroupCommitRunsAreCrashDurable) {
       });
     }
     for (auto& t : threads) t.join();
-    ASSERT_TRUE(db.branches().SaveToFile(dir_ + "/branches.tsv").ok());
     // db drops here WITHOUT any explicit flush beyond what Put guaranteed.
   }
   // Tear the tail: a partial record (valid magic, truncated payload), as a
@@ -228,13 +217,13 @@ TEST_F(DurabilityTest, CrashDuringDemotionLeavesEveryChunkReachable) {
   {
     auto tiered = open_tiered();
     ForkBase db(tiered);
+    ASSERT_TRUE(db.branches().Attach(dir_, /*fsync=*/false).ok());
     for (int i = 0; i < 60; ++i) {
       auto uid = db.Put("demote-key", Value::String("v" + std::to_string(i)),
                         "b" + std::to_string(i % 3));
       ASSERT_TRUE(uid.ok());
       returned.push_back(*uid);
     }
-    ASSERT_TRUE(db.branches().SaveToFile(dir_ + "/branches.tsv").ok());
     // The drain dies after its second cold round trip.
     faults->InjectOnce(FaultSchedule::Op::kPutBatch,
                        {FaultSchedule::Kind::kTransient}, /*skip=*/2);
@@ -270,7 +259,7 @@ TEST_F(DurabilityTest, CrashDuringDemotionLeavesEveryChunkReachable) {
   }
 
   ForkBase db(tiered);
-  ASSERT_TRUE(db.branches().LoadFromFile(dir_ + "/branches.tsv").ok());
+  ASSERT_TRUE(db.branches().Attach(dir_, /*fsync=*/false).ok());
   for (const auto& uid : returned) {
     EXPECT_TRUE(db.GetVersion(uid).ok()) << uid.ToBase32();
     EXPECT_TRUE(db.Verify(uid).ok()) << uid.ToBase32();
@@ -312,7 +301,6 @@ TEST_F(DurabilityTest, ColdCacheReadsAfterReopen) {
     }
     ASSERT_TRUE(db->PutMap("big", kvs).ok());
     head = *db->Head("big");
-    Close(db.get());
   }
   auto db = Open();
   // Point lookups straight off disk.

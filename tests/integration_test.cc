@@ -115,9 +115,9 @@ TEST(IntegrationTest, FileBackedDatabaseSurvivesReopen) {
   std::filesystem::remove_all(dir);
   Hash256 head;
   {
-    auto store_or = FileChunkStore::Open(dir);
-    ASSERT_TRUE(store_or.ok());
-    ForkBase db(std::shared_ptr<ChunkStore>(std::move(*store_or)));
+    auto db_or = ForkBase::Open(dir);
+    ASSERT_TRUE(db_or.ok());
+    ForkBase& db = **db_or;
     ASSERT_TRUE(db.PutMap("config", {{"mode", "prod"}, {"zone", "sg"}}).ok());
     ASSERT_TRUE(db.Branch("config", "staging").ok());
     auto map = db.GetMap("config", "staging");
@@ -129,13 +129,11 @@ TEST(IntegrationTest, FileBackedDatabaseSurvivesReopen) {
     auto h = db.Head("config", "staging");
     ASSERT_TRUE(h.ok());
     head = *h;
-    ASSERT_TRUE(db.branches().SaveToFile(dir + "/branches.tsv").ok());
   }
   {
-    auto store_or = FileChunkStore::Open(dir);
-    ASSERT_TRUE(store_or.ok());
-    ForkBase db(std::shared_ptr<ChunkStore>(std::move(*store_or)));
-    ASSERT_TRUE(db.branches().LoadFromFile(dir + "/branches.tsv").ok());
+    auto db_or = ForkBase::Open(dir);
+    ASSERT_TRUE(db_or.ok());
+    ForkBase& db = **db_or;
     EXPECT_EQ(*db.Head("config", "staging"), head);
     auto map = db.GetMap("config", "staging");
     ASSERT_TRUE(map.ok());

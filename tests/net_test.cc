@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -191,6 +192,36 @@ TEST(ServerTest, RoundTripAndErrors) {
   }
   EXPECT_TRUE(saw_keys);
   (*server)->Stop();
+}
+
+TEST(ServerTest, HostileNamesPutOverTheWireSurviveReopen) {
+  // The server persists nothing itself: a PUT's head is in the store's head
+  // log before the reply, whatever bytes its key and branch hold.
+  const std::string dir = ::testing::TempDir() + "/fb_net_hostile_names";
+  std::filesystem::remove_all(dir);
+  const std::string key = std::string("k\t\n\0ey", 6);
+  const std::string branch = std::string("b\n\0\t", 4);
+  Hash256 uid;
+  {
+    auto db = ForkBase::Open(dir);
+    ASSERT_TRUE(db.ok());
+    auto server = ForkBaseServer::Start(db->get(), TestAddress("hostile"));
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = ForkBaseClient::Connect((*server)->address());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto put = client->Put(key, "value", branch, "alice", "hostile names");
+    ASSERT_TRUE(put.ok()) << put.status().ToString();
+    uid = *put;
+    (*server)->Stop();
+  }
+  auto db = ForkBase::Open(dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto head = (*db)->Head(key, branch);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(*head, uid);
+  EXPECT_EQ((*db)->Get(key, branch)->ToString(), "value");
+  db->reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, EightConcurrentSessionsBitExact) {

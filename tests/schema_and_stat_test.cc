@@ -224,5 +224,51 @@ TEST(StoreStatTest, LoneWriterCommitsInGroupsOfOne) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(StoreStatTest, TieredWriteBackKeyListIsStable) {
+  // perfbench and operators parse `stat`/STAT by key name: a tiered
+  // write-back stack reports every section, and the names and their order
+  // are part of the interface.
+  const std::string dir = ::testing::TempDir() + "/fb_stat_keys";
+  std::filesystem::remove_all(dir);
+  {
+    ForkBase::Config config;
+    config.maintenance_threads = 0;
+    config.tier.cold_dir = dir + "/cold";
+    config.tier.write_back = true;
+    config.tier.hot_bytes_budget = 8ull << 20;
+    auto db_or = ForkBase::Open(dir + "/hot", config);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    ASSERT_TRUE((*db_or)->Put("k", Value::String("v")).ok());
+    const auto kvs = (*db_or)->Stat().ToKeyValues();
+    std::vector<std::string> names;
+    for (const auto& [k, v] : kvs) names.push_back(k);
+    const std::vector<std::string> expected = {
+        "keys", "branches", "commits", "sha256_backend", "chunks",
+        "physical_bytes", "logical_bytes", "dedup_hits", "dedup_ratio",
+        "get_calls", "put_calls", "gc_sweeps", "gc_swept_chunks",
+        "gc_swept_bytes", "cache_hits", "cache_misses", "cache_evictions",
+        "cache_resident_bytes", "commit_queue_commits",
+        "commit_queue_batches", "commit_queue_advances",
+        "maintenance_erased_chunks", "maintenance_tombstone_records",
+        "maintenance_segments_rewritten", "maintenance_rewritten_bytes",
+        "maintenance_reclaimed_bytes", "maintenance_pending_compactions",
+        "storage_delta_records", "storage_compressed_records",
+        "storage_delta_chain_hops", "storage_flattened_chains",
+        "storage_live_physical_bytes", "storage_live_logical_bytes",
+        "tier_hot_space", "tier_hot_budget", "tier_hot_bytes",
+        "tier_pinned_dirty_bytes", "tier_dirty_pending", "tier_hot_hits",
+        "tier_cold_hits", "tier_promotions", "tier_demotions",
+        "tier_evictions", "tier_hot_only_erases"};
+    EXPECT_EQ(names, expected);
+    std::map<std::string, std::string> by_name(kvs.begin(), kvs.end());
+    EXPECT_EQ(by_name["keys"], "1");
+    EXPECT_EQ(by_name["commits"], "1");
+    EXPECT_EQ(by_name["tier_hot_budget"], std::to_string(8ull << 20));
+    EXPECT_NE(by_name["tier_hot_space"], "0");
+    EXPECT_NE(by_name["storage_live_logical_bytes"], "0");
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace forkbase

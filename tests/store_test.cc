@@ -1,14 +1,22 @@
-// Unit tests for the version layer: FNode identity, branch table, the
+// Unit tests for the version layer: FNode identity, branch table and its
+// head log (torn tails, compaction, the TSV import, failed appends), the
 // ForkBase facade (Put/Get/Branch/Merge/Diff/History/Verify), LCA and
 // tamper evidence under the §II-D threat model.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <atomic>
+#include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 
 #include "chunk/mem_chunk_store.h"
 #include "store/forkbase.h"
+#include "testing/remote_chunk_store.h"
 #include "util/datagen.h"
 #include "util/random.h"
 
@@ -74,30 +82,274 @@ TEST(BranchTableTest, ForkRenameDelete) {
   BranchTable table;
   Hash256 v1 = Sha256(Slice("v1"));
   table.SetHead("k", "master", v1);
-  ASSERT_TRUE(table.Fork("k", "dev", "master").ok());
+  ASSERT_TRUE(table.Create("k", "dev", v1).ok());
   EXPECT_EQ(*table.Head("k", "dev"), v1);
-  EXPECT_TRUE(table.Fork("k", "dev", "master").code() ==
+  EXPECT_TRUE(table.Create("k", "dev", Sha256(Slice("v2"))).code() ==
               StatusCode::kAlreadyExists);
+  EXPECT_EQ(*table.Head("k", "dev"), v1);
   ASSERT_TRUE(table.Rename("k", "dev", "feature").ok());
-  EXPECT_FALSE(table.Exists("k", "dev"));
-  EXPECT_TRUE(table.Exists("k", "feature"));
+  EXPECT_FALSE(table.Head("k", "dev").ok());
+  EXPECT_TRUE(table.Head("k", "feature").ok());
   ASSERT_TRUE(table.Delete("k", "feature").ok());
-  EXPECT_FALSE(table.Exists("k", "feature"));
+  EXPECT_FALSE(table.Head("k", "feature").ok());
   EXPECT_TRUE(table.Delete("k", "feature").IsNotFound());
 }
 
-TEST(BranchTableTest, SaveLoadRoundTrip) {
+// A temporary directory per test, removed on exit.
+class HeadLogTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/fb_head_log_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string LogPath() const { return dir_ + "/heads.fbh"; }
+  uint64_t LogSize() const { return std::filesystem::file_size(LogPath()); }
+  std::string ReadLog() const {
+    std::ifstream in(LogPath(), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  void WriteLog(const std::string& bytes) const {
+    std::ofstream(LogPath(), std::ios::binary | std::ios::trunc) << bytes;
+  }
+
+  std::string dir_;
+};
+
+TEST_F(HeadLogTest, TruncationAtAnyByteKeepsEveryCompleteRecord) {
+  const Hash256 u1 = Sha256(Slice("dev"));
+  std::vector<uint64_t> ends;  // log size after each of the last appends
+  {
+    BranchTable table;
+    ASSERT_TRUE(table.Attach(dir_, /*fsync=*/false).ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(table.SetHead("k" + std::to_string(i), "master",
+                                Sha256(Slice(std::to_string(i))))
+                      .ok());
+    }
+    ends.push_back(LogSize());
+    ASSERT_TRUE(table.SetHead("k1", "dev", u1).ok());
+    ends.push_back(LogSize());
+    ASSERT_TRUE(table.Rename("k1", "dev", "feature").ok());  // S + D
+    ends.push_back(LogSize());
+    ASSERT_TRUE(table.Delete("k2", "master").ok());
+    ends.push_back(LogSize());
+  }
+  const std::string full = ReadLog();
+  ASSERT_EQ(full.size(), ends.back());
+  for (uint64_t cut = ends[0]; cut <= ends.back(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    WriteLog(full.substr(0, cut));
+    BranchTable table;
+    ASSERT_TRUE(table.Attach(dir_, false).ok());
+    // Nothing before the last three appends is ever lost.
+    for (int i = 0; i < 10; ++i) {
+      if (i == 2 && cut == ends[3]) continue;  // the delete is complete
+      auto head = table.Head("k" + std::to_string(i), "master");
+      ASSERT_TRUE(head.ok()) << i;
+      EXPECT_EQ(*head, Sha256(Slice(std::to_string(i))));
+    }
+    EXPECT_EQ(table.Head("k2", "master").ok(), cut < ends[3]);
+    if (cut < ends[1]) {
+      EXPECT_FALSE(table.Head("k1", "dev").ok());
+      EXPECT_FALSE(table.Head("k1", "feature").ok());
+    } else if (cut < ends[2]) {
+      // Mid-rename: the old name survives, the new one only if its record
+      // is complete; the uid is never unreachable.
+      EXPECT_EQ(*table.Head("k1", "dev"), u1);
+      if (table.Head("k1", "feature").ok()) {
+        EXPECT_EQ(*table.Head("k1", "feature"), u1);
+      }
+    } else {
+      EXPECT_FALSE(table.Head("k1", "dev").ok());
+      EXPECT_EQ(*table.Head("k1", "feature"), u1);
+    }
+    // Replay cut the torn tail: a new append lands on a record boundary
+    // and survives the next replay.
+    ASSERT_TRUE(table.SetHead("after", "master", u1).ok());
+    BranchTable reread;
+    ASSERT_TRUE(reread.Attach(dir_, false).ok());
+    EXPECT_EQ(*reread.Head("after", "master"), u1);
+    EXPECT_EQ(reread.Keys(), table.Keys());
+  }
+}
+
+TEST_F(HeadLogTest, ChurnCompactsTheLog) {
   BranchTable table;
-  table.SetHead("key-a", "master", Sha256(Slice("1")));
-  table.SetHead("key-a", "dev", Sha256(Slice("2")));
-  table.SetHead("key-b", "master", Sha256(Slice("3")));
-  std::string path = ::testing::TempDir() + "/branches_test.tsv";
-  ASSERT_TRUE(table.SaveToFile(path).ok());
-  BranchTable loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
-  EXPECT_EQ(*loaded.Head("key-a", "dev"), Sha256(Slice("2")));
-  EXPECT_EQ(loaded.Keys(), (std::vector<std::string>{"key-a", "key-b"}));
-  std::filesystem::remove(path);
+  ASSERT_TRUE(table.Attach(dir_, false).ok());
+  ASSERT_TRUE(table.SetHead("k", "master", Sha256(Slice("0"))).ok());
+  const uint64_t record = LogSize();
+  for (int i = 1; i < 3000; ++i) {
+    ASSERT_TRUE(
+        table.SetHead("k", "master", Sha256(Slice(std::to_string(i)))).ok());
+  }
+  // records <= 2 x live + 1024 + 1 after every append.
+  EXPECT_LE(LogSize(), (2 + 1024 + 1) * record);
+  BranchTable reread;
+  ASSERT_TRUE(reread.Attach(dir_, false).ok());
+  EXPECT_EQ(*reread.Head("k", "master"), Sha256(Slice("2999")));
+  EXPECT_EQ(reread.Keys(), (std::vector<std::string>{"k"}));
+}
+
+TEST_F(HeadLogTest, LegacyTsvIsImportedOnce) {
+  Hash256 head;
+  {
+    auto db = ForkBase::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    head = *(*db)->Put("k", Value::String("v"));
+  }
+  // An older build's directory: heads in branches.tsv, no head log.
+  std::filesystem::remove(LogPath());
+  std::ofstream(dir_ + "/branches.tsv")
+      << "k\tmaster\t" << head.ToBase32() << "\n"
+      << "k\tdev\t" << head.ToBase32() << "\n";
+  {
+    auto db = ForkBase::Open(dir_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->Get("k", "dev")->ToString(), "v");
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/branches.tsv"));
+    ASSERT_TRUE((*db)->DeleteBranch("k", "dev").ok());
+  }
+  // Once imported, a stray TSV file is not read again.
+  std::ofstream(dir_ + "/branches.tsv")
+      << "k\tstray\t" << head.ToBase32() << "\n";
+  auto db = ForkBase::Open(dir_);
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(*(*db)->ListBranches("k"), (std::vector<std::string>{"master"}));
+  EXPECT_EQ(*(*db)->Head("k"), head);
+}
+
+TEST_F(HeadLogTest, FailedImportSnapshotLeavesTheTsvForTheNextAttach) {
+  const Hash256 uid = Sha256(Slice("v"));
+  std::ofstream(dir_ + "/branches.tsv")
+      << "k\tmaster\t" << uid.ToBase32() << "\n";
+  // A directory where the snapshot's tmp file goes makes its write fail.
+  std::filesystem::create_directory(LogPath() + ".tmp");
+  {
+    BranchTable table;
+    EXPECT_EQ(table.Attach(dir_, false).code(), StatusCode::kIOError);
+  }
+  // No log, empty or otherwise, hides the TSV from the next attach.
+  EXPECT_FALSE(std::filesystem::exists(LogPath()));
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/branches.tsv"));
+  std::filesystem::remove(LogPath() + ".tmp");
+  {
+    BranchTable table;
+    ASSERT_TRUE(table.Attach(dir_, false).ok());
+    EXPECT_EQ(*table.Head("k", "master"), uid);
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/branches.tsv"));
+  }
+  BranchTable reread;
+  ASSERT_TRUE(reread.Attach(dir_, false).ok());
+  EXPECT_EQ(*reread.Head("k", "master"), uid);
+  EXPECT_EQ(reread.Keys(), (std::vector<std::string>{"k"}));
+}
+
+TEST_F(HeadLogTest, MalformedLegacyTsvFailsOpen) {
+  std::ofstream(dir_ + "/branches.tsv") << "no tabs here\n";
+  EXPECT_TRUE(ForkBase::Open(dir_).status().IsCorruption());
+}
+
+TEST_F(HeadLogTest, FailedAppendPublishesNoHead) {
+  ForkBase db(NewStore());
+  ASSERT_TRUE(db.branches().Attach(dir_, false).ok());
+  auto v1 = db.Put("k", Value::String("v1"));
+  ASSERT_TRUE(v1.ok());
+  {
+    // Cap this process's file size a few bytes past the log's end: the
+    // next append writes a torn prefix and then fails with EFBIG.
+    struct rlimit saved;
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit capped = saved;
+    capped.rlim_cur = LogSize() + 5;
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+    auto v2 = db.Put("k", Value::String("v2"));
+    Status fork = db.Branch("k", "dev");
+    setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    EXPECT_EQ(v2.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(fork.code(), StatusCode::kIOError);
+  }
+  EXPECT_EQ(*db.Head("k"), *v1);
+  EXPECT_FALSE(db.branches().Head("k", "dev").ok());
+  // The torn bytes were cut back: the log keeps working and replays.
+  auto v3 = db.Put("k", Value::String("v3"));
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  BranchTable reread;
+  ASSERT_TRUE(reread.Attach(dir_, false).ok());
+  EXPECT_EQ(*reread.Head("k", "master"), *v3);
+  EXPECT_FALSE(reread.Head("k", "dev").ok());
+}
+
+TEST_F(HeadLogTest, ConcurrentWritersAndReadersSurviveReopen) {
+  constexpr int kWriters = 4;
+  constexpr int kPuts = 40;
+  std::vector<Hash256> last(kWriters);
+  {
+    auto db_or = ForkBase::Open(dir_);
+    ASSERT_TRUE(db_or.ok());
+    ForkBase& db = **db_or;
+    ASSERT_TRUE(db.Put("shared", Value::Int(0)).ok());
+    std::atomic<bool> done{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWriters; ++t) {
+      threads.emplace_back([&db, &last, t] {
+        const std::string branch = "w" + std::to_string(t);
+        for (int i = 0; i < kPuts; ++i) {
+          auto uid = db.Put("k", Value::Int(i), branch);
+          ASSERT_TRUE(uid.ok());
+          last[t] = *uid;
+        }
+        ASSERT_TRUE(db.Branch("shared", "from-" + branch).ok());
+        ASSERT_TRUE(
+            db.RenameBranch("shared", "from-" + branch, "to-" + branch).ok());
+      });
+    }
+    threads.emplace_back([&db, &done] {
+      while (!done.load()) {
+        (void)db.Head("k", "w0");
+        (void)db.ListBranches("shared");
+      }
+    });
+    for (int t = 0; t < kWriters; ++t) threads[t].join();
+    done = true;
+    threads.back().join();
+  }
+  auto db = ForkBase::Open(dir_);
+  ASSERT_TRUE(db.ok());
+  for (int t = 0; t < kWriters; ++t) {
+    EXPECT_EQ(*(*db)->Head("k", "w" + std::to_string(t)), last[t]);
+    EXPECT_TRUE(
+        (*db)->branches().Head("shared", "to-w" + std::to_string(t)).ok());
+  }
+  EXPECT_EQ((*db)->ListBranches("shared")->size(), kWriters + 1u);
+}
+
+TEST_F(HeadLogTest, HostileNamesSurviveReopen) {
+  // Tabs, newlines and NUL bytes are ordinary bytes in keys and branches.
+  const std::string key = std::string("ta\tb\nnu\0l", 9);
+  const std::string branch = std::string("\n\t\0", 3);
+  const std::string other = "line\nbreak";
+  Hash256 head;
+  {
+    auto db = ForkBase::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    head = *(*db)->Put(key, Value::String("v"), branch);
+    ASSERT_TRUE((*db)->Put(other, Value::String("w")).ok());
+    ASSERT_TRUE((*db)->Branch(key, "copy\t1", branch).ok());
+    ASSERT_TRUE((*db)->RenameBranch(key, "copy\t1", "copy\n2").ok());
+  }
+  auto db = ForkBase::Open(dir_);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->branches().Head(key, branch).ok());
+  EXPECT_EQ(*(*db)->Head(key, branch), head);
+  EXPECT_EQ(*(*db)->Head(key, "copy\n2"), head);
+  EXPECT_EQ((*db)->Get(other)->ToString(), "w");
+  EXPECT_EQ((*db)->ListKeys(), (std::vector<std::string>{other, key}));
 }
 
 // -------------------------------------------------------------- ForkBase --
@@ -196,6 +448,36 @@ TEST(ForkBaseTest, BranchFromVersionPinsHistory) {
   auto other_head = db.Head("other");
   ASSERT_TRUE(other_head.ok());
   EXPECT_FALSE(db.BranchFromVersion("k", "bad", *other_head).ok());
+}
+
+TEST(ForkBaseTest, RacingBranchFromVersionCreatesTheBranchOnce) {
+  // Every store read takes 2 ms, so both racers load their version after
+  // both checked that the name is free: only an atomic create-if-absent
+  // keeps the later one from overwriting the first.
+  ForkBase db(std::make_shared<RemoteChunkStore>(
+      NewStore(), RemoteChunkStore::Options{.batch_latency_us = 2000}));
+  std::vector<Hash256> versions;
+  for (int i = 0; i < 2; ++i) {
+    auto v = db.Put("k", Value::Int(i));
+    ASSERT_TRUE(v.ok());
+    versions.push_back(*v);
+  }
+  for (int round = 0; round < 20; ++round) {
+    const std::string name = "b" + std::to_string(round);
+    Status results[2];
+    std::thread racers[2];
+    for (int t = 0; t < 2; ++t) {
+      racers[t] = std::thread([&, t] {
+        results[t] = db.BranchFromVersion("k", name, versions[t]);
+      });
+    }
+    for (auto& racer : racers) racer.join();
+    // Exactly one creator wins; the loser fails instead of overwriting.
+    ASSERT_NE(results[0].ok(), results[1].ok()) << name;
+    const int winner = results[0].ok() ? 0 : 1;
+    EXPECT_EQ(results[1 - winner].code(), StatusCode::kAlreadyExists);
+    EXPECT_EQ(*db.Head("k", name), versions[winner]);
+  }
 }
 
 TEST(ForkBaseTest, LatestListsAllBranchHeads) {

@@ -1078,10 +1078,9 @@ TEST_F(TieredForkBaseTest, LostHotTierRecoversFromColdBackend) {
     }
     ASSERT_TRUE(db.PutMap("survivor", kvs).ok());
     head = *db.Head("survivor");
-    ASSERT_TRUE(db.branches().SaveToFile(hot_dir_ + "/branches.tsv").ok());
   }
-  // The hot disk dies: every segment file vanishes; only the branch sidecar
-  // survives (client-held state).
+  // The hot disk dies: every segment file vanishes; only the head log
+  // survives.
   for (const auto& entry : std::filesystem::directory_iterator(hot_dir_)) {
     if (entry.path().extension() == ".fbc") {
       std::filesystem::remove(entry.path());
@@ -1090,7 +1089,6 @@ TEST_F(TieredForkBaseTest, LostHotTierRecoversFromColdBackend) {
   auto db_or = Open();
   ASSERT_TRUE(db_or.ok());
   ForkBase& db = **db_or;
-  ASSERT_TRUE(db.branches().LoadFromFile(hot_dir_ + "/branches.tsv").ok());
   auto map = db.GetMap("survivor");
   ASSERT_TRUE(map.ok()) << map.status().ToString();
   EXPECT_EQ(*map->Size(), 1000u);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the server front-end: serve a database on a unix
 # socket, drive it with the remote client verbs, then sync a second instance
-# through network push/pull and check bit-exact convergence. Also covers the
-# overload/chaos path against a deliberately tiny hardened server and an
-# in-place GC sweep (rgc) concurrent with live commits. Fails if a server
-# process outlives its SIGTERM.
+# through network push/pull and check bit-exact convergence. A SIGKILL and
+# restart on the same directory must keep every acknowledged head. Also
+# covers the overload/chaos path against a deliberately tiny hardened server
+# and an in-place GC sweep (rgc) concurrent with live commits. Fails if a
+# server process outlives its SIGTERM.
 #
 # Usage: tools/serve_smoke.sh [path/to/forkbase_cli]
 set -euo pipefail
@@ -43,6 +44,27 @@ if [[ "$GOT" != "hello-over-the-wire" ]]; then
   exit 1
 fi
 "$CLI" rstat "unix:$SOCK" | grep -q '^keys: 1$'
+
+# 2b. Heads survive a crash with no help from the caller: SIGKILL the server
+# right after an acknowledged rput, restart it on the same directory, and
+# read the value back.
+"$CLI" rput "unix:$SOCK" crash-key survives-sigkill >/dev/null
+kill -KILL "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+rm -f "$SOCK"
+"$CLI" --db "$WORK/served" serve "unix:$SOCK" >>"$WORK/serve.log" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 100); do
+  [[ -S "$SOCK" ]] && break
+  sleep 0.1
+done
+[[ -S "$SOCK" ]] || { echo "FAIL: restarted server never bound"; exit 1; }
+GOT="$("$CLI" rget "unix:$SOCK" crash-key)"
+if [[ "$GOT" != "survives-sigkill" ]]; then
+  echo "FAIL: rget after SIGKILL + restart returned '$GOT'"
+  exit 1
+fi
+[[ "$("$CLI" rget "unix:$SOCK" greeting)" == "hello-over-the-wire" ]]
 
 # 3. A local instance commits three versions and pushes them to the server…
 "$CLI" --db "$WORK/local" put doc v1 >/dev/null
