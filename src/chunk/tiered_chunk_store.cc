@@ -17,6 +17,18 @@ void DedupByHash(std::vector<Chunk>* chunks) {
   }
   chunks->resize(w);
 }
+
+// Starts one tier's share of a split batch. With `async` set, a tier that
+// supports it starts its read now; every other read is deferred to Take(),
+// so no synchronous read runs at issue. An empty share reads nothing.
+AsyncChunkBatch IssueTier(const ChunkStore& tier,
+                          const std::vector<Hash256>& ids, bool async) {
+  if (ids.empty()) return AsyncChunkBatch::Ready({});
+  if (async && tier.SupportsAsyncGet()) return tier.GetManyAsync(ids);
+  return AsyncChunkBatch::Mapped(
+      AsyncChunkBatch::Ready({}),
+      [&tier, ids](AsyncChunkBatch::Slots) { return tier.GetMany(ids); });
+}
 }  // namespace
 
 TieredChunkStore::TieredChunkStore(std::shared_ptr<ChunkStore> hot,
@@ -59,20 +71,7 @@ TieredChunkStore::TieredChunkStore(std::shared_ptr<ChunkStore> hot,
       NoteHot(id, size, restored_set.count(id) > 0);
     });
   }
-  if (!restored.empty()) {
-    std::vector<Hash256> batch;
-    {
-      std::lock_guard<std::mutex> lock(dirty_mu_);
-      dirty_.insert(restored.begin(), restored.end());
-      if (options_.background_demotion &&
-          dirty_.size() >= options_.write_back_watermark) {
-        batch.assign(dirty_.begin(), dirty_.end());
-        dirty_.clear();
-        ++demotions_in_flight_;
-      }
-    }
-    if (!batch.empty()) ScheduleDemotion(std::move(batch));
-  }
+  if (!restored.empty()) QueueDirty(restored);
   EnforceHotBudget();
 }
 
@@ -272,23 +271,29 @@ Status TieredChunkStore::MarkDirty(std::span<const Chunk> chunks) {
   if (!newly_dirty.empty() && options_.dirty_manifest) {
     journal = options_.dirty_manifest->MarkDirty(newly_dirty);
   }
+  QueueDirty(newly_dirty);
+  return journal;
+}
+
+void TieredChunkStore::QueueDirty(std::span<const Hash256> ids) {
   std::vector<Hash256> batch;
   {
     std::lock_guard<std::mutex> lock(dirty_mu_);
-    dirty_.insert(newly_dirty.begin(), newly_dirty.end());
-    if (!options_.background_demotion) return journal;
-    if (dirty_.size() < options_.write_back_watermark) return journal;
+    dirty_.insert(ids.begin(), ids.end());
     // One drain in flight at a time; the set keeps absorbing new ids while
     // the previous drain runs, and the drain's completion re-checks the
     // watermark itself (ScheduleDemotion), so a burst that outruns one
     // drain still demotes without waiting for the next Put.
-    if (demotions_in_flight_ > 0) return journal;
+    if (!options_.background_demotion ||
+        dirty_.size() < options_.write_back_watermark ||
+        demotions_in_flight_ > 0) {
+      return;
+    }
     batch.assign(dirty_.begin(), dirty_.end());
     dirty_.clear();
     ++demotions_in_flight_;
   }
   ScheduleDemotion(std::move(batch));
-  return journal;
 }
 
 void TieredChunkStore::ScheduleDemotion(std::vector<Hash256> batch) {
@@ -434,48 +439,22 @@ Status TieredChunkStore::Erase(std::span<const Hash256> ids) {
 // ---- reads ----------------------------------------------------------------
 
 StatusOr<Chunk> TieredChunkStore::Get(const Hash256& id) const {
-  // One hot-tier lookup, not Contains + Get: the read itself is the probe.
-  auto hot = hot_->Get(id);
-  if (hot.ok()) {
-    hot_hits_.fetch_add(1, std::memory_order_relaxed);
-    TouchHot(id);
-    return hot;
-  }
-  // Surface a real hot-tier error; only kNotFound goes to the cold tier.
-  if (!hot.status().IsNotFound()) return hot;
-  auto cold = cold_->Get(id);
-  if (cold.ok()) {
-    cold_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.promote_on_read) {
-      const Chunk* one = &*cold;
-      // Promotion is advisory: a hot-tier hiccup must not fail a read the
-      // cold tier already served.
-      if (hot_->PutMany(std::span<const Chunk>(one, 1)).ok()) {
-        promotions_.fetch_add(1, std::memory_order_relaxed);
-        NoteHot(id, cold->size(), /*dirty=*/false);
-        EnforceHotBudget();
-      }
-    }
-    return cold;
-  }
-  if (cold.status().IsNotFound()) {
-    // A concurrent Put may have landed in the hot tier after the partition
-    // probe; one local re-probe closes the race. A hot-tier ERROR on that
-    // re-probe surfaces too — "unreachable" must never collapse into
-    // cold's "absent".
-    auto retry = hot_->Get(id);
-    if (retry.ok()) {
-      hot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return retry;
-    }
-    if (!retry.status().IsNotFound()) return retry;
-  }
-  return cold;  // cold-tier errors (timeout, transient) surface as-is
+  return std::move(GetMany({&id, 1})[0]);
+}
+
+std::vector<StatusOr<Chunk>> TieredChunkStore::GetMany(
+    std::span<const Hash256> ids) const {
+  return Read(ids, /*speculative=*/false).Take();
+}
+
+AsyncChunkBatch TieredChunkStore::GetManyAsync(
+    std::span<const Hash256> ids) const {
+  return Read(ids, /*speculative=*/true);
 }
 
 TieredChunkStore::Partition TieredChunkStore::Split(
     std::span<const Hash256> ids) const {
-  // The per-id Contains probe is what lets GetMany issue the cold ranged
+  // The per-id Contains probe is what lets a read issue the cold ranged
   // fetch BEFORE the hot read — an index lookup buys the overlap window.
   // Reading hot first and cold-fetching its kNotFound slots would save the
   // probe but serialize the tiers, which is the wrong trade whenever the
@@ -494,70 +473,81 @@ TieredChunkStore::Partition TieredChunkStore::Split(
   return partition;
 }
 
+AsyncChunkBatch TieredChunkStore::Read(std::span<const Hash256> ids,
+                                       bool speculative) const {
+  // A tier's read goes out at issue only when something runs under it: the
+  // caller's own work for a speculative read, or the hot read for the cold
+  // share. A read taken at once otherwise runs on the taker's thread rather
+  // than queueing behind the tier's in-flight prefetches. The cold read is
+  // issued first; the taker collects the hot side first — a deferred hot
+  // read then runs under the cold fetch — and merges and promotes on its
+  // own thread (the cache's miss-fill rule: tier mutation never runs on a
+  // store's I/O thread). The cold handle rides in a shared_ptr because
+  // MapFn is a copyable std::function.
+  Partition split = Split(ids);
+  auto cold = std::make_shared<AsyncChunkBatch>(IssueTier(
+      *cold_, split.cold_ids, speculative || !split.hot_ids.empty()));
+  AsyncChunkBatch hot = IssueTier(*hot_, split.hot_ids, speculative);
+  return AsyncChunkBatch::Mapped(
+      std::move(hot), [this, split = std::move(split), cold,
+                       total = ids.size()](AsyncChunkBatch::Slots hot_slots) {
+        return MergeTiers(split, total, std::move(hot_slots), cold->Take());
+      });
+}
+
 std::vector<StatusOr<Chunk>> TieredChunkStore::MergeTiers(
-    const Partition& partition, size_t total,
+    const Partition& split, size_t total,
     std::vector<StatusOr<Chunk>> hot_slots,
     std::vector<StatusOr<Chunk>> cold_slots) const {
   std::vector<std::optional<StatusOr<Chunk>>> out(total);
   uint64_t hot_hits = 0;
-  // A hot-probed id whose read came back kNotFound (the hot copy vanished
-  // between the partition probe and the read — eviction races do exactly
-  // this) gets one cold retry below — the mirror of the cold-miss → hot
-  // retry — so the batch paths never report absent for a chunk the scalar
-  // path would serve.
-  std::vector<Hash256> hot_miss_ids;
-  std::vector<size_t> hot_miss_out;
+  uint64_t cold_hits = 0;
+  // A hot-probed id whose read came back kNotFound lost its hot copy after
+  // the probe (eviction races do exactly this): the misses get one batched
+  // cold retry, so no read reports absent for a chunk the cold tier holds.
+  std::vector<Hash256> miss_ids;
+  std::vector<size_t> miss_slots;
   for (size_t i = 0; i < hot_slots.size(); ++i) {
     if (hot_slots[i].ok()) {
       ++hot_hits;
-      TouchHot(partition.hot_ids[i]);
+      TouchHot(split.hot_ids[i]);
     } else if (hot_slots[i].status().IsNotFound()) {
-      hot_miss_ids.push_back(partition.hot_ids[i]);
-      hot_miss_out.push_back(partition.hot_slots[i]);
+      miss_ids.push_back(split.hot_ids[i]);
+      miss_slots.push_back(split.hot_slots[i]);
+      continue;
     }
-    out[partition.hot_slots[i]] = std::move(hot_slots[i]);
+    out[split.hot_slots[i]] = std::move(hot_slots[i]);
   }
   std::vector<Chunk> promoted;
-  uint64_t cold_hits = 0;
-  for (size_t j = 0; j < cold_slots.size(); ++j) {
-    auto& slot = cold_slots[j];
+  auto settle_cold = [&](StatusOr<Chunk>& slot, const Hash256& id,
+                         size_t at) {
     if (slot.ok()) {
       ++cold_hits;
       if (options_.promote_on_read) promoted.push_back(*slot);
-      out[partition.cold_slots[j]] = std::move(slot);
-      continue;
+    } else if (slot.status().IsNotFound()) {
+      // A concurrent Put may have landed in the hot tier after the probe;
+      // one local re-probe closes the race. A hot-tier error on it surfaces
+      // too — "unreachable" must never collapse into cold's "absent".
+      auto retry = hot_->Get(id);
+      if (retry.ok()) ++hot_hits;
+      if (retry.ok() || !retry.status().IsNotFound()) slot = std::move(retry);
     }
-    if (slot.status().IsNotFound()) {
-      auto retry = hot_->Get(partition.cold_ids[j]);  // concurrent-put race
-      if (retry.ok()) {
-        ++hot_hits;
-        out[partition.cold_slots[j]] = std::move(retry);
-        continue;
-      }
-      if (!retry.status().IsNotFound()) {  // hot error: surface, not absent
-        out[partition.cold_slots[j]] = std::move(retry);
-        continue;
-      }
-    }
-    // Anything else — timeout, transient error, short read — stays an error
-    // in its slot. It is never rewritten to kNotFound: a caller (or the
-    // cache above) must be able to tell "absent" from "unreachable".
-    out[partition.cold_slots[j]] = std::move(slot);
+    // Any other cold error (timeout, transient, short read) stays in its
+    // slot: a caller, or the cache above, must tell "absent" from
+    // "unreachable".
+    out[at] = std::move(slot);
+  };
+  for (size_t j = 0; j < cold_slots.size(); ++j) {
+    settle_cold(cold_slots[j], split.cold_ids[j], split.cold_slots[j]);
   }
-  if (!hot_miss_ids.empty()) {
-    // Same retry/promote/accounting rules as the fast path — one shared
-    // implementation. The placeholder slots are all kNotFound, so the
-    // helper cold-fetches every one.
-    std::vector<StatusOr<Chunk>> miss_slots;
-    miss_slots.reserve(hot_miss_ids.size());
-    for (size_t j = 0; j < hot_miss_ids.size(); ++j) {
-      miss_slots.emplace_back(Status::NotFound("hot tier lost the chunk"));
-    }
-    ResolveHotMisses(hot_miss_ids, &miss_slots);
-    for (size_t j = 0; j < miss_slots.size(); ++j) {
-      out[hot_miss_out[j]] = std::move(miss_slots[j]);
+  if (!miss_ids.empty()) {
+    auto retried = cold_->GetMany(miss_ids);
+    for (size_t j = 0; j < retried.size(); ++j) {
+      settle_cold(retried[j], miss_ids[j], miss_slots[j]);
     }
   }
+  // Promotion is advisory: a hot-tier hiccup must not fail a read the cold
+  // tier already served.
   DedupByHash(&promoted);
   if (!promoted.empty() && hot_->PutMany(promoted).ok()) {
     promotions_.fetch_add(promoted.size(), std::memory_order_relaxed);
@@ -575,132 +565,6 @@ std::vector<StatusOr<Chunk>> TieredChunkStore::MergeTiers(
   return result;
 }
 
-void TieredChunkStore::ResolveHotMisses(
-    std::span<const Hash256> ids, std::vector<StatusOr<Chunk>>* slots) const {
-  uint64_t hits = 0;
-  std::vector<Hash256> miss_ids;
-  std::vector<size_t> miss_slots;
-  for (size_t i = 0; i < slots->size(); ++i) {
-    if ((*slots)[i].ok()) {
-      ++hits;
-      TouchHot(ids[i]);
-    } else if ((*slots)[i].status().IsNotFound()) {
-      miss_ids.push_back(ids[i]);
-      miss_slots.push_back(i);
-    }
-  }
-  hot_hits_.fetch_add(hits, std::memory_order_relaxed);
-  if (miss_ids.empty()) return;
-  auto fetched = cold_->GetMany(miss_ids);
-  std::vector<Chunk> promoted;
-  uint64_t cold_hits = 0;
-  for (size_t j = 0; j < fetched.size(); ++j) {
-    if (fetched[j].ok()) {
-      ++cold_hits;
-      if (options_.promote_on_read) promoted.push_back(*fetched[j]);
-    }
-    (*slots)[miss_slots[j]] = std::move(fetched[j]);
-  }
-  DedupByHash(&promoted);
-  if (!promoted.empty() && hot_->PutMany(promoted).ok()) {
-    promotions_.fetch_add(promoted.size(), std::memory_order_relaxed);
-    for (const Chunk& chunk : promoted) {
-      NoteHot(chunk.hash(), chunk.size(), /*dirty=*/false);
-    }
-    EnforceHotBudget();
-  }
-  cold_hits_.fetch_add(cold_hits, std::memory_order_relaxed);
-}
-
-std::vector<StatusOr<Chunk>> TieredChunkStore::GetMany(
-    std::span<const Hash256> ids) const {
-  Partition partition = Split(ids);
-  if (partition.cold_ids.empty()) {
-    // Fully hot-resident (the common steady state): one local batched
-    // read, with any racy kNotFound slot resolved against the cold tier.
-    auto slots = hot_->GetMany(ids);
-    ResolveHotMisses(ids, &slots);
-    return slots;
-  }
-  if (cold_->SupportsAsyncGet()) {
-    // Start the cold ranged fetch first, read the hot part while it is in
-    // flight, then merge — the local read rides under the remote latency.
-    AsyncChunkBatch cold_batch = cold_->GetManyAsync(partition.cold_ids);
-    auto hot_slots = hot_->GetMany(partition.hot_ids);
-    return MergeTiers(partition, ids.size(), std::move(hot_slots),
-                      cold_batch.Take());
-  }
-  auto hot_slots = hot_->GetMany(partition.hot_ids);
-  auto cold_slots = cold_->GetMany(partition.cold_ids);
-  return MergeTiers(partition, ids.size(), std::move(hot_slots),
-                    std::move(cold_slots));
-}
-
-AsyncChunkBatch TieredChunkStore::GetManyAsync(
-    std::span<const Hash256> ids) const {
-  if (!SupportsAsyncGet()) return ChunkStore::GetManyAsync(ids);
-  Partition partition = Split(ids);
-  const size_t total = ids.size();
-  if (partition.cold_ids.empty()) {
-    if (hot_->SupportsAsyncGet()) {
-      return AsyncChunkBatch::Mapped(
-          hot_->GetManyAsync(ids),
-          [this, owned = std::vector<Hash256>(ids.begin(), ids.end())](
-              std::vector<StatusOr<Chunk>> slots) {
-            ResolveHotMisses(owned, &slots);
-            return slots;
-          });
-    }
-    // Synchronous hot tier: running its GetManyAsync here would execute
-    // the read inline at issue, blocking the speculating caller for zero
-    // overlap. Defer the whole read to Take() instead.
-    return AsyncChunkBatch::Mapped(
-        AsyncChunkBatch::Ready({}),
-        [this, owned = std::vector<Hash256>(ids.begin(), ids.end())](
-            std::vector<StatusOr<Chunk>>) {
-          auto slots = hot_->GetMany(owned);
-          ResolveHotMisses(owned, &slots);
-          return slots;
-        });
-  }
-  if (!cold_->SupportsAsyncGet()) {
-    // Async hot tier over a synchronous cold store: the cold store's
-    // GetManyAsync would execute the whole cold read inline AT ISSUE,
-    // blocking the speculating caller — worse than not prefetching. Ride
-    // the hot tier's pool and defer the cold read to Take() instead, so
-    // issuing stays cheap and the hot read still overlaps. The hot handle
-    // is issued before the Mapped call: the capture's move of `partition`
-    // and an argument reading partition.hot_ids must not share one full
-    // expression (unspecified evaluation order).
-    AsyncChunkBatch hot_only = hot_->GetManyAsync(partition.hot_ids);
-    return AsyncChunkBatch::Mapped(
-        std::move(hot_only),
-        [this, partition = std::move(partition),
-         total](std::vector<StatusOr<Chunk>> hot_slots) {
-          auto cold_slots = cold_->GetMany(partition.cold_ids);
-          return MergeTiers(partition, total, std::move(hot_slots),
-                            std::move(cold_slots));
-        });
-  }
-  // Both tiers' reads go out now — cold first, so that when the hot tier
-  // is synchronous (its GetManyAsync runs inline at issue) the remote
-  // ranged fetch is already in flight underneath it. The taker's thread
-  // merges and promotes (same placement rule as the cache's miss fill:
-  // tier mutation never runs on another store's I/O thread). The hot
-  // handle rides in a shared_ptr because MapFn is a copyable
-  // std::function.
-  AsyncChunkBatch cold_batch = cold_->GetManyAsync(partition.cold_ids);
-  auto hot_batch =
-      std::make_shared<AsyncChunkBatch>(hot_->GetManyAsync(partition.hot_ids));
-  return AsyncChunkBatch::Mapped(
-      std::move(cold_batch),
-      [this, partition = std::move(partition), total,
-       hot_batch](std::vector<StatusOr<Chunk>> cold_slots) {
-        return MergeTiers(partition, total, hot_batch->Take(),
-                          std::move(cold_slots));
-      });
-}
-
 // ---- bookkeeping ----------------------------------------------------------
 
 bool TieredChunkStore::Contains(const Hash256& id) const {
@@ -708,27 +572,14 @@ bool TieredChunkStore::Contains(const Hash256& id) const {
 }
 
 ChunkStoreStats TieredChunkStore::stats() const {
-  ChunkStoreStats hot = hot_->stats();
-  ChunkStoreStats cold = cold_->stats();
-  ChunkStoreStats s = hot;
-  // Exact distinct-chunk union via two index walks and a seen-set (no
-  // chunk reads) — where the old max(hot, cold) lower bound undercounted
-  // mixed states. Counting this way (rather than cold.chunk_count +
-  // hot-only probes) is also stable under racing drains and evictions: a
-  // chunk mid-demotion or mid-promotion is resident in at least one walked
-  // tier for the whole walk, and the seen-set collapses double residency.
-  std::unordered_set<Hash256, Hash256Hasher> seen;
-  hot_->ForEachId([&](const Hash256& id, uint64_t size) {
-    (void)size;
-    seen.insert(id);
-  });
-  uint64_t cold_only = 0;
-  cold_->ForEachId([&](const Hash256& id, uint64_t size) {
-    (void)size;
-    if (!seen.count(id)) ++cold_only;
-  });
-  s.chunk_count = seen.size() + cold_only;
-  s.physical_bytes = hot.physical_bytes + cold.physical_bytes;
+  ChunkStoreStats s = hot_->stats();
+  s.physical_bytes += cold_->stats().physical_bytes;
+  // The exact distinct-chunk union, through ForEachId's two index walks (no
+  // chunk reads). It is stable under racing drains and evictions: a chunk
+  // mid-demotion or mid-promotion is resident in at least one walked tier
+  // for the whole walk, and the seen-set collapses double residency.
+  s.chunk_count = 0;
+  ForEachId([&s](const Hash256&, uint64_t) { ++s.chunk_count; });
   return s;
 }
 

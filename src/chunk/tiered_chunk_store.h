@@ -48,17 +48,25 @@
 // its final check), and content addressing makes a lost race merely re-read
 // identical bytes from the cold tier.
 //
-// Reads split each batch by tier: ids the hot tier holds (index probe, no
-// I/O) are read locally while the cold ids ride one ranged cold fetch —
-// issued through the cold store's async path (GetManyAsync) so the two
-// tiers' reads overlap. Cold hits are promoted into the hot tier in one
-// batched put per read (`promote_on_read`), so a working set migrates to
-// local disk as it is touched (and cycles through it under a budget). A
-// cold miss is re-probed against the hot tier once before reporting
-// kNotFound, closing the race with a concurrent Put that landed between the
-// partition and the cold fetch. A cold-tier error (timeout, transient)
-// surfaces in the affected slots as a Status — it is never converted to
-// kNotFound and never promoted.
+// Reads take one path (Read). Get is a one-id GetMany; GetMany takes the
+// handle Read returns at once, and GetManyAsync returns it. A read splits
+// its batch by tier with a hot Contains probe per id (an index lookup, no
+// I/O) and issues the cold share first, then the hot share. No synchronous
+// read runs at issue: a synchronous tier's read is deferred to Take(). An
+// async tier starts its read at issue only when something runs under it —
+// the caller's own work for GetManyAsync, the hot read for the cold share —
+// so a read taken at once never queues behind the tier's prefetches.
+// Take() collects the hot side, then the cold side, so a deferred hot read
+// runs under a cold fetch already in flight. One merge then heals the
+// probe's races: a hot slot that came back
+// kNotFound (the copy was evicted after the probe) is retried against the
+// cold tier in one batch, and a cold kNotFound is re-probed against the hot
+// tier once (a concurrent Put may have landed there). Cold hits are
+// promoted into the hot tier in one batched put per read
+// (`promote_on_read`), so a working set migrates to local disk as it is
+// touched (and cycles through it under a budget). An error from either
+// tier (timeout, transient) surfaces in its slot as a Status — it is never
+// converted to kNotFound and never promoted.
 #ifndef FORKBASE_CHUNK_TIERED_CHUNK_STORE_H_
 #define FORKBASE_CHUNK_TIERED_CHUNK_STORE_H_
 
@@ -127,10 +135,9 @@ class TieredChunkStore : public ChunkStore {
   StatusOr<Chunk> Get(const Hash256& id) const override;
   std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const override;
-  /// Splits the batch by tier at issue time and starts both tiers' reads
-  /// (the cold ranged fetch on the cold store's pool, the hot read through
-  /// the hot store's async path); Take() merges and promotes on the taker's
-  /// thread, like CachingChunkStore's miss fill.
+  /// Splits the batch at issue and starts each async tier's read; Take()
+  /// runs the synchronous tiers' reads, then merges and promotes on the
+  /// taker's thread, like CachingChunkStore's miss fill.
   AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const override;
   bool SupportsAsyncGet() const override {
     return hot_->SupportsAsyncGet() || cold_->SupportsAsyncGet();
@@ -228,25 +235,30 @@ class TieredChunkStore : public ChunkStore {
     std::vector<size_t> cold_slots;
   };
   Partition Split(std::span<const Hash256> ids) const;
-  /// Scatters both tiers' fetch results into request order, retries cold
-  /// misses against the hot tier (concurrent-put race) and hot misses
-  /// against the cold tier (hot copy vanished after the partition probe —
-  /// e.g. evicted), and promotes cold hits. Runs on the calling (or
-  /// taking) thread.
+  /// The one read path: splits `ids`, issues the cold share then the hot
+  /// share, and returns a handle whose Take() merges them. A `speculative`
+  /// read (GetManyAsync) starts every async tier's read at issue; a read
+  /// taken at once (GetMany) starts only the cold read, and only when a
+  /// hot read can run under it.
+  AsyncChunkBatch Read(std::span<const Hash256> ids, bool speculative) const;
+  /// Scatters both tiers' fetch results into request order, retries hot
+  /// misses against the cold tier in one batch (the hot copy vanished after
+  /// the probe — e.g. evicted) and cold misses against the hot tier (a
+  /// concurrent Put), promotes cold hits and counts every slot. Runs on the
+  /// taking thread.
   std::vector<StatusOr<Chunk>> MergeTiers(
-      const Partition& partition, size_t total,
+      const Partition& split, size_t total,
       std::vector<StatusOr<Chunk>> hot_slots,
       std::vector<StatusOr<Chunk>> cold_slots) const;
-  /// Fully-hot fast path companion: counts hits in `slots` (parallel to
-  /// `ids`) and replaces kNotFound slots with one batched cold retry,
-  /// promoting what it recovers.
-  void ResolveHotMisses(std::span<const Hash256> ids,
-                        std::vector<StatusOr<Chunk>>* slots) const;
 
   /// Marks freshly written chunks dirty (journal, tracker, drain queue)
   /// and schedules a watermark drain. Returns the manifest's status —
   /// in-memory state is updated even when journaling failed.
   Status MarkDirty(std::span<const Chunk> chunks);
+  /// Adds `ids` to the dirty set; at the watermark, with background
+  /// demotion on and no drain in flight, takes the in-flight slot and
+  /// schedules a drain of the whole set.
+  void QueueDirty(std::span<const Hash256> ids);
   /// Runs one background drain over `batch` (caller holds the in-flight
   /// slot) and chains into ids that crossed the watermark meanwhile.
   void ScheduleDemotion(std::vector<Hash256> batch);

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "chunk/file_chunk_store.h"
@@ -247,6 +248,94 @@ void PrintServerStats(const ForkBaseServer::Stats& s, std::ostream& out) {
       << " write-stall\n"
       << "peak bytes: " << s.peak_outbox_bytes << " outbox, "
       << s.peak_staged_bytes << " bundle staging\n";
+}
+
+/// The verbs that talk only to a server. They open no local store, so they
+/// run beside the process that holds --db; nullopt for every other verb.
+std::optional<Status> RunClientCommand(const std::string& cmd,
+                                       const CliContext& ctx,
+                                       std::ostream& out) {
+  const auto& pos = ctx.positional;
+  if (cmd == "rput") {
+    // rput ADDRESS KEY VALUE — commit a string on a remote server.
+    if (pos.size() != 4) {
+      return Status::InvalidArgument("rput ADDRESS KEY VALUE");
+    }
+    FB_ASSIGN_OR_RETURN(auto client,
+                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
+    FB_ASSIGN_OR_RETURN(Hash256 uid,
+                        client.Put(pos[2], pos[3], ctx.branch, ctx.author,
+                                   ctx.message));
+    out << uid.ToBase32() << "\n";
+    return Status::OK();
+  }
+  if (cmd == "rget") {
+    // rget ADDRESS KEY — read a remote branch head value.
+    if (pos.size() != 3) return Status::InvalidArgument("rget ADDRESS KEY");
+    FB_ASSIGN_OR_RETURN(auto client,
+                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
+    FB_ASSIGN_OR_RETURN(auto result, client.Get(pos[2], ctx.branch));
+    out << result.value << "\n";
+    return Status::OK();
+  }
+  if (cmd == "rstat") {
+    // rstat ADDRESS — remote instance statistics.
+    if (pos.size() != 2) return Status::InvalidArgument("rstat ADDRESS");
+    FB_ASSIGN_OR_RETURN(auto client,
+                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
+    FB_ASSIGN_OR_RETURN(auto kvs, client.Stat());
+    for (const auto& [k, v] : kvs) out << k << ": " << v << "\n";
+    return Status::OK();
+  }
+  if (cmd == "rgc") {
+    // rgc ADDRESS — in-place GC sweep on a remote server, concurrent with
+    // its other sessions' traffic.
+    if (pos.size() != 2) return Status::InvalidArgument("rgc ADDRESS");
+    FB_ASSIGN_OR_RETURN(auto client,
+                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
+    FB_ASSIGN_OR_RETURN(auto stats, client.Gc());
+    out << "live:    " << stats.live_chunks << " chunks, "
+        << stats.live_bytes << " bytes\n"
+        << "swept:   " << stats.swept_chunks << " chunks, "
+        << stats.swept_bytes << " bytes reclaimed in place\n"
+        << "spared:  " << stats.pinned_skipped
+        << " chunks re-put by racing commits\n";
+    return Status::OK();
+  }
+  if (cmd == "net-hold") {
+    // net-hold ADDRESS MILLIS — chaos helper: open a connection and never
+    // speak, for at most MILLIS. A hardened server ends the hold early by
+    // enforcing its handshake deadline; reports what the server did.
+    if (pos.size() != 3) {
+      return Status::InvalidArgument("net-hold ADDRESS MILLIS");
+    }
+    FB_ASSIGN_OR_RETURN(uint64_t hold_millis,
+                        ParseCount("MILLIS", pos[2], 3'600'000));
+    FB_ASSIGN_OR_RETURN(
+        auto stream,
+        SocketStream::Connect(pos[1], ctx.retry.connect_timeout_millis));
+    stream->SetIoTimeout(static_cast<int64_t>(hold_millis));
+    uint64_t received = 0;
+    for (;;) {
+      char buf[256];
+      auto n = stream->ReadSome(buf, sizeof buf);
+      if (!n.ok()) {
+        if (n.status().code() == StatusCode::kDeadlineExceeded) {
+          out << "held " << pos[1] << " for " << hold_millis
+              << " ms; connection still open\n";
+          return Status::OK();
+        }
+        return n.status();
+      }
+      if (*n == 0) {
+        out << "server closed the held connection (after " << received
+            << " byte(s), e.g. a deadline error frame)\n";
+        return Status::OK();
+      }
+      received += *n;
+    }
+  }
+  return std::nullopt;
 }
 
 Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
@@ -506,85 +595,6 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
         << result.chunks << " chunks)\n";
     return Status::OK();
   }
-  if (cmd == "rput") {
-    // rput ADDRESS KEY VALUE — commit a string on a remote server.
-    if (pos.size() != 4) {
-      return Status::InvalidArgument("rput ADDRESS KEY VALUE");
-    }
-    FB_ASSIGN_OR_RETURN(auto client,
-                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
-    FB_ASSIGN_OR_RETURN(Hash256 uid,
-                        client.Put(pos[2], pos[3], ctx.branch, ctx.author,
-                                   ctx.message));
-    out << uid.ToBase32() << "\n";
-    return Status::OK();
-  }
-  if (cmd == "rget") {
-    // rget ADDRESS KEY — read a remote branch head value.
-    if (pos.size() != 3) return Status::InvalidArgument("rget ADDRESS KEY");
-    FB_ASSIGN_OR_RETURN(auto client,
-                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
-    FB_ASSIGN_OR_RETURN(auto result, client.Get(pos[2], ctx.branch));
-    out << result.value << "\n";
-    return Status::OK();
-  }
-  if (cmd == "rstat") {
-    // rstat ADDRESS — remote instance statistics.
-    if (pos.size() != 2) return Status::InvalidArgument("rstat ADDRESS");
-    FB_ASSIGN_OR_RETURN(auto client,
-                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
-    FB_ASSIGN_OR_RETURN(auto kvs, client.Stat());
-    for (const auto& [k, v] : kvs) out << k << ": " << v << "\n";
-    return Status::OK();
-  }
-  if (cmd == "rgc") {
-    // rgc ADDRESS — in-place GC sweep on a remote server, concurrent with
-    // its other sessions' traffic.
-    if (pos.size() != 2) return Status::InvalidArgument("rgc ADDRESS");
-    FB_ASSIGN_OR_RETURN(auto client,
-                        ForkBaseClient::Connect(pos[1], ClientOptionsFrom(ctx)));
-    FB_ASSIGN_OR_RETURN(auto stats, client.Gc());
-    out << "live:    " << stats.live_chunks << " chunks, "
-        << stats.live_bytes << " bytes\n"
-        << "swept:   " << stats.swept_chunks << " chunks, "
-        << stats.swept_bytes << " bytes reclaimed in place\n"
-        << "spared:  " << stats.pinned_skipped
-        << " chunks re-put by racing commits\n";
-    return Status::OK();
-  }
-  if (cmd == "net-hold") {
-    // net-hold ADDRESS MILLIS — chaos helper: open a connection and never
-    // speak, for at most MILLIS. A hardened server ends the hold early by
-    // enforcing its handshake deadline; reports what the server did.
-    if (pos.size() != 3) {
-      return Status::InvalidArgument("net-hold ADDRESS MILLIS");
-    }
-    FB_ASSIGN_OR_RETURN(uint64_t hold_millis,
-                        ParseCount("MILLIS", pos[2], 3'600'000));
-    FB_ASSIGN_OR_RETURN(
-        auto stream,
-        SocketStream::Connect(pos[1], ctx.retry.connect_timeout_millis));
-    stream->SetIoTimeout(static_cast<int64_t>(hold_millis));
-    uint64_t received = 0;
-    for (;;) {
-      char buf[256];
-      auto n = stream->ReadSome(buf, sizeof buf);
-      if (!n.ok()) {
-        if (n.status().code() == StatusCode::kDeadlineExceeded) {
-          out << "held " << pos[1] << " for " << hold_millis
-              << " ms; connection still open\n";
-          return Status::OK();
-        }
-        return n.status();
-      }
-      if (*n == 0) {
-        out << "server closed the held connection (after " << received
-            << " byte(s), e.g. a deadline error frame)\n";
-        return Status::OK();
-      }
-      received += *n;
-    }
-  }
   if (cmd == "verify-all") {
     // Tamper-evidence sweep over every branch head.
     size_t checked = 0, failed = 0;
@@ -719,14 +729,17 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     out << CliUsage();
     return 0;
   }
-  auto db_or = ForkBase::Open(ctx.db_dir, ctx.config);
-  if (!db_or.ok()) {
-    err << db_or.status().ToString() << "\n";
-    return 1;
+  std::optional<Status> status = RunClientCommand(ctx.positional[0], ctx, out);
+  if (!status) {
+    auto db_or = ForkBase::Open(ctx.db_dir, ctx.config);
+    if (!db_or.ok()) {
+      err << db_or.status().ToString() << "\n";
+      return 1;
+    }
+    status = RunCommand(ctx.positional[0], ctx, **db_or, out);
   }
-  Status status = RunCommand(ctx.positional[0], ctx, **db_or, out);
-  if (!status.ok()) {
-    err << status.ToString() << "\n";
+  if (!status->ok()) {
+    err << status->ToString() << "\n";
     return 1;
   }
   return 0;

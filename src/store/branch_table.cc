@@ -237,6 +237,11 @@ std::vector<std::string> BranchTable::Keys() const {
   return out;
 }
 
+std::pair<uint64_t, uint64_t> BranchTable::Count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return {heads_.size(), live_};
+}
+
 std::vector<std::string> BranchTable::Branches(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;

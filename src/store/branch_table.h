@@ -58,6 +58,8 @@ class BranchTable {
   Status Delete(const std::string& key, const std::string& branch);
 
   std::vector<std::string> Keys() const;
+  /// (number of keys, number of live heads), read under one lock.
+  std::pair<uint64_t, uint64_t> Count() const;
   /// Branches of a key, name-sorted.
   std::vector<std::string> Branches(const std::string& key) const;
   /// All (branch, head) pairs of a key.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <unordered_set>
 
 #include "store/gc.h"
@@ -72,6 +73,14 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
     if (config.segment_bytes > 0) options.segment_bytes = config.segment_bytes;
     return options;
   };
+  // Lock every directory before touching any file in it, so a second Open
+  // of a live store fails cleanly instead of interleaving appends.
+  std::vector<DirLock> locks;
+  for (const std::string* dir : {&path, &config.tier.cold_dir}) {
+    if (dir->empty()) continue;
+    FB_ASSIGN_OR_RETURN(DirLock lock, DirLock::Acquire(*dir));
+    locks.push_back(std::move(lock));
+  }
   FB_ASSIGN_OR_RETURN(auto file_store,
                       FileChunkStore::Open(path, file_options(true)));
   FileChunkStore* hot_raw = file_store.get();
@@ -104,6 +113,7 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
                                                    config.cache_bytes);
   CachingChunkStore* cache_raw = cache.get();
   auto db = std::make_unique<ForkBase>(std::move(cache));
+  db->dir_locks_ = std::move(locks);
   db->tiered_store_ = std::move(tiered);
   db->cache_store_ = cache_raw;
   db->hot_file_store_ = hot_raw;
@@ -647,11 +657,7 @@ void ForkBase::RecordGcSweep(uint64_t swept_chunks, uint64_t swept_bytes) {
 ForkBaseStats ForkBase::Stat() const {
   ForkBaseStats stats;
   stats.chunks = store_->stats();
-  auto keys = branch_table_.Keys();
-  stats.keys = keys.size();
-  for (const auto& key : keys) {
-    stats.branches += branch_table_.Branches(key).size();
-  }
+  std::tie(stats.keys, stats.branches) = branch_table_.Count();
   stats.commit_queue = commit_queue_.stats();
   stats.commits = stats.commit_queue.commits;
   stats.gc_sweeps = gc_sweeps_.load();

@@ -30,6 +30,7 @@
 #include "types/map.h"
 #include "types/set.h"
 #include "types/table.h"
+#include "util/file_io.h"
 
 namespace forkbase {
 
@@ -445,6 +446,9 @@ class ForkBase {
                            std::optional<Hash256> expected_head = {});
   Status VerifyValue(const Value& value) const;
 
+  /// Open's flocks on its directories; declared first, so they are
+  /// released only after every store below has closed.
+  std::vector<DirLock> dir_locks_;
   std::shared_ptr<ChunkStore> store_;
   /// Set by Open for tiered stacks; aliases a layer inside store_'s
   /// decorator chain.

@@ -1,6 +1,7 @@
 #include "util/file_io.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -16,6 +17,31 @@ bool FsyncPath(const std::string& path) {
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
+}
+
+StatusOr<DirLock> DirLock::Acquire(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return Status::IOError("create " + dir + ": " + ec.message());
+  const std::string path = dir + "/LOCK";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      return Status::Unavailable(dir + " is locked by another open store (" +
+                                 path + ")");
+    }
+    return Status::IOError("lock " + path + ": " + std::strerror(err));
+  }
+  return DirLock(fd);
+}
+
+DirLock::~DirLock() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status AtomicReplaceFile(const std::string& path, Slice bytes) {

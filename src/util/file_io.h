@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "util/slice.h"
 #include "util/status.h"
@@ -56,6 +57,24 @@ class AppendFile {
 StatusOr<uint64_t> ReplayJournal(const std::string& path,
                                  const std::function<size_t(Slice)>& parse,
                                  AppendFile* out);
+
+/// An exclusive flock on DIR/LOCK, held until destruction. flock locks
+/// belong to the open file, so a second Acquire on one directory fails in
+/// this process as in any other.
+class DirLock {
+ public:
+  /// Creates `dir` if needed and takes the lock without blocking. When
+  /// another holder has it, fails with kUnavailable naming the directory
+  /// and touches no other file.
+  static StatusOr<DirLock> Acquire(const std::string& dir);
+
+  DirLock(DirLock&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  ~DirLock();
+
+ private:
+  explicit DirLock(int fd) : fd_(fd) {}
+  int fd_ = -1;
+};
 
 }  // namespace forkbase
 

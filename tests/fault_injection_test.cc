@@ -339,7 +339,8 @@ TEST(FaultInjectionTest, ScriptedShortReadAndTimeoutSurfaceCleanly) {
   // Evict the hot copy so reads must take the remote path.
   ASSERT_TRUE(stack.hot->Erase(std::vector<Hash256>{chunk.hash()}).ok());
 
-  stack.faults->InjectOnce(FaultSchedule::Op::kGet,
+  // A scalar Get reaches the cold tier as a one-id ranged fetch.
+  stack.faults->InjectOnce(FaultSchedule::Op::kGetBatch,
                            {FaultSchedule::Kind::kShortRead});
   auto short_read = stack.tiered->Get(chunk.hash());
   ASSERT_FALSE(short_read.ok());
@@ -347,7 +348,7 @@ TEST(FaultInjectionTest, ScriptedShortReadAndTimeoutSurfaceCleanly) {
   EXPECT_NE(short_read.status().message().find("short read"),
             std::string::npos);
 
-  stack.faults->InjectOnce(FaultSchedule::Op::kGet,
+  stack.faults->InjectOnce(FaultSchedule::Op::kGetBatch,
                            {FaultSchedule::Kind::kTimeout});
   auto timeout = stack.tiered->Get(chunk.hash());
   ASSERT_FALSE(timeout.ok());

@@ -7,8 +7,10 @@
 // write-back tier under a deliberately tiny hot budget, so eviction,
 // demotion and the dirty manifest churn beneath every test), and
 // CompressedDeltaTieredWriteBack (both tiers writing LZ-compressed,
-// delta-encoded FBC2 records). A new backend earns its place by adding a
-// Traits struct to StoreTypes — nothing else.
+// delta-encoded FBC2 records), and AsyncFileTieredWriteBack (the stack
+// ForkBase::Open builds: both file tiers with a prefetch worker). A new
+// backend earns its place by adding a Traits struct to StoreTypes —
+// nothing else.
 //
 // Covered contract points: scalar round trips, kNotFound for absent ids,
 // GetMany slot ordering and per-slot missing ids, idempotent PutMany with
@@ -52,7 +54,7 @@ std::shared_ptr<ChunkStore> OpenFile(const std::string& dir) {
   return std::shared_ptr<ChunkStore>(std::move(*store));
 }
 
-// ---- the eight store stacks -----------------------------------------------
+// ---- the nine store stacks -----------------------------------------------
 
 struct MemStoreTraits {
   static constexpr const char* kName = "Mem";
@@ -175,11 +177,31 @@ struct CompressedDeltaTieredTraits {
   }
 };
 
+struct AsyncFileTieredTraits {
+  // The 9th stack: the tiered stack ForkBase::Open builds, where both file
+  // tiers read through a prefetch worker — the one stack whose hot tier
+  // reads asynchronously.
+  static constexpr const char* kName = "AsyncFileTieredWriteBack";
+  static std::shared_ptr<ChunkStore> Make(const std::string& dir) {
+    FileChunkStore::Options prefetching;
+    prefetching.prefetch_threads = 1;
+    auto cold = FileChunkStore::Open(dir + "/cold", prefetching);
+    EXPECT_TRUE(cold.ok());
+    auto hot = FileChunkStore::Open(dir + "/hot", prefetching);
+    EXPECT_TRUE(hot.ok());
+    TieredChunkStore::Options options;
+    options.policy = TierPolicy::kWriteBack;
+    return std::make_shared<TieredChunkStore>(
+        std::shared_ptr<ChunkStore>(std::move(*hot)),
+        std::shared_ptr<ChunkStore>(std::move(*cold)), std::move(options));
+  }
+};
+
 using StoreTypes =
     ::testing::Types<MemStoreTraits, FileStoreTraits, CachingStoreTraits,
                      RemoteStoreTraits, TieredWriteThroughTraits,
                      TieredWriteBackTraits, TieredBoundedWriteBackTraits,
-                     CompressedDeltaTieredTraits>;
+                     CompressedDeltaTieredTraits, AsyncFileTieredTraits>;
 
 class TraitsNames {
  public:

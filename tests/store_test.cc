@@ -10,6 +10,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -717,16 +718,87 @@ TEST(ForkBaseVerifyTest, LoadsEachChunkOfAVersionOnce) {
 // ------------------------------------------------------------------ Stat --
 
 TEST(ForkBaseTest, StatCountsCatalogue) {
-  ForkBase db(NewStore());
-  ASSERT_TRUE(db.Put("a", Value::Int(1)).ok());
-  ASSERT_TRUE(db.Put("a", Value::Int(2)).ok());
-  ASSERT_TRUE(db.Put("b", Value::Int(3)).ok());
-  ASSERT_TRUE(db.Branch("a", "dev").ok());
-  ForkBaseStats stats = db.Stat();
-  EXPECT_EQ(stats.keys, 2u);
-  EXPECT_EQ(stats.branches, 3u);
-  EXPECT_EQ(stats.commits, 3u);
-  EXPECT_GT(stats.chunks.chunk_count, 0u);
+  const std::string dir = ::testing::TempDir() + "/fb_stat_catalogue";
+  std::filesystem::remove_all(dir);
+  {
+    auto opened = ForkBase::Open(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ForkBase& db = **opened;
+    ASSERT_TRUE(db.Put("a", Value::Int(1)).ok());
+    ASSERT_TRUE(db.Put("a", Value::Int(2)).ok());
+    ASSERT_TRUE(db.Put("b", Value::Int(3)).ok());
+    ASSERT_TRUE(db.Branch("a", "dev").ok());
+    ForkBaseStats stats = db.Stat();
+    EXPECT_EQ(stats.keys, 2u);
+    EXPECT_EQ(stats.branches, 3u);
+    EXPECT_EQ(stats.commits, 3u);
+    EXPECT_GT(stats.chunks.chunk_count, 0u);
+
+    ASSERT_TRUE(db.RenameBranch("a", "dev", "feature").ok());
+    EXPECT_EQ(db.Stat().branches, 3u);
+    ASSERT_TRUE(db.Branch("b", "tmp").ok());
+    ASSERT_TRUE(db.DeleteBranch("b", "tmp").ok());
+    stats = db.Stat();
+    EXPECT_EQ(stats.keys, 2u);
+    EXPECT_EQ(stats.branches, 3u);
+    // Deleting a key's last branch drops the key.
+    ASSERT_TRUE(db.DeleteBranch("b", "master").ok());
+    stats = db.Stat();
+    EXPECT_EQ(stats.keys, 1u);
+    EXPECT_EQ(stats.branches, 2u);
+  }
+  auto reopened = ForkBase::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ForkBaseStats replayed = (*reopened)->Stat();
+  EXPECT_EQ(replayed.keys, 1u);
+  EXPECT_EQ(replayed.branches, 2u);
+  reopened->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ForkBaseTest, SecondOpenOfALockedDirectoryFailsUntilTheFirstCloses) {
+  const std::string dir = ::testing::TempDir() + "/fb_dir_lock";
+  const std::string cold = dir + "_cold";
+  const std::string other = dir + "_other";
+  for (const auto& d : {dir, cold, other}) std::filesystem::remove_all(d);
+  ForkBase::Config config;
+  config.tier.cold_dir = cold;
+  config.tier.write_back = true;
+  auto listing = [](const std::string& d) {
+    std::map<std::string, std::pair<uint64_t, std::filesystem::file_time_type>>
+        files;
+    for (const auto& entry : std::filesystem::directory_iterator(d)) {
+      files[entry.path().filename().string()] = {
+          entry.file_size(), std::filesystem::last_write_time(entry.path())};
+    }
+    return files;
+  };
+  {
+    auto first = ForkBase::Open(dir, config);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE((*first)->Put("k", Value::Int(7)).ok());
+    const auto hot_files = listing(dir);
+    const auto cold_files = listing(cold);
+
+    auto second = ForkBase::Open(dir, config);
+    ASSERT_FALSE(second.ok());
+    EXPECT_NE(second.status().message().find(dir), std::string::npos)
+        << second.status().ToString();
+    // The cold directory is locked too, whichever hot directory asks.
+    auto third = ForkBase::Open(other, config);
+    ASSERT_FALSE(third.ok());
+    EXPECT_NE(third.status().message().find(cold), std::string::npos)
+        << third.status().ToString();
+    EXPECT_EQ(listing(dir), hot_files);
+    EXPECT_EQ(listing(cold), cold_files);
+  }
+  auto reopened = ForkBase::Open(dir, config);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto value = (*reopened)->Get("k");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->int_value(), 7);
+  reopened->reset();
+  for (const auto& d : {dir, cold, other}) std::filesystem::remove_all(d);
 }
 
 TEST(ForkBaseTest, EmptyKeyRejected) {

@@ -372,11 +372,9 @@ TEST(TieredStoreTest, HotCopyVanishingAfterProbeFallsBackToCold) {
   ASSERT_TRUE(scalar.ok());
   EXPECT_EQ(scalar->bytes().ToString(), chunks[0].bytes().ToString());
 
-  // Batched, fully-hot fast path (every id still probes as hot-resident
-  // via the index... here Mem's erase drops the index too, so this id
-  // splits cold; erase between Split and the hot read is the same slot
-  // shape as a kNotFound hot slot, which MergeTiers/ResolveHotMisses
-  // handle identically — exercise both entry points).
+  // Batched (Mem's erase drops the index too, so this id splits cold; an
+  // erase between Split and the hot read would instead leave a kNotFound
+  // hot slot, which MergeTiers retries against the cold tier).
   ASSERT_TRUE(h.hot->Erase(std::vector<Hash256>{chunks[1].hash()}).ok());
   std::vector<Hash256> ids;
   for (const auto& chunk : chunks) ids.push_back(chunk.hash());
@@ -444,10 +442,10 @@ TEST(TieredStoreTest, HotRetryErrorSurfacesInsteadOfColdNotFound) {
   TieredChunkStore tiered(hot, cold);
   const Hash256 id = Sha256(Slice("nowhere"));
 
-  // Scalar: draw 1 = the initial hot read (clean), draw 2 = the re-probe
-  // after cold's kNotFound (faulted).
+  // Scalar: Get is a one-id batch, so the id splits cold (hot Contains
+  // false) and the first kGet draw is the re-probe after cold's kNotFound.
   hot_faults->InjectOnce(FaultSchedule::Op::kGet,
-                         {FaultSchedule::Kind::kTransient}, /*skip=*/1);
+                         {FaultSchedule::Kind::kTransient});
   auto scalar = tiered.Get(id);
   ASSERT_FALSE(scalar.ok());
   EXPECT_EQ(scalar.status().code(), StatusCode::kIOError);

@@ -4,8 +4,9 @@
 # through network push/pull and check bit-exact convergence. A SIGKILL and
 # restart on the same directory must keep every acknowledged head. Also
 # covers the overload/chaos path against a deliberately tiny hardened server
-# and an in-place GC sweep (rgc) concurrent with live commits. Fails if a
-# server process outlives its SIGTERM.
+# and an in-place GC sweep (rgc) concurrent with live commits, checks that a
+# served directory is locked against a second process, and drives a
+# write-back tiered stack. Fails if a server process outlives its SIGTERM.
 #
 # Usage: tools/serve_smoke.sh [path/to/forkbase_cli]
 set -euo pipefail
@@ -82,6 +83,15 @@ fi
 # 5. A second push with nothing new must be a no-op (delta-exact sync).
 "$CLI" --db "$WORK/local" push "unix:$SOCK" | grep -q 'sent 0 chunks'
 
+# 5b. The server holds its directory: a local CLI on the same --db must
+# fail with the lock message instead of opening the store a second time.
+if "$CLI" --db "$WORK/served" get greeting >"$WORK/locked.log" 2>&1; then
+  echo "FAIL: a local CLI opened the directory the server holds"
+  exit 1
+fi
+grep -q 'is locked by another open store' "$WORK/locked.log" || {
+  echo "FAIL: no lock message: $(cat "$WORK/locked.log")"; exit 1; }
+
 # 6. Clean shutdown: SIGTERM, then verify the process does not leak.
 kill -TERM "$SERVER_PID"
 for _ in $(seq 1 100); do
@@ -95,6 +105,8 @@ fi
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 grep -q 'serving on' "$WORK/serve.log"
+# With the server gone, the lock is released and the local CLI opens it.
+[[ "$("$CLI" --db "$WORK/served" get greeting)" == "hello-over-the-wire" ]]
 
 # ---------------------------------------------------------------- chaos --
 # 7. Overload scenario: a deliberately tiny hardened server must shed and
@@ -284,6 +296,8 @@ fi
 
 # Serve the encoded database; a plain (default-options) replica pulls and
 # must converge bit-exact — the wire carries chunks, not representations.
+# The source head is read before serving: the server locks its directory.
+ENC_HEAD="$("$CLI" --db "$ENCDB" "${ENC_FLAGS[@]}" head doc)"
 "$CLI" --db "$ENCDB" "${ENC_FLAGS[@]}" serve "unix:$SOCK4" \
     >"$WORK/serve4.log" 2>&1 &
 SERVER_PID=$!
@@ -295,8 +309,7 @@ done
 
 "$CLI" --db "$WORK/replica4" pull "unix:$SOCK4" >/dev/null
 [[ "$("$CLI" --db "$WORK/replica4" get doc)" == "rev8 $BODY" ]]
-[[ "$("$CLI" --db "$WORK/replica4" head doc)" == \
-   "$("$CLI" --db "$ENCDB" "${ENC_FLAGS[@]}" head doc)" ]]
+[[ "$("$CLI" --db "$WORK/replica4" head doc)" == "$ENC_HEAD" ]]
 "$CLI" --db "$WORK/replica4" verify-all >/dev/null
 
 kill -TERM "$SERVER_PID"
@@ -315,5 +328,24 @@ SERVER_PID=""
 # everything — decoding is driven by the record format, not configuration.
 [[ "$("$CLI" --db "$ENCDB" get doc)" == "rev8 $BODY" ]]
 "$CLI" --db "$ENCDB" verify-all >/dev/null
+
+# ---------------------------------------------------------- tiered --
+# 12. A write-back tiered stack (the --db hot tier over a --tier-cold
+# backend): put, get and verify-all, stat reports the tier counters, and
+# after the hot segments are lost the cold tier alone serves the value.
+TIER=(--db "$WORK/tier-hot" --tier-cold "$WORK/tier-cold"
+      --tier-policy write-back)
+"$CLI" "${TIER[@]}" put doc tiered-v1 >/dev/null
+"$CLI" "${TIER[@]}" put doc tiered-v2 >/dev/null
+[[ "$("$CLI" "${TIER[@]}" get doc)" == "tiered-v2" ]]
+"$CLI" "${TIER[@]}" verify-all >/dev/null
+TSTAT="$("$CLI" "${TIER[@]}" stat)"
+for key in tier_hot_hits tier_cold_hits tier_promotions tier_demotions \
+           tier_dirty_pending; do
+  grep -q "^$key: " <<<"$TSTAT" || { echo "FAIL: stat lacks $key"; exit 1; }
+done
+rm -f "$WORK"/tier-hot/segment-*.fbc
+[[ "$("$CLI" "${TIER[@]}" get doc)" == "tiered-v2" ]]
+"$CLI" "${TIER[@]}" verify-all >/dev/null
 
 echo "serve smoke OK"
