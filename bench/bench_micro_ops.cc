@@ -10,9 +10,11 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "bench_common.h"
+#include "chunk/caching_chunk_store.h"
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
@@ -625,6 +627,90 @@ void BM_MapValidateFileSync(benchmark::State& state) {
                           static_cast<int64_t>(kScanEntries));
 }
 BENCHMARK(BM_MapValidateFileSync)->UseRealTime();
+
+// Full scan of a 100k-row table (GenerateCsv: 7 columns of three-word
+// cells) on a file-backed store with no prefetch threads under a cache of
+// a fifth of the CSV bytes, the stack an archive query reads an old
+// version through. The callback touches every cell.
+struct ScanTable {
+  ScopedStoreDir dir{"table_scan"};
+  std::shared_ptr<ChunkStore> store;
+  std::optional<FTable> table;
+  size_t rows = 0;
+
+  explicit ScanTable(size_t num_rows) {
+    CsvGenOptions opts;
+    opts.num_rows = num_rows;
+    CsvDocument doc = GenerateCsv(opts);
+    rows = doc.rows.size();
+    FileChunkStore::Options options;
+    options.prefetch_threads = 0;
+    auto file = FileChunkStore::Open(dir.path(), options);
+    store = std::make_shared<CachingChunkStore>(
+        std::shared_ptr<ChunkStore>(std::move(*file)), CsvBytes(doc) / 5);
+    auto built = FTable::FromCsv(store.get(), doc);
+    if (built.ok()) table.emplace(std::move(*built));
+  }
+};
+
+void BM_TableScan(benchmark::State& state) {
+  ScanTable t(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    size_t rows = 0, bytes = 0;
+    Status s = t.table->Scan(
+        [&](Slice, const std::vector<std::string>& cells) -> Status {
+          for (const auto& c : cells) bytes += c.size();
+          ++rows;
+          return Status::OK();
+        });
+    if (!s.ok() || rows != t.rows) {
+      state.SkipWithError("scan failed");
+      break;
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(t.rows));
+}
+BENCHMARK(BM_TableScan)->Arg(100000)->UseRealTime();
+
+// Bench-local serial reference for the parallel table scan: the scan as
+// FTable::Scan ran it before it went parallel — a cursor walk of the row
+// map, each row split into cell views and assigned into one reused cells
+// buffer, all on the caller's thread. Same stack and callback as
+// BM_TableScan.
+void BM_TableScanSerial(benchmark::State& state) {
+  ScanTable t(static_cast<size_t>(state.range(0)));
+  const size_t ncols = t.table->columns().size();
+  for (auto _ : state) {
+    size_t rows = 0, bytes = 0;
+    std::vector<std::string> cells(ncols);
+    std::vector<Slice> views(ncols);
+    Status s = t.table->rows().ForEach([&](Slice, Slice value) -> Status {
+      Decoder dec(value);
+      for (size_t c = 0; c < ncols; ++c) {
+        if (!dec.GetLengthPrefixed(&views[c])) {
+          return Status::Corruption("malformed row");
+        }
+      }
+      if (!dec.AtEnd()) return Status::Corruption("malformed row");
+      for (size_t c = 0; c < ncols; ++c) {
+        cells[c].assign(views[c].data(), views[c].size());
+      }
+      for (const auto& c : cells) bytes += c.size();
+      ++rows;
+      return Status::OK();
+    });
+    if (!s.ok() || rows != t.rows) {
+      state.SkipWithError("scan failed");
+      break;
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(t.rows));
+}
+BENCHMARK(BM_TableScanSerial)->Arg(100000)->UseRealTime();
 
 void BM_MapScanFileAsync(benchmark::State& state) {
   ScopedStoreDir dir("scan_async");

@@ -146,6 +146,14 @@ TRACKED_PAIRS = [
     # with the runner's core count: floor only.
     ("BM_TableFromCsv/100000/real_time",
      "BM_TableFromCsvStreaming/100000/real_time", 1.3, False),
+    # Parallel ordered-scan criterion: a full scan of a 100k-row table on a
+    # file-backed store under a small cache, with hash-pool helpers reading
+    # and splitting runs of leaves while the caller delivers rows in key
+    # order, must run >= 1.3x faster in wall-clock time than the bench-local
+    # serial cursor scan of the same table. Scales with the runner's core
+    # count: floor only.
+    ("BM_TableScan/100000/real_time",
+     "BM_TableScanSerial/100000/real_time", 1.3, False),
 ]
 
 

@@ -631,6 +631,10 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     if (pos.size() != 2) {
       return Status::InvalidArgument("gc DEST_DIR | gc --in-place");
     }
+    // Locked as ForkBase::Open locks a store directory, so a gc into one
+    // that a serve or another CLI holds fails instead of interleaving its
+    // segment appends and head-log snapshot with theirs.
+    FB_ASSIGN_OR_RETURN(DirLock dest_lock, DirLock::Acquire(pos[1]));
     FB_ASSIGN_OR_RETURN(auto dst_store, FileChunkStore::Open(pos[1]));
     FB_ASSIGN_OR_RETURN(GcStats stats, CopyLive(db, dst_store.get()));
     FB_RETURN_IF_ERROR(dst_store->Flush());

@@ -1,9 +1,6 @@
 #include "postree/builder.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
 
 #include "util/sha256.h"
 #include "util/worker_pool.h"
@@ -86,41 +83,6 @@ struct TreeBuilder::BulkSegment {
         splitter.ResetNode();
       }
     }
-  }
-};
-
-// One round of segments, claimed from a shared counter by the caller and
-// the pool helpers it submitted. Held by shared_ptr: a helper that runs late
-// (the pool was busy) finds nothing left to claim and touches only `next`,
-// so a saturated pool degrades to the caller building every segment itself.
-struct TreeBuilder::BulkRound {
-  const EntryEncoder* encode = nullptr;  ///< caller's; used under a claim
-  ChunkType type = ChunkType::kMapLeaf;
-  SplitConfig split;
-  bool keyed = false;
-  size_t count = 0;  ///< segments in the round
-  std::vector<BulkSegment> segments;
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t built = 0;  ///< guarded by mu
-
-  /// Claims and builds segments until none is left to claim.
-  void Drain() {
-    for (size_t s = next.fetch_add(1); s < count; s = next.fetch_add(1)) {
-      segments[s].Build(*encode, type, split, keyed);
-      std::lock_guard<std::mutex> lock(mu);
-      ++built;
-      cv.notify_all();
-    }
-  }
-
-  /// Ends claiming and waits only for the segments already claimed, each of
-  /// which is being built by a running thread.
-  void Join() {
-    const size_t claimed = std::min(next.exchange(count), count);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return built == claimed; });
   }
 };
 
@@ -227,47 +189,45 @@ Status TreeBuilder::AddEntries(size_t n, const EntryEncoder& encode) {
   const bool keyed =
       leaf_type_ == ChunkType::kMapLeaf || leaf_type_ == ChunkType::kSetLeaf;
   constexpr size_t kRoundEntries = kBulkSegmentEntries * kBulkRoundSegments;
-  WorkerPool* pool = SharedHashPool();
+  struct Round {
+    std::vector<BulkSegment> segments;
+    std::shared_ptr<TaskRound> tasks;
+  };
   auto start_round = [&](size_t first) {
-    auto round = std::make_shared<BulkRound>();
-    round->encode = &encode;
-    round->type = leaf_type_;
-    round->split = config_.leaf;
-    round->keyed = keyed;
+    auto round = std::make_unique<Round>();
     const size_t last = std::min(n, first + kRoundEntries);
     for (size_t b = first; b < last; b += kBulkSegmentEntries) {
       BulkSegment& seg = round->segments.emplace_back();
       seg.begin = b;
       seg.end = std::min(last, b + kBulkSegmentEntries);
     }
-    round->count = round->segments.size();
-    const size_t helpers = std::min(pool->thread_count(), round->count - 1);
-    for (size_t h = 0; h < helpers; ++h) {
-      pool->Submit([round] { round->Drain(); });
-    }
+    BulkSegment* segments = round->segments.data();
+    round->tasks = TaskRound::Start(
+        SharedHashPool(), round->segments.size(),
+        [this, segments, &encode, keyed](size_t s) {
+          segments[s].Build(encode, leaf_type_, config_.leaf, keyed);
+        });
     return round;
   };
   // The round in flight is joined on every exit, so no helper still builds
   // from `encode` once this returns.
-  std::shared_ptr<BulkRound> ahead = n > 0 ? start_round(0) : nullptr;
+  std::unique_ptr<Round> ahead = n > 0 ? start_round(0) : nullptr;
   struct JoinOnExit {
-    std::shared_ptr<BulkRound>* round;
+    std::unique_ptr<Round>* round;
     ~JoinOnExit() {
-      if (*round) (*round)->Join();
+      if (*round) (*round)->tasks->Join();
     }
   } join_on_exit{&ahead};
   Slice prev_key;
   for (size_t first = 0; first < n; first += kRoundEntries) {
-    std::shared_ptr<BulkRound> round = std::move(ahead);
-    round->Drain();
-    round->Join();
+    std::unique_ptr<Round> round = std::move(ahead);
+    round->tasks->Drain();
+    round->tasks->Join();
     // The next round builds on the helpers while this one is stitched.
     if (first + kRoundEntries < n) ahead = start_round(first + kRoundEntries);
     for (BulkSegment& seg : round->segments) {
       FB_RETURN_IF_ERROR(StitchSegment(seg, keyed, &prev_key));
     }
-    // Late helpers may still hold the round; its segments are done with.
-    std::vector<BulkSegment>().swap(round->segments);
   }
   return Status::OK();
 }

@@ -123,7 +123,6 @@ class TreeBuilder {
   };
 
   struct BulkSegment;
-  struct BulkRound;
 
   /// Appends one segment of a bulk load to the leaf level (see AddEntries).
   /// `prev_key` is the last key before the segment (keyed trees).

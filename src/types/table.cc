@@ -5,6 +5,9 @@
 #include <map>
 #include <string_view>
 
+#include "util/sha256.h"
+#include "util/worker_pool.h"
+
 namespace forkbase {
 
 std::string FTable::EncodeRow(const std::vector<std::string>& cells) {
@@ -254,25 +257,23 @@ StatusOr<FTable> FTable::DropColumn(size_t column) const {
 
 StatusOr<FMap> FTable::RewriteRows(
     const std::function<void(std::vector<Slice>* cells)>& rewrite) const {
-  // ForEach yields keys in ascending order, so every row streams straight
-  // into one bulk build: O(N), bit-identical to building the new rows from
+  // Rows arrive in ascending key order, so every row streams straight into
+  // one bulk build: O(N), bit-identical to building the new rows from
   // scratch.
   TreeBuilder builder(const_cast<ChunkStore*>(store_), ChunkType::kMapLeaf,
                       TreeConfig::ForEntries());
-  const size_t ncols = columns_.size();
   std::vector<Slice> cells;
   std::string encoded, entry;
-  FB_RETURN_IF_ERROR(rows_.ForEach([&](Slice key, Slice value) -> Status {
-    if (!SplitRow(value, ncols, &cells)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
-    }
-    rewrite(&cells);
-    encoded.clear();
-    for (const Slice& cell : cells) PutLengthPrefixed(&encoded, cell);
-    entry.clear();
-    AppendMapEntry(&entry, key, encoded);
-    return builder.AddEntry(entry, key);
-  }));
+  FB_RETURN_IF_ERROR(
+      WalkRows([&](Slice key, std::span<const Slice> row) -> Status {
+        cells.assign(row.begin(), row.end());
+        rewrite(&cells);
+        encoded.clear();
+        for (const Slice& cell : cells) PutLengthPrefixed(&encoded, cell);
+        entry.clear();
+        AppendMapEntry(&entry, key, encoded);
+        return builder.AddEntry(entry, key);
+      }));
   FB_ASSIGN_OR_RETURN(TreeInfo info, builder.Finish());
   return FMap::Attach(store_, info.root);
 }
@@ -293,19 +294,171 @@ StatusOr<FTable> FTable::RenameColumn(size_t column,
                      key_column_, rows_);
 }
 
+namespace {
+
+// Leaves per run: one GetMany, split by whichever thread claims the run.
+constexpr size_t kScanRunLeaves = 16;
+// Runs per round. At most two rounds are in flight: the one being
+// delivered and the one issued ahead of it.
+constexpr size_t kScanRoundRuns = 8;
+
+// Children of one index node, with the cursor's checks.
+Status IndexChildren(const StatusOr<Chunk>& node,
+                     std::vector<IndexEntry>* children) {
+  if (!node.ok()) return node.status();
+  if (node->type() != ChunkType::kMeta) {
+    return Status::Corruption("leaves at multiple depths");
+  }
+  if (!ParseIndexEntries(node->payload(), children)) {
+    return Status::Corruption("malformed index node");
+  }
+  if (children->empty()) return Status::Corruption("empty index node");
+  return Status::OK();
+}
+
+// The leaf ids of the tree at `root` in key order, read one level at a
+// time in batches; a level is the leaf level once its first node is not an
+// index node. A node above the leaves that is unreadable or malformed cuts
+// its level there: `leaves` then holds every leaf before that node's
+// subtree, and the error returned is the one a cursor walk meets right
+// after them.
+Status CollectLeafIds(const ChunkStore& store, const Hash256& root,
+                      std::vector<Hash256>* leaves) {
+  std::vector<Hash256> level{root};
+  std::vector<IndexEntry> children;
+  Status cut;  // the earliest error in key order so far
+  for (size_t depth = 0; !level.empty(); ++depth) {
+    if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
+    StatusOr<Chunk> first = store.Get(level.front());
+    if (first.ok() && first->type() != ChunkType::kMeta) break;
+    std::vector<Hash256> next;
+    Status s = ForEachChunkBatch(
+        store, level, kChunkSweepBatch,
+        [&](size_t, StatusOr<Chunk>& node) -> Status {
+          FB_RETURN_IF_ERROR(IndexChildren(node, &children));
+          for (const IndexEntry& e : children) next.push_back(e.child);
+          return Status::OK();
+        });
+    if (!s.ok()) cut = std::move(s);
+    level = std::move(next);
+  }
+  *leaves = std::move(level);
+  return cut;
+}
+
+}  // namespace
+
+// Rows of one run of leaves, read and split by the thread that claims the
+// run; read by the caller once the run is done.
+struct FTable::RowRun {
+  std::vector<Chunk> leaves;  ///< own the bytes `keys` and `cells` view
+  std::vector<Slice> keys;
+  std::vector<Slice> cells;  ///< ncols per row, row after row
+  Status status;  ///< the error the rows above stop at, if any
+};
+
+void FTable::ReadRun(std::span<const Hash256> ids, RowRun* run) const {
+  const size_t ncols = columns_.size();
+  std::vector<StatusOr<Chunk>> slots = store_->GetMany(ids);
+  std::vector<EntryView> entries;
+  std::vector<Slice> row;
+  for (StatusOr<Chunk>& slot : slots) {
+    if (!slot.ok()) {
+      run->status = slot.status();
+      return;
+    }
+    const ChunkType type = slot->type();
+    if (!IsLeafType(type)) {
+      run->status = Status::Corruption("expected leaf chunk, got " +
+                                       std::string(ChunkTypeToString(type)));
+      return;
+    }
+    run->leaves.push_back(std::move(*slot));
+    if (!ParseLeafEntries(type, run->leaves.back().payload(), &entries)) {
+      run->status = Status::Corruption("malformed leaf payload");
+      return;
+    }
+    for (const EntryView& e : entries) {
+      if (!SplitRow(e.value, ncols, &row)) {
+        run->status =
+            Status::Corruption("malformed row for key " + e.key.ToString());
+        return;
+      }
+      run->keys.push_back(e.key);
+      run->cells.insert(run->cells.end(), row.begin(), row.end());
+    }
+  }
+}
+
+Status FTable::WalkRows(const RowVisitor& visit) const {
+  std::vector<Hash256> leaves;
+  const Status index_status = CollectLeafIds(*store_, rows_.root(), &leaves);
+  const size_t runs = (leaves.size() + kScanRunLeaves - 1) / kScanRunLeaves;
+  struct Round {
+    std::vector<RowRun> runs;
+    std::shared_ptr<TaskRound> tasks;
+  };
+  auto start_round = [&](size_t first) {
+    auto round = std::make_unique<Round>();
+    round->runs.resize(std::min(runs, first + kScanRoundRuns) - first);
+    RowRun* out = round->runs.data();
+    round->tasks = TaskRound::Start(
+        SharedHashPool(), round->runs.size(),
+        [this, out, first, &leaves](size_t i) {
+          const size_t begin = (first + i) * kScanRunLeaves;
+          const size_t end = std::min(leaves.size(), begin + kScanRunLeaves);
+          ReadRun(std::span<const Hash256>(leaves).subspan(begin, end - begin),
+                  &out[i]);
+        });
+    return round;
+  };
+  // Both rounds are joined on every exit, so no helper still reads into
+  // them once this returns.
+  std::unique_ptr<Round> round, ahead = runs > 0 ? start_round(0) : nullptr;
+  struct JoinOnExit {
+    std::unique_ptr<Round>* rounds[2];
+    ~JoinOnExit() {
+      for (auto* r : rounds) {
+        if (*r) (*r)->tasks->Join();
+      }
+    }
+  } join_on_exit{{&round, &ahead}};
+  const size_t ncols = columns_.size();
+  for (size_t first = 0; first < runs; first += kScanRoundRuns) {
+    round = std::move(ahead);
+    // The next round reads on the helpers while this one is delivered.
+    if (first + kScanRoundRuns < runs) {
+      ahead = start_round(first + kScanRoundRuns);
+    }
+    for (size_t i = 0; i < round->runs.size(); ++i) {
+      // While run i is not ready, read runs rather than wait: this is what
+      // finishes the scan when the pool is busy or has no threads.
+      while (!round->tasks->Done(i)) {
+        if (!round->tasks->RunOne() && !(ahead && ahead->tasks->RunOne())) {
+          round->tasks->Wait(i);
+        }
+      }
+      RowRun& run = round->runs[i];
+      const std::span<const Slice> cells(run.cells);
+      for (size_t k = 0; k < run.keys.size(); ++k) {
+        FB_RETURN_IF_ERROR(
+            visit(run.keys[k], cells.subspan(k * ncols, ncols)));
+      }
+      FB_RETURN_IF_ERROR(run.status);
+      run = RowRun();  // its leaves are done with
+    }
+  }
+  return index_status;
+}
+
 Status FTable::Scan(const std::function<Status(
                         Slice key, const std::vector<std::string>&)>& fn) const {
   // One cells buffer for the whole scan: each row is assigned into the
   // strings the previous row left, so a row costs no allocation once the
   // strings have grown to fit.
-  const size_t ncols = columns_.size();
-  std::vector<std::string> cells(ncols);
-  std::vector<Slice> views;
-  return rows_.ForEach([&](Slice key, Slice value) -> Status {
-    if (!SplitRow(value, ncols, &views)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
-    }
-    for (size_t c = 0; c < ncols; ++c) {
+  std::vector<std::string> cells(columns_.size());
+  return WalkRows([&](Slice key, std::span<const Slice> views) -> Status {
+    for (size_t c = 0; c < views.size(); ++c) {
       cells[c].assign(views[c].data(), views[c].size());
     }
     return fn(key, cells);

@@ -11,6 +11,7 @@
 #define FORKBASE_TYPES_TABLE_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,8 +72,10 @@ class FTable {
   StatusOr<FTable> DropColumn(size_t column) const;
   StatusOr<FTable> RenameColumn(size_t column, const std::string& name) const;
 
-  /// In-order scan: fn(primary key, cells). `cells` is one buffer reused
-  /// across rows: copy what must outlive the call.
+  /// In-order scan: fn(primary key, cells), on the calling thread, while
+  /// the shared hash pool reads and splits the leaves ahead of it. `cells`
+  /// is one buffer reused across rows: copy what must outlive the call. A
+  /// non-OK return from fn stops the scan and is returned.
   Status Scan(const std::function<Status(
                   Slice key, const std::vector<std::string>&)>& fn) const;
 
@@ -123,6 +126,19 @@ class FTable {
   /// DecodeRow without copying: the same checks (`ncols` cells, no trailing
   /// bytes), with `cells` pointing into `row`.
   static bool SplitRow(Slice row, size_t ncols, std::vector<Slice>* cells);
+  /// The one row walk (Scan, RewriteRows): visits every row in key order,
+  /// on the calling thread, with its SplitRow cells (valid during the call
+  /// only). SharedHashPool() helpers and the caller read and split runs of
+  /// kScanRunLeaves leaves, at most two rounds of kScanRoundRuns runs
+  /// ahead. A non-OK visit stops the walk. A missing or malformed chunk or
+  /// row stops it too, after exactly the rows a cursor walk delivers
+  /// before it, with an error of the same class.
+  using RowVisitor =
+      std::function<Status(Slice key, std::span<const Slice> cells)>;
+  Status WalkRows(const RowVisitor& visit) const;
+  struct RowRun;
+  /// Reads leaves `ids` into `run`: every row up to the first error.
+  void ReadRun(std::span<const Hash256> ids, RowRun* run) const;
   /// Builds a row tree of every row's SplitRow cells as changed by
   /// `rewrite`.
   StatusOr<FMap> RewriteRows(

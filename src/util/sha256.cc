@@ -1,11 +1,8 @@
 #include "util/sha256.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 
 #include "util/base32.h"
@@ -237,29 +234,11 @@ std::vector<Hash256> Sha256Many(std::span<const Slice> spans,
   }
   // Self-scheduling index claim: spans vary wildly in size (a tree batch
   // mixes 16KiB leaves with 100-byte index nodes), so static sharding would
-  // leave workers idle behind one big shard.
-  std::atomic<size_t> next{0};
-  auto drain = [&next, spans, &out] {
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < spans.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
-      out[i] = Sha256(spans[i]);
-    }
-  };
-  const size_t helpers = std::min(workers, n - 1);
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;
-  for (size_t t = 0; t < helpers; ++t) {
-    pool->Submit([&] {
-      drain();
-      std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      cv.notify_one();
-    });
-  }
-  drain();  // the caller is a worker too
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done == helpers; });
+  // leave workers idle behind one big shard. The caller is a worker too.
+  auto round = TaskRound::Start(
+      pool, n, [spans, &out](size_t i) { out[i] = Sha256(spans[i]); });
+  round->Drain();
+  round->Join();
   return out;
 }
 

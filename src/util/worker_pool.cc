@@ -1,5 +1,7 @@
 #include "util/worker_pool.h"
 
+#include <algorithm>
+
 namespace forkbase {
 
 WorkerPool::WorkerPool(size_t threads) : threads_(threads) {}
@@ -48,6 +50,49 @@ void WorkerPool::WorkerMain() {
     }
     task();
   }
+}
+
+TaskRound::TaskRound(size_t count, std::function<void(size_t)> task)
+    : count_(count), task_(std::move(task)), done_(count, false) {}
+
+std::shared_ptr<TaskRound> TaskRound::Start(WorkerPool* pool, size_t count,
+                                            std::function<void(size_t)> task) {
+  auto round = std::make_shared<TaskRound>(count, std::move(task));
+  const size_t helpers =
+      pool && count > 1 ? std::min(pool->thread_count(), count - 1) : 0;
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([round] { round->Drain(); });
+  }
+  return round;
+}
+
+bool TaskRound::RunOne() {
+  const size_t i = next_.fetch_add(1);
+  if (i >= count_) return false;
+  task_(i);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    done_[i] = true;
+    ++finished_;
+  }
+  cv_.notify_all();
+  return true;
+}
+
+bool TaskRound::Done(size_t i) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return done_[i];
+}
+
+void TaskRound::Wait(size_t i) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return done_[i]; });
+}
+
+void TaskRound::Join() {
+  const size_t claimed = std::min(next_.exchange(count_), count_);
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return finished_ == claimed; });
 }
 
 }  // namespace forkbase

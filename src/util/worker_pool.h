@@ -11,13 +11,19 @@
 // Threads are spawned lazily on the first Submit, so constructing a pool
 // (e.g. inside every FileChunkStore) costs nothing until async work is
 // actually requested.
+//
+// TaskRound is the one fan-out pattern on top of it (hashing a batch,
+// building a bulk load's leaf segments, reading a table scan's leaf runs):
+// the caller and pool helpers claim indexed tasks from one counter.
 #ifndef FORKBASE_UTIL_WORKER_POOL_H_
 #define FORKBASE_UTIL_WORKER_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,6 +58,54 @@ class WorkerPool {
   std::deque<std::function<void()>> tasks_;
   std::vector<std::thread> workers_;
   bool stop_ = false;
+};
+
+/// Tasks 0..count-1 of one fan-out, claimed in index order from a shared
+/// counter by the calling thread and by up to one helper per pool thread.
+/// The caller claims too (RunOne, Drain), so every task runs even when the
+/// pool is busy or has no threads, and Join waits only for tasks a running
+/// thread has claimed, never for a helper that has not started. That is
+/// what keeps nesting safe: a task on a pool thread may start a TaskRound
+/// on the same pool (a store read that hashes a batch, say) without
+/// waiting on a queue the waiting threads themselves would have to drain.
+/// Held by shared_ptr: a helper that runs late finds nothing left to claim
+/// and touches only the round, never what `task` refers to.
+class TaskRound {
+ public:
+  /// Submits min(pool threads, count - 1) helpers to `pool` (null: none),
+  /// each claiming and running tasks until none is left.
+  static std::shared_ptr<TaskRound> Start(WorkerPool* pool, size_t count,
+                                          std::function<void(size_t)> task);
+
+  /// Claims the next unclaimed task and runs it on the calling thread.
+  /// False when every task is already claimed.
+  bool RunOne();
+  /// RunOne until every task is claimed.
+  void Drain() {
+    while (RunOne()) {
+    }
+  }
+  /// True once task `i` has returned.
+  bool Done(size_t i) const;
+  /// Blocks until task `i` has returned. Only for a claimed task: after
+  /// RunOne returned false, every task is.
+  void Wait(size_t i) const;
+  /// Ends claiming and waits for the tasks already claimed. Once it
+  /// returns, no task is running or will run; unclaimed ones never do.
+  void Join();
+
+  size_t count() const { return count_; }
+
+  TaskRound(size_t count, std::function<void(size_t)> task);
+
+ private:
+  const size_t count_;
+  const std::function<void(size_t)> task_;
+  std::atomic<size_t> next_{0};
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  std::vector<bool> done_;  ///< guarded by mu_
+  size_t finished_ = 0;     ///< guarded by mu_
 };
 
 }  // namespace forkbase

@@ -5,6 +5,7 @@
 // answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <map>
@@ -20,6 +21,7 @@
 #include "store/forkbase.h"
 #include "store/gc.h"
 #include "util/random.h"
+#include "util/sha256.h"
 #include "util/worker_pool.h"
 
 namespace forkbase {
@@ -80,6 +82,71 @@ TEST(WorkerPoolTest, SubmitAfterShutdownRunsInline) {
   bool ran = false;
   pool.Submit([&ran] { ran = true; });
   EXPECT_TRUE(ran);
+}
+
+// Occupies every thread of `pool` until the returned release is called.
+std::function<void()> BlockPool(WorkerPool* pool) {
+  auto gate = std::make_shared<std::pair<std::atomic<size_t>,
+                                         std::atomic<bool>>>(0, false);
+  for (size_t t = 0; t < pool->thread_count(); ++t) {
+    pool->Submit([gate] {
+      gate->first.fetch_add(1);
+      while (!gate->second.load()) std::this_thread::yield();
+    });
+  }
+  while (gate->first.load() < pool->thread_count()) std::this_thread::yield();
+  return [gate] { gate->second.store(true); };
+}
+
+TEST(TaskRoundTest, CallerFinishesTheRoundWhenEveryPoolThreadIsBlocked) {
+  WorkerPool pool(2);
+  auto release = BlockPool(&pool);
+  std::vector<int> ran(50, 0);
+  auto round =
+      TaskRound::Start(&pool, ran.size(), [&ran](size_t i) { ++ran[i]; });
+  round->Drain();
+  round->Join();
+  for (size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_TRUE(round->Done(i));
+    EXPECT_EQ(ran[i], 1) << i;
+  }
+  release();
+  pool.Shutdown();  // the late helpers find nothing left to claim
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 50);
+}
+
+TEST(TaskRoundTest, JoinEndsClaimingAndUnclaimedTasksNeverRun) {
+  WorkerPool pool(1);
+  auto release = BlockPool(&pool);
+  std::atomic<int> ran{0};
+  auto round = TaskRound::Start(&pool, 5, [&ran](size_t) { ++ran; });
+  ASSERT_TRUE(round->RunOne());
+  round->Join();
+  EXPECT_FALSE(round->RunOne());
+  release();
+  pool.Shutdown();
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_TRUE(round->Done(0));
+  EXPECT_FALSE(round->Done(1));
+}
+
+TEST(TaskRoundTest, TasksMayStartRoundsOnTheirOwnPool) {
+  // Every outer task hashes a batch through Sha256Many on the same pool:
+  // with both pool threads inside outer tasks, an inner round's helpers
+  // sit in the queue, and each inner caller must hash its batch alone.
+  WorkerPool pool(2);
+  std::vector<std::string> data;
+  for (int i = 0; i < 16; ++i) data.push_back(std::string(100 + i, 'a' + i));
+  const std::vector<Slice> spans(data.begin(), data.end());
+  std::vector<Hash256> want;
+  for (const Slice& s : spans) want.push_back(Sha256(s));
+  std::vector<int> ok(32, 0);
+  auto round = TaskRound::Start(&pool, ok.size(), [&](size_t i) {
+    ok[i] = Sha256Many(spans, &pool) == want;
+  });
+  round->Drain();
+  round->Join();
+  EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 32);
 }
 
 TEST(AsyncChunkBatchTest, DefaultStoreReturnsReadyBatches) {

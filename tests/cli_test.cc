@@ -3,9 +3,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "cli/cli.h"
+#include "store/forkbase.h"
 #include "util/csv.h"
 #include "util/datagen.h"
 
@@ -234,6 +236,40 @@ TEST_F(CliTest, GcCompactsIntoNewDirectory) {
   EXPECT_EQ(rc, 0) << ess.str();
   EXPECT_NE(oss.str().find("1/1 heads verified"), std::string::npos);
   std::filesystem::remove(csv_path);
+  std::filesystem::remove_all(dest);
+}
+
+TEST_F(CliTest, GcIntoALockedDirectoryFailsAndTouchesNothing) {
+  EXPECT_EQ(Run({"put", "k", "v"}), 0);
+  const std::string dest = ::testing::TempDir() + "/cli_gc_locked";
+  std::filesystem::remove_all(dest);
+  auto listing = [&] {
+    std::map<std::string, std::pair<uint64_t, std::filesystem::file_time_type>>
+        files;
+    for (const auto& entry : std::filesystem::directory_iterator(dest)) {
+      files[entry.path().filename().string()] = {
+          entry.file_size(), std::filesystem::last_write_time(entry.path())};
+    }
+    return files;
+  };
+  {
+    auto holder = ForkBase::Open(dest);
+    ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+    ASSERT_TRUE((*holder)->Put("theirs", Value::Int(1)).ok());
+    const auto before = listing();
+    std::string out, err;
+    EXPECT_NE(Run({"gc", dest}, &out, &err), 0);
+    EXPECT_NE(err.find("Unavailable"), std::string::npos) << err;
+    EXPECT_NE(err.find(dest), std::string::npos) << err;
+    EXPECT_EQ(listing(), before);
+  }
+  // Once the holder closes, the same gc goes through.
+  std::filesystem::remove_all(dest);
+  std::string out;
+  EXPECT_EQ(Run({"gc", dest}, &out), 0);
+  EXPECT_NE(out.find("compacted database written"), std::string::npos);
+  std::ostringstream oss, ess;
+  EXPECT_EQ(RunCli({"--db", dest, "verify-all"}, oss, ess), 0) << ess.str();
   std::filesystem::remove_all(dest);
 }
 

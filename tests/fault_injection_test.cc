@@ -43,8 +43,8 @@ struct FaultedStack {
     hot = std::make_shared<MemChunkStore>();
     cold_backend = std::make_shared<MemChunkStore>();
     faults = std::make_shared<FaultSchedule>();
-    faults->SetProbability(FaultSchedule::Op::kGet, kFaultP, AllReadKinds(),
-                           seed);
+    // Reads reach the cold tier only as batches (a scalar Get is a one-id
+    // batch), so kGetBatch is the one read class armed.
     faults->SetProbability(FaultSchedule::Op::kGetBatch, kFaultP,
                            AllReadKinds(), seed + 1);
     faults->SetProbability(FaultSchedule::Op::kPut, kFaultP, AllWriteKinds(),
@@ -293,6 +293,28 @@ TEST(FaultInjectionTest, ConcurrentEvictionRacesDemotionUnderFaults) {
     });
   }
   for (auto& t : threads) t.join();
+  // A read-only pass with write faults off: whatever it injects is a read
+  // fault, so this proves the cold read path is really under fire.
+  stack.faults->SetProbability(FaultSchedule::Op::kPut, 0, {});
+  stack.faults->SetProbability(FaultSchedule::Op::kPutBatch, 0, {});
+  const uint64_t before_reads = stack.faults->injected_count();
+  std::vector<Hash256> ids;
+  for (const auto& [name, entry] : shadow) ids.push_back(entry.first);
+  for (size_t start = 0; start < ids.size(); start += 8) {
+    const size_t n = std::min<size_t>(8, ids.size() - start);
+    auto slots = stack.tiered->GetMany(
+        std::span<const Hash256>(ids).subspan(start, n));
+    for (size_t i = 0; i < n; ++i) {
+      if (slots[i].ok()) {
+        EXPECT_EQ(slots[i]->hash(), ids[start + i]);
+      } else {
+        EXPECT_FALSE(slots[i].status().IsNotFound())
+            << "acknowledged chunk reported absent";
+      }
+    }
+  }
+  EXPECT_GT(stack.faults->injected_count(), before_reads)
+      << "no read fault fired";
   VerifyAllReadable(stack, shadow);
   auto tier = stack.tiered->tier_stats();
   EXPECT_GT(tier.evictions, 0u) << "budget never bit — test is vacuous";
