@@ -29,11 +29,15 @@ unless --strict. Regenerate with:
   ./build/bench_micro_ops --benchmark_min_time=0.2 \
       --benchmark_format=json --benchmark_out=bench/baseline.json
 
+Each side's rate is the median of that benchmark's iteration rows, so a
+run with --benchmark_repetitions (CI uses 3) compares medians.
+
 Usage: compare_bench.py BASELINE.json NEW.json [--threshold 25] [--strict]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 # (faster path, slower path, hard floor on the ratio or None,
@@ -158,9 +162,14 @@ TRACKED_PAIRS = [
 
 
 def load_rates(path):
+    """Each benchmark's median rate over its iteration rows.
+
+    A run with --benchmark_repetitions=N has N rows per name; a
+    single-repetition run (the checked-in baseline) is a median of one.
+    """
     with open(path) as f:
         doc = json.load(f)
-    rates = {}
+    rows = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -168,8 +177,8 @@ def load_rates(path):
         # either way.
         rate = bench.get("items_per_second") or bench.get("bytes_per_second")
         if rate:
-            rates[bench["name"]] = rate
-    return rates
+            rows.setdefault(bench["name"], []).append(rate)
+    return {name: statistics.median(rates) for name, rates in rows.items()}
 
 
 def main():

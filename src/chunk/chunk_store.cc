@@ -47,6 +47,41 @@ Status ChunkStore::Erase(std::span<const Hash256> ids) {
   return Status::Unimplemented("this chunk store cannot erase chunks");
 }
 
+namespace {
+
+// A batched sweep reads its ids in runs of kSweepRunIds (one GetMany
+// each), kSweepRoundRuns runs per round of the ordered fan-out.
+constexpr size_t kSweepRunIds = 64;
+constexpr size_t kSweepRoundRuns = 8;
+
+}  // namespace
+
+Status ForEachChunkBatch(
+    const ChunkStore& store, std::span<const Hash256> ids,
+    const std::function<Status(size_t index, StatusOr<Chunk>& slot)>& fn,
+    BatchHashing hashing) {
+  using Slots = std::vector<StatusOr<Chunk>>;
+  return OrderedFanOut<Slots>(
+      SharedHashPool(), (ids.size() + kSweepRunIds - 1) / kSweepRunIds,
+      kSweepRoundRuns,
+      [&](size_t r, Slots* slots) {
+        const size_t begin = r * kSweepRunIds;
+        *slots = store.GetMany(
+            ids.subspan(begin, std::min(kSweepRunIds, ids.size() - begin)));
+        if (hashing == BatchHashing::kPrecompute) {
+          for (const auto& slot : *slots) {
+            if (slot.ok()) slot->hash();
+          }
+        }
+      },
+      [&](size_t r, Slots& slots) -> Status {
+        for (size_t k = 0; k < slots.size(); ++k) {
+          FB_RETURN_IF_ERROR(fn(r * kSweepRunIds + k, slots[k]));
+        }
+        return Status::OK();
+      });
+}
+
 void ChunkStore::ForEachId(
     const std::function<void(const Hash256&, uint64_t)>& fn) const {
   ForEach([&](const Hash256& id, const Chunk& chunk) { fn(id, chunk.size()); });

@@ -158,9 +158,11 @@ class ChunkStore {
   virtual AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const;
 
   /// True when GetManyAsync actually overlaps I/O with the caller (rather
-  /// than the inline default). Pipelined readers (TreeCursor, diff, GC)
-  /// only issue speculative next-window reads when this holds, so purely
-  /// synchronous stores never pay for prefetch the consumer may not reach.
+  /// than the inline default). Pipelined readers (TreeCursor and the diff
+  /// frontier) only issue speculative next-window reads when this holds, so
+  /// purely synchronous stores never pay for prefetch the consumer may not
+  /// reach. Batched sweeps (ForEachChunkBatch) read on the hash pool
+  /// instead, on every store.
   virtual bool SupportsAsyncGet() const { return false; }
 
   /// Batched store with Put semantics per element: idempotent, and
@@ -346,67 +348,32 @@ class ChunkStore {
   std::vector<PutPin*> pins_;  // guarded by pin_mu_
 };
 
-/// Default batch size for memory-capped sweeps over many ids.
+/// Default batch size for memory-capped batched writes and erases over many
+/// chunks (GC copies and erases, bundle import).
 inline constexpr size_t kChunkSweepBatch = 256;
 
-/// Whether ForEachChunkBatch should batch-compute chunk identities before
-/// handing a batch to the callback. Sweeps that re-hash every chunk (deep
-/// verification, bundle export) opt in so the digests fan across the shared
-/// hash pool instead of being computed one at a time inside the callback;
-/// sweeps that never look at hashes (GC marking, diff) keep the default and
-/// pay nothing.
+/// Whether ForEachChunkBatch should compute chunk identities before
+/// handing a run to the callback. Sweeps that re-hash every chunk (deep
+/// verification, bundle export) opt in so the digests are computed by the
+/// thread that reads the run, in parallel with the other runs, instead of
+/// one at a time inside the callback; sweeps that never look at hashes (GC
+/// marking, diff) keep the default and pay nothing.
 enum class BatchHashing : uint8_t { kNone = 0, kPrecompute = 1 };
 
-/// Reads `ids` in batches of `batch_size`, invoking `fn(index, slot)` for
-/// every id in order (`slot` is the id's StatusOr<Chunk>, movable). Stops
-/// and propagates the first non-OK status `fn` returns; slot errors are
-/// `fn`'s to judge. Keeps sweeps over huge id sets from buffering every
-/// chunk at once.
-///
-/// On stores with real async reads (SupportsAsyncGet), batches are
-/// double-buffered: batch k+1 is issued through GetManyAsync before batch
-/// k is handed to `fn`, so the next read overlaps with consumption (diff
-/// level sweeps, GC mark waves, chunk copies). Every id fetched is one
-/// `fn` will receive — the only speculative read wasted is the in-flight
-/// batch when `fn` aborts the sweep with an error. Synchronous stores keep
-/// the plain one-batch-at-a-time loop: no eager read ahead of an abort,
-/// and only one batch resident.
-template <typename Fn>
-Status ForEachChunkBatch(const ChunkStore& store,
-                         std::span<const Hash256> ids, size_t batch_size,
-                         Fn&& fn, BatchHashing hashing = BatchHashing::kNone) {
-  if (ids.empty()) return Status::OK();
-  const bool pipelined = store.SupportsAsyncGet();
-  auto slice = [&](size_t start) {
-    return ids.subspan(start, std::min(batch_size, ids.size() - start));
-  };
-  AsyncChunkBatch pending;
-  if (pipelined) pending = store.GetManyAsync(slice(0));
-  for (size_t start = 0; start < ids.size();) {
-    const size_t n = std::min(batch_size, ids.size() - start);
-    auto chunks = pipelined ? pending.Take() : store.GetMany(slice(start));
-    const size_t next = start + n;
-    if (pipelined && next < ids.size()) {
-      pending = store.GetManyAsync(slice(next));
-    }
-    if (hashing == BatchHashing::kPrecompute) {
-      // Chunk copies share the identity cache with their slot, so hashing
-      // the copies primes hash() for the callback.
-      std::vector<Chunk> resident;
-      resident.reserve(n);
-      for (const auto& slot : chunks) {
-        if (slot.ok()) resident.push_back(*slot);
-      }
-      Chunk::PrecomputeHashes(resident, SharedHashPool());
-    }
-    for (size_t i = 0; i < n; ++i) {
-      Status s = fn(start + i, chunks[i]);
-      if (!s.ok()) return s;
-    }
-    start = next;
-  }
-  return Status::OK();
-}
+/// Reads `ids` and invokes `fn(index, slot)` for every id, in order, on the
+/// calling thread (`slot` is the id's StatusOr<Chunk>, movable). Stops and
+/// propagates the first non-OK status `fn` returns; slot errors are `fn`'s
+/// to judge. The reads run on the ordered fan-out (OrderedFanOut in
+/// util/worker_pool.h): runs of ids are read, and hashed under kPrecompute,
+/// by the caller and SharedHashPool() helpers, at most two rounds ahead of
+/// `fn`, so a sweep over a huge id set never buffers every chunk at once.
+/// A sweep of one run uses no helper. When `fn` stops the sweep, reads
+/// already issued for the rounds in flight are wasted; no others are made.
+/// `ids` must not be modified while the sweep runs: helpers read it.
+Status ForEachChunkBatch(
+    const ChunkStore& store, std::span<const Hash256> ids,
+    const std::function<Status(size_t index, StatusOr<Chunk>& slot)>& fn,
+    BatchHashing hashing = BatchHashing::kNone);
 
 }  // namespace forkbase
 

@@ -1398,7 +1398,7 @@ void FileChunkStore::ForEach(
     }
   }
   (void)ForEachChunkBatch(
-      *this, ids, kChunkSweepBatch,
+      *this, ids,
       [&](size_t i, StatusOr<Chunk>& chunk) {
         if (chunk.ok()) fn(ids[i], *chunk);
         return Status::OK();  // diagnostics sweep: skip unreadable chunks

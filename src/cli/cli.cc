@@ -508,7 +508,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     });
     uint64_t bad = 0;
     FB_RETURN_IF_ERROR(ForEachChunkBatch(
-        *store, ids, kChunkSweepBatch,
+        *store, ids,
         [&](size_t index, StatusOr<Chunk>& chunk_or) -> Status {
           if (!chunk_or.ok() || chunk_or->hash() != ids[index]) {
             ++bad;

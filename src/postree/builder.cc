@@ -22,7 +22,7 @@ Status NotAscending(size_t i) {
 // Entries [begin, end) of a bulk load, split from a fresh node start the way
 // a stream splits them: each entry is encoded into the open node's buffer,
 // and a closing node becomes a leaf chunk. Written by the thread that claims
-// it; read by the caller once the round has joined.
+// it; stitched by the caller once that thread is done.
 struct TreeBuilder::BulkSegment {
   struct Leaf {
     size_t begin = 0;  ///< first entry
@@ -54,9 +54,8 @@ struct TreeBuilder::BulkSegment {
     return leaves.empty() ? begin : leaves.back().end;
   }
 
-  // Runs on pool threads: it may call nothing that submits to the pool and
-  // waits (PutMany, PrecomputeHashes with a pool, Sha256Many with a pool) —
-  // on a saturated pool that wait would never end.
+  // Runs on whichever thread claims the segment, a pool thread or the
+  // caller: it calls only `encode`, the splitter, Chunk::Make and hash().
   void Build(const EntryEncoder& encode, ChunkType type,
              const SplitConfig& split, bool keyed) {
     NodeSplitter splitter(split);
@@ -188,48 +187,18 @@ Status TreeBuilder::AddEntries(size_t n, const EntryEncoder& encode) {
   }
   const bool keyed =
       leaf_type_ == ChunkType::kMapLeaf || leaf_type_ == ChunkType::kSetLeaf;
-  constexpr size_t kRoundEntries = kBulkSegmentEntries * kBulkRoundSegments;
-  struct Round {
-    std::vector<BulkSegment> segments;
-    std::shared_ptr<TaskRound> tasks;
-  };
-  auto start_round = [&](size_t first) {
-    auto round = std::make_unique<Round>();
-    const size_t last = std::min(n, first + kRoundEntries);
-    for (size_t b = first; b < last; b += kBulkSegmentEntries) {
-      BulkSegment& seg = round->segments.emplace_back();
-      seg.begin = b;
-      seg.end = std::min(last, b + kBulkSegmentEntries);
-    }
-    BulkSegment* segments = round->segments.data();
-    round->tasks = TaskRound::Start(
-        SharedHashPool(), round->segments.size(),
-        [this, segments, &encode, keyed](size_t s) {
-          segments[s].Build(encode, leaf_type_, config_.leaf, keyed);
-        });
-    return round;
-  };
-  // The round in flight is joined on every exit, so no helper still builds
-  // from `encode` once this returns.
-  std::unique_ptr<Round> ahead = n > 0 ? start_round(0) : nullptr;
-  struct JoinOnExit {
-    std::unique_ptr<Round>* round;
-    ~JoinOnExit() {
-      if (*round) (*round)->tasks->Join();
-    }
-  } join_on_exit{&ahead};
   Slice prev_key;
-  for (size_t first = 0; first < n; first += kRoundEntries) {
-    std::unique_ptr<Round> round = std::move(ahead);
-    round->tasks->Drain();
-    round->tasks->Join();
-    // The next round builds on the helpers while this one is stitched.
-    if (first + kRoundEntries < n) ahead = start_round(first + kRoundEntries);
-    for (BulkSegment& seg : round->segments) {
-      FB_RETURN_IF_ERROR(StitchSegment(seg, keyed, &prev_key));
-    }
-  }
-  return Status::OK();
+  return OrderedFanOut<BulkSegment>(
+      SharedHashPool(), (n + kBulkSegmentEntries - 1) / kBulkSegmentEntries,
+      kBulkRoundSegments,
+      [&](size_t i, BulkSegment* seg) {
+        seg->begin = i * kBulkSegmentEntries;
+        seg->end = std::min(n, seg->begin + kBulkSegmentEntries);
+        seg->Build(encode, leaf_type_, config_.leaf, keyed);
+      },
+      [&](size_t, BulkSegment& seg) {
+        return StitchSegment(seg, keyed, &prev_key);
+      });
 }
 
 Status TreeBuilder::StitchSegment(BulkSegment& seg, bool keyed,

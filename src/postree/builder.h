@@ -71,13 +71,14 @@ class TreeBuilder {
 
   /// Appends entries 0..n-1 of `encode`: the same chunks, put in the same
   /// order, as n AddEntry calls. The leaf level is built in segments of
-  /// kBulkSegmentEntries entries, claimed by the caller and SharedHashPool()
-  /// helpers; each segment encodes, splits from a fresh node start, and
-  /// makes and hashes its leaves. The caller then walks the segments in
-  /// order, re-splitting from the open node until it closes on a node start
-  /// the segment produced, and adopts the segment's leaves from there (cut
-  /// points are a pure function of the bytes since the node start). At most
-  /// two rounds of kBulkRoundSegments segments are in memory at once.
+  /// kBulkSegmentEntries entries on the ordered fan-out (OrderedFanOut):
+  /// the caller and SharedHashPool() helpers claim segments, and each one
+  /// encodes, splits from a fresh node start, and makes and hashes its
+  /// leaves. The caller stitches the segments in order, re-splitting from
+  /// the open node until it closes on a node start the segment produced,
+  /// and adopts the segment's leaves from there (cut points are a pure
+  /// function of the bytes since the node start). At most two rounds of
+  /// kBulkRoundSegments segments are in memory at once.
   /// Keyed leaf types need strictly ascending keys: InvalidArgument names
   /// the first entry that is not. Precondition: AlignedThrough(0). On error
   /// the builder must be discarded.

@@ -249,7 +249,7 @@ Status MaterializeRange(const ChunkStore* store, ChunkType leaf_type,
   ids.reserve(to - from);
   for (size_t i = from; i < to; ++i) ids.push_back(spans[i].id);
   return ForEachChunkBatch(
-      *store, ids, kChunkSweepBatch,
+      *store, ids,
       [&](size_t, StatusOr<Chunk>& chunk_or) -> Status {
         if (!chunk_or.ok()) return chunk_or.status();
         if (metrics) ++metrics->nodes_loaded;

@@ -212,6 +212,14 @@ StatusOr<std::vector<std::pair<std::string, std::string>>> PosTree::Entries()
 
 namespace {
 
+// An index node's children: non-empty, or the node is malformed.
+Status ParseIndexNode(const Chunk& node, std::vector<IndexEntry>* children) {
+  if (!ParseIndexEntries(node.payload(), children) || children->empty()) {
+    return Status::Corruption("malformed index node");
+  }
+  return Status::OK();
+}
+
 // One incremental keyed update: a key-ordered walk of the old tree from its
 // root that hands every untouched subtree to the builder as its old index
 // entry (TreeBuilder::AddSubtree) and streams entries only through leaves
@@ -236,9 +244,7 @@ class KeyedUpdate {
       path_.emplace_back(id, chunk);
       if (chunk.type() != ChunkType::kMeta) break;
       std::vector<IndexEntry> children;
-      if (!ParseIndexEntries(chunk.payload(), &children) || children.empty()) {
-        return Status::Corruption("malformed index node");
-      }
+      FB_RETURN_IF_ERROR(ParseIndexNode(chunk, &children));
       size_t i = 0;
       while (!ops_.empty() && i + 1 < children.size() &&
              Slice(children[i].key) < Slice(ops_[0].key)) {
@@ -276,9 +282,7 @@ class KeyedUpdate {
       return Status::Corruption("leaf above the leaf level");
     }
     std::vector<IndexEntry> children;
-    if (!ParseIndexEntries(node.payload(), &children) || children.empty()) {
-      return Status::Corruption("malformed index node");
-    }
+    FB_RETURN_IF_ERROR(ParseIndexNode(node, &children));
     for (size_t i = 0; i < children.size(); ++i) {
       const IndexEntry& child = children[i];
       const bool tail = owns_tail && i + 1 == children.size();
@@ -455,7 +459,7 @@ Status PosTree::WalkLevels(bool verify_hashes,
     std::vector<IndexEntry> next;
     bool leaves = false;
     FB_RETURN_IF_ERROR(ForEachChunkBatch(
-        *store_, ids, kChunkSweepBatch,
+        *store_, ids,
         [&](size_t i, StatusOr<Chunk>& slot) -> Status {
           if (!slot.ok()) return slot.status();
           if (verify_hashes && slot->hash() != ids[i]) {
@@ -466,9 +470,8 @@ Status PosTree::WalkLevels(bool verify_hashes,
           children.clear();
           if (slot->type() != ChunkType::kMeta) {
             leaves = true;
-          } else if (!ParseIndexEntries(slot->payload(), &children) ||
-                     children.empty()) {
-            return Status::Corruption("malformed index node");
+          } else {
+            FB_RETURN_IF_ERROR(ParseIndexNode(*slot, &children));
           }
           if (leaves && (!children.empty() || !next.empty())) {
             return Status::Corruption("leaves at multiple depths");
@@ -482,6 +485,37 @@ Status PosTree::WalkLevels(bool verify_hashes,
     level = std::move(next);
   }
   return Status::OK();
+}
+
+Status PosTree::LeafIds(std::vector<Hash256>* leaves) const {
+  std::vector<Hash256> level{root_};
+  std::vector<IndexEntry> children;
+  Status cut;  // the earliest error in key order so far
+  for (uint32_t depth = 0; !level.empty(); ++depth) {
+    if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
+    StatusOr<Chunk> first = store_->Get(level.front());
+    if (first.ok() && first->type() != ChunkType::kMeta) break;
+    std::vector<Hash256> next;
+    auto expand = [&](const StatusOr<Chunk>& node) -> Status {
+      if (!node.ok()) return node.status();
+      if (node->type() != ChunkType::kMeta) {
+        return Status::Corruption("leaves at multiple depths");
+      }
+      FB_RETURN_IF_ERROR(ParseIndexNode(*node, &children));
+      for (const IndexEntry& e : children) next.push_back(e.child);
+      return Status::OK();
+    };
+    Status s = expand(first);
+    if (s.ok()) {
+      s = ForEachChunkBatch(
+          *store_, std::span<const Hash256>(level).subspan(1),
+          [&](size_t, StatusOr<Chunk>& node) { return expand(node); });
+    }
+    if (!s.ok()) cut = std::move(s);
+    level = std::move(next);
+  }
+  *leaves = std::move(level);
+  return cut;
 }
 
 Status PosTree::Validate(

@@ -110,13 +110,14 @@ class PosTree {
                                  Slice insert) const;
 
   /// Full Merkle + structural validation in one batched level walk (see
-  /// WalkLevels), re-hashed across the shared hash pool, so each reachable
-  /// chunk is loaded once: every chunk re-hashes to its id; index nodes are
-  /// non-empty with ascending split keys; each node's count and (keyed) max
-  /// key equal its parent entry's count and split key; leaves are of
-  /// leaf_type(), keys ascend across the whole tree, all leaves sit at one
-  /// depth. `visit`, if set, sees each leaf entry (not blob bytes) in tree
-  /// order within the same pass; an error it returns fails the validation.
+  /// WalkLevels), read and re-hashed on the shared hash pool, so each
+  /// reachable chunk is loaded once: every chunk re-hashes to its id; index
+  /// nodes are non-empty with ascending split keys; each node's count and
+  /// (keyed) max key equal its parent entry's count and split key; leaves
+  /// are of leaf_type(), keys ascend across the whole tree, all leaves sit
+  /// at one depth. `visit`, if set, sees each leaf entry (not blob bytes)
+  /// in tree order within the same pass; an error it returns fails the
+  /// validation.
   Status Validate(
       const std::function<Status(const EntryView&)>& visit = {}) const;
 
@@ -130,15 +131,24 @@ class PosTree {
 
   /// The one batched tree walk (Validate, Shape, ReachableChunks, sequence
   /// diff): visits every node level by level from the root, each level read
-  /// in batches, so leaves arrive in tree order. `ref` is the node's parent
-  /// index entry (the root's is {root, 0, ""}); `children` is an index
-  /// node's parsed, non-empty entry list and empty for a leaf. With
-  /// `verify_hashes` each level is hashed across the shared hash pool and
+  /// by one ForEachChunkBatch sweep on the hash pool and visited on the
+  /// caller in order, so leaves arrive in tree order. `ref` is the node's
+  /// parent index entry (the root's is {root, 0, ""}); `children` is an
+  /// index node's parsed, non-empty entry list and empty for a leaf. With
+  /// `verify_hashes` each run is hashed by the thread that reads it, and
   /// every chunk must re-hash to its id before it is visited.
   using NodeVisitor = std::function<Status(
       uint32_t depth, const IndexEntry& ref, const Chunk& node,
       const std::vector<IndexEntry>& children)>;
   Status WalkLevels(bool verify_hashes, const NodeVisitor& visit) const;
+
+  /// The ids of the tree's leaves in key order, from the same level-by-level
+  /// walk stopped above the leaves: each index node is read once, and of
+  /// the leaves only the first, which shows that its level is the leaf
+  /// level. An index node that is unreadable or malformed cuts its level
+  /// there: `leaves` then holds every leaf before that node's subtree, and
+  /// the error returned is the one a cursor walk meets right after them.
+  Status LeafIds(std::vector<Hash256>* leaves) const;
 
   const ChunkStore* store() const { return store_; }
 

@@ -127,7 +127,7 @@ StatusOr<BundleStats> ExportBundle(const ChunkStore& store,
     materialize.push_back(id);
   }
   FB_RETURN_IF_ERROR(ForEachChunkBatch(
-      store, materialize, kChunkSweepBatch,
+      store, materialize,
       [&](size_t index, StatusOr<Chunk>& chunk_or) -> Status {
         if (!chunk_or.ok()) return chunk_or.status();
         return emit_materialized(materialize[index], *chunk_or);
@@ -236,7 +236,7 @@ class TreeDelta {
     }
     std::vector<Hash256> parsed;
     FB_RETURN_IF_ERROR(ForEachChunkBatch(
-        store_, misses, kChunkSweepBatch,
+        store_, misses,
         [&](size_t i, StatusOr<Chunk>& chunk_or) -> Status {
           if (!chunk_or.ok()) return chunk_or.status();
           parsed.clear();

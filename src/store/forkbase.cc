@@ -568,10 +568,8 @@ Status ForkBase::VerifyValue(const Value& value) const {
       return PosTree(cs, ChunkType::kBlobLeaf, value.root(),
                      TreeConfig::ForBlob())
           .Validate();
-    case ValueType::kTable: {
-      FB_ASSIGN_OR_RETURN(FTable table, FTable::Attach(cs, value.root()));
-      return table.Validate();
-    }
+    case ValueType::kTable:
+      return FTable::Verify(cs, value.root());
     default:
       return Status::OK();  // primitives are covered by the FNode hash
   }
@@ -588,7 +586,7 @@ Status ForkBase::Verify(const Hash256& uid) const {
   //    batches, and its bytes checked against its uid.
   FB_ASSIGN_OR_RETURN(auto ancestors, commit_graph_.Ancestors(*store_, uid));
   return ForEachChunkBatch(
-      *store_, ancestors, kChunkSweepBatch,
+      *store_, ancestors,
       [&](size_t i, StatusOr<Chunk>& chunk_or) -> Status {
         if (!chunk_or.ok()) return chunk_or.status();
         if (chunk_or->hash() != ancestors[i]) {

@@ -71,9 +71,9 @@ StatusOr<std::unordered_set<Hash256, Hash256Hasher>> MarkLive(
     const std::unordered_set<Hash256, Hash256Hasher>* exclude,
     const std::function<Status(const Chunk&)>& visit) {
   std::unordered_set<Hash256, Hash256Hasher> live;
-  // BFS in waves: each wave's unseen ids are read in capped batches, with
-  // the next batch's read in flight (on async stores) while the previous
-  // batch's references are expanded — so the mark phase streams instead of
+  // BFS in waves: each wave's unseen ids go through one batched sweep, so
+  // pool helpers read the next runs while the caller expands the references
+  // of the runs already read, in order — the mark phase streams instead of
   // stalling on one giant read per wave.
   std::vector<Hash256> wave(roots.begin(), roots.end());
   while (!wave.empty()) {
@@ -86,7 +86,7 @@ StatusOr<std::unordered_set<Hash256, Hash256Hasher>> MarkLive(
     if (to_load.empty()) break;
     wave.clear();
     FB_RETURN_IF_ERROR(ForEachChunkBatch(
-        store, to_load, kChunkSweepBatch,
+        store, to_load,
         [&](size_t, StatusOr<Chunk>& chunk_or) -> Status {
           if (!chunk_or.ok()) return chunk_or.status();
           FB_RETURN_IF_ERROR(ExpandReferences(*chunk_or, &wave));

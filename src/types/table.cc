@@ -123,6 +123,11 @@ StatusOr<FTable> FTable::FromCsv(ChunkStore* store, const CsvDocument& doc,
 
 StatusOr<FTable> FTable::Attach(const ChunkStore* store, const Hash256& id) {
   FB_ASSIGN_OR_RETURN(Chunk header, store->Get(id));
+  return Parse(store, id, header);
+}
+
+StatusOr<FTable> FTable::Parse(const ChunkStore* store, const Hash256& id,
+                               const Chunk& header) {
   if (header.type() != ChunkType::kTableMeta) {
     return Status::Corruption("not a table header chunk");
   }
@@ -298,53 +303,8 @@ namespace {
 
 // Leaves per run: one GetMany, split by whichever thread claims the run.
 constexpr size_t kScanRunLeaves = 16;
-// Runs per round. At most two rounds are in flight: the one being
-// delivered and the one issued ahead of it.
+// Runs per round of the ordered fan-out.
 constexpr size_t kScanRoundRuns = 8;
-
-// Children of one index node, with the cursor's checks.
-Status IndexChildren(const StatusOr<Chunk>& node,
-                     std::vector<IndexEntry>* children) {
-  if (!node.ok()) return node.status();
-  if (node->type() != ChunkType::kMeta) {
-    return Status::Corruption("leaves at multiple depths");
-  }
-  if (!ParseIndexEntries(node->payload(), children)) {
-    return Status::Corruption("malformed index node");
-  }
-  if (children->empty()) return Status::Corruption("empty index node");
-  return Status::OK();
-}
-
-// The leaf ids of the tree at `root` in key order, read one level at a
-// time in batches; a level is the leaf level once its first node is not an
-// index node. A node above the leaves that is unreadable or malformed cuts
-// its level there: `leaves` then holds every leaf before that node's
-// subtree, and the error returned is the one a cursor walk meets right
-// after them.
-Status CollectLeafIds(const ChunkStore& store, const Hash256& root,
-                      std::vector<Hash256>* leaves) {
-  std::vector<Hash256> level{root};
-  std::vector<IndexEntry> children;
-  Status cut;  // the earliest error in key order so far
-  for (size_t depth = 0; !level.empty(); ++depth) {
-    if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
-    StatusOr<Chunk> first = store.Get(level.front());
-    if (first.ok() && first->type() != ChunkType::kMeta) break;
-    std::vector<Hash256> next;
-    Status s = ForEachChunkBatch(
-        store, level, kChunkSweepBatch,
-        [&](size_t, StatusOr<Chunk>& node) -> Status {
-          FB_RETURN_IF_ERROR(IndexChildren(node, &children));
-          for (const IndexEntry& e : children) next.push_back(e.child);
-          return Status::OK();
-        });
-    if (!s.ok()) cut = std::move(s);
-    level = std::move(next);
-  }
-  *leaves = std::move(level);
-  return cut;
-}
 
 }  // namespace
 
@@ -392,62 +352,26 @@ void FTable::ReadRun(std::span<const Hash256> ids, RowRun* run) const {
 
 Status FTable::WalkRows(const RowVisitor& visit) const {
   std::vector<Hash256> leaves;
-  const Status index_status = CollectLeafIds(*store_, rows_.root(), &leaves);
-  const size_t runs = (leaves.size() + kScanRunLeaves - 1) / kScanRunLeaves;
-  struct Round {
-    std::vector<RowRun> runs;
-    std::shared_ptr<TaskRound> tasks;
-  };
-  auto start_round = [&](size_t first) {
-    auto round = std::make_unique<Round>();
-    round->runs.resize(std::min(runs, first + kScanRoundRuns) - first);
-    RowRun* out = round->runs.data();
-    round->tasks = TaskRound::Start(
-        SharedHashPool(), round->runs.size(),
-        [this, out, first, &leaves](size_t i) {
-          const size_t begin = (first + i) * kScanRunLeaves;
-          const size_t end = std::min(leaves.size(), begin + kScanRunLeaves);
-          ReadRun(std::span<const Hash256>(leaves).subspan(begin, end - begin),
-                  &out[i]);
-        });
-    return round;
-  };
-  // Both rounds are joined on every exit, so no helper still reads into
-  // them once this returns.
-  std::unique_ptr<Round> round, ahead = runs > 0 ? start_round(0) : nullptr;
-  struct JoinOnExit {
-    std::unique_ptr<Round>* rounds[2];
-    ~JoinOnExit() {
-      for (auto* r : rounds) {
-        if (*r) (*r)->tasks->Join();
-      }
-    }
-  } join_on_exit{{&round, &ahead}};
+  const Status index_status = rows_.tree().LeafIds(&leaves);
+  const std::span<const Hash256> ids(leaves);
   const size_t ncols = columns_.size();
-  for (size_t first = 0; first < runs; first += kScanRoundRuns) {
-    round = std::move(ahead);
-    // The next round reads on the helpers while this one is delivered.
-    if (first + kScanRoundRuns < runs) {
-      ahead = start_round(first + kScanRoundRuns);
-    }
-    for (size_t i = 0; i < round->runs.size(); ++i) {
-      // While run i is not ready, read runs rather than wait: this is what
-      // finishes the scan when the pool is busy or has no threads.
-      while (!round->tasks->Done(i)) {
-        if (!round->tasks->RunOne() && !(ahead && ahead->tasks->RunOne())) {
-          round->tasks->Wait(i);
+  FB_RETURN_IF_ERROR(OrderedFanOut<RowRun>(
+      SharedHashPool(), (ids.size() + kScanRunLeaves - 1) / kScanRunLeaves,
+      kScanRoundRuns,
+      [&](size_t r, RowRun* run) {
+        const size_t begin = r * kScanRunLeaves;
+        ReadRun(
+            ids.subspan(begin, std::min(kScanRunLeaves, ids.size() - begin)),
+            run);
+      },
+      [&](size_t, RowRun& run) -> Status {
+        const std::span<const Slice> cells(run.cells);
+        for (size_t k = 0; k < run.keys.size(); ++k) {
+          FB_RETURN_IF_ERROR(
+              visit(run.keys[k], cells.subspan(k * ncols, ncols)));
         }
-      }
-      RowRun& run = round->runs[i];
-      const std::span<const Slice> cells(run.cells);
-      for (size_t k = 0; k < run.keys.size(); ++k) {
-        FB_RETURN_IF_ERROR(
-            visit(run.keys[k], cells.subspan(k * ncols, ncols)));
-      }
-      FB_RETURN_IF_ERROR(run.status);
-      run = RowRun();  // its leaves are done with
-    }
-  }
+        return run.status;
+      }));
   return index_status;
 }
 
@@ -598,20 +522,23 @@ StatusOr<FTable> FTable::Merge3(const FTable& base, const FTable& left,
   return right.WithRows(merged_rows);
 }
 
-Status FTable::Validate() const {
-  FB_ASSIGN_OR_RETURN(Chunk header, store_->Get(id_));
-  if (header.hash() != id_) {
+Status FTable::Validate() const { return Verify(store_, id_); }
+
+Status FTable::Verify(const ChunkStore* store, const Hash256& id) {
+  FB_ASSIGN_OR_RETURN(Chunk header, store->Get(id));
+  if (header.hash() != id) {
     return Status::Corruption("table header tampered");
   }
-  const size_t ncols = columns_.size();
+  FB_ASSIGN_OR_RETURN(FTable table, Parse(store, id, header));
+  const size_t ncols = table.columns_.size();
   // Rows are checked inside the tree's validation pass; only the key cell
   // is compared, so no cell is copied.
   std::vector<Slice> cells;
-  return rows_.tree().Validate([&](const EntryView& row) -> Status {
+  return table.rows_.tree().Validate([&](const EntryView& row) -> Status {
     if (!SplitRow(row.value, ncols, &cells)) {
       return Status::Corruption("malformed row for key " + row.key.ToString());
     }
-    if (cells[key_column_] != row.key) {
+    if (cells[table.key_column_] != row.key) {
       return Status::Corruption("row key does not match primary-key cell");
     }
     return Status::OK();

@@ -98,8 +98,14 @@ class FTable {
                                  MergePolicy policy = MergePolicy::kStrict,
                                  DiffMetrics* metrics = nullptr);
 
-  /// Validates header + row tree integrity (hashes, ordering, row widths).
+  /// Validates header + row tree integrity (hashes, ordering, row widths):
+  /// Verify(store, id()).
   Status Validate() const;
+
+  /// Attach and Validate in one pass that reads the header once: it must
+  /// re-hash to `id` (else Corruption "table header tampered"), then the
+  /// row tree it names is validated.
+  static Status Verify(const ChunkStore* store, const Hash256& id);
 
   /// Encodes cells in schema order (len-prefixed each).
   static std::string EncodeRow(const std::vector<std::string>& cells);
@@ -115,6 +121,9 @@ class FTable {
         key_column_(key_column),
         rows_(std::move(rows)) {}
 
+  /// Decodes the header chunk `header`, stored at `id`.
+  static StatusOr<FTable> Parse(const ChunkStore* store, const Hash256& id,
+                                const Chunk& header);
   /// Writes the header chunk for (columns, key_column, rows_root).
   static StatusOr<FTable> WriteHeader(ChunkStore* store,
                                       std::vector<std::string> columns,
@@ -128,11 +137,12 @@ class FTable {
   static bool SplitRow(Slice row, size_t ncols, std::vector<Slice>* cells);
   /// The one row walk (Scan, RewriteRows): visits every row in key order,
   /// on the calling thread, with its SplitRow cells (valid during the call
-  /// only). SharedHashPool() helpers and the caller read and split runs of
-  /// kScanRunLeaves leaves, at most two rounds of kScanRoundRuns runs
-  /// ahead. A non-OK visit stops the walk. A missing or malformed chunk or
-  /// row stops it too, after exactly the rows a cursor walk delivers
-  /// before it, with an error of the same class.
+  /// only). The leaf ids come from PosTree::LeafIds; on the ordered fan-out
+  /// (OrderedFanOut), SharedHashPool() helpers and the caller read and
+  /// split runs of kScanRunLeaves leaves, at most two rounds of
+  /// kScanRoundRuns runs ahead. A non-OK visit stops the walk. A missing or
+  /// malformed chunk or row stops it too, after exactly the rows a cursor
+  /// walk delivers before it, with an error of the same class.
   using RowVisitor =
       std::function<Status(Slice key, std::span<const Slice> cells)>;
   Status WalkRows(const RowVisitor& visit) const;

@@ -95,4 +95,36 @@ void TaskRound::Join() {
   cv_.wait(lock, [&] { return finished_ == claimed; });
 }
 
+Status OrderedFanOut(WorkerPool* pool, size_t count, size_t round_size,
+                     const std::function<void(size_t)>& produce,
+                     const std::function<Status(size_t)>& consume) {
+  auto start = [&](size_t first) {
+    return TaskRound::Start(
+        pool, std::min(round_size, count - first),
+        [&produce, first](size_t i) { produce(first + i); });
+  };
+  std::shared_ptr<TaskRound> round, ahead;
+  struct JoinOnExit {
+    std::shared_ptr<TaskRound>* rounds[2];
+    ~JoinOnExit() {
+      for (auto* r : rounds) {
+        if (*r) (*r)->Join();
+      }
+    }
+  } join_on_exit{{&round, &ahead}};
+  Status status;
+  for (size_t first = 0; status.ok() && first < count; first += round_size) {
+    round = ahead ? std::move(ahead) : start(first);
+    // The next round runs on the helpers while this one is consumed.
+    if (first + round_size < count) ahead = start(first + round_size);
+    for (size_t i = 0; status.ok() && i < round->count(); ++i) {
+      while (!round->Done(i)) {
+        if (!round->RunOne() && !(ahead && ahead->RunOne())) round->Wait(i);
+      }
+      status = consume(first + i);
+    }
+  }
+  return status;
+}
+
 }  // namespace forkbase

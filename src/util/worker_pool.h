@@ -12,12 +12,16 @@
 // (e.g. inside every FileChunkStore) costs nothing until async work is
 // actually requested.
 //
-// TaskRound is the one fan-out pattern on top of it (hashing a batch,
-// building a bulk load's leaf segments, reading a table scan's leaf runs):
-// the caller and pool helpers claim indexed tasks from one counter.
+// TaskRound is the one fan-out pattern on top of it: the caller and pool
+// helpers claim indexed tasks from one counter (Sha256Many hashes a batch
+// with one round). OrderedFanOut runs rounds of TaskRounds and hands each
+// result to the caller in index order: a bulk load's leaf segments, a
+// table scan's leaf runs and every batched chunk sweep (ForEachChunkBatch)
+// are its three callers.
 #ifndef FORKBASE_UTIL_WORKER_POOL_H_
 #define FORKBASE_UTIL_WORKER_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -27,6 +31,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/status.h"
 
 namespace forkbase {
 
@@ -107,6 +113,40 @@ class TaskRound {
   std::vector<bool> done_;  ///< guarded by mu_
   size_t finished_ = 0;     ///< guarded by mu_
 };
+
+/// The ordered fan-out: tasks 0..count-1, in TaskRounds of `round_size`
+/// on `pool` (null: the caller runs every task). produce(i) runs on
+/// whichever thread claims task i, the caller or a helper; consume(i) runs
+/// on the caller, strictly in index order, once produce(i) has returned.
+/// At most two rounds are in flight: the one being consumed and the one
+/// issued ahead of it. While task i is not done the caller claims tasks of
+/// either round instead of waiting, so the fan-out completes when every
+/// pool thread is blocked, and when it is called from a task on `pool`
+/// itself. Consumption stops at the first non-OK status consume returns,
+/// and that status is returned. Both rounds are joined on every exit:
+/// once this returns, no produce is running or will run.
+Status OrderedFanOut(WorkerPool* pool, size_t count, size_t round_size,
+                     const std::function<void(size_t)>& produce,
+                     const std::function<Status(size_t)>& consume);
+
+/// OrderedFanOut where task i fills a Result: produce(i, &result) on the
+/// claiming thread, then consume(i, result) on the caller. Results live in
+/// a ring of two rounds' slots, and a slot is reset to Result() once
+/// consumed, so at most 2 * round_size results are alive at once.
+template <typename Result, typename Produce, typename Consume>
+Status OrderedFanOut(WorkerPool* pool, size_t count, size_t round_size,
+                     Produce&& produce, Consume&& consume) {
+  std::vector<Result> slots(std::min(count, 2 * round_size));
+  return OrderedFanOut(
+      pool, count, round_size,
+      [&](size_t i) { produce(i, &slots[i % slots.size()]); },
+      [&](size_t i) -> Status {
+        Result& slot = slots[i % slots.size()];
+        Status s = consume(i, slot);
+        slot = Result();
+        return s;
+      });
+}
 
 }  // namespace forkbase
 

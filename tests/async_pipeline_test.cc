@@ -1,5 +1,6 @@
-// The async I/O pipeline: WorkerPool, GetManyAsync across the store stack,
-// double-buffered cursor scans, pipelined diff/GC reads, and the
+// The async I/O pipeline: WorkerPool, TaskRound and the ordered fan-out,
+// GetManyAsync across the store stack, double-buffered cursor scans,
+// pipelined diff reads, GC marking on an async store, and the
 // group-commit queue. Every async path is checked for result equivalence
 // with its synchronous twin — the pipeline must change latency, never
 // answers.
@@ -7,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -147,6 +150,102 @@ TEST(TaskRoundTest, TasksMayStartRoundsOnTheirOwnPool) {
   round->Drain();
   round->Join();
   EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 32);
+}
+
+TEST(OrderedFanOutTest, ConsumesResultsInIndexOrder) {
+  WorkerPool pool(3);
+  for (size_t count : {0, 1, 7, 8, 9, 16, 17, 100}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    std::vector<size_t> order;
+    Status s = OrderedFanOut<std::string>(
+        &pool, count, /*round_size=*/8,
+        [](size_t i, std::string* out) {
+          // Later tasks of a round tend to finish first.
+          std::this_thread::sleep_for(std::chrono::microseconds(
+              50 * (7 - i % 8)));
+          *out = std::to_string(i);
+        },
+        [&](size_t i, std::string& result) -> Status {
+          EXPECT_EQ(result, std::to_string(i));
+          order.push_back(i);
+          return Status::OK();
+        });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::vector<size_t> want(count);
+    for (size_t i = 0; i < count; ++i) want[i] = i;
+    EXPECT_EQ(order, want);
+  }
+}
+
+TEST(OrderedFanOutTest, ConsumeErrorStopsAndNoProduceRunsAfterReturn) {
+  WorkerPool pool(3);
+  for (size_t k : {0, 1, 7, 8, 15, 16, 40, 99}) {
+    SCOPED_TRACE("error at " + std::to_string(k));
+    std::atomic<bool> returned{false};
+    std::atomic<int> late_produces{0};
+    size_t consumes = 0;
+    Status s = OrderedFanOut(
+        &pool, /*count=*/100, /*round_size=*/8,
+        [&](size_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+          if (returned.load()) late_produces.fetch_add(1);
+        },
+        [&](size_t i) -> Status {
+          ++consumes;
+          return i == k ? Status::Unavailable("stop") : Status::OK();
+        });
+    returned.store(true);
+    EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+    EXPECT_EQ(consumes, k + 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(late_produces.load(), 0) << "produce ran after return";
+  }
+  pool.Shutdown();  // the queued helpers find nothing left to claim
+}
+
+TEST(OrderedFanOutTest, CompletesWhileEveryPoolThreadIsBlocked) {
+  WorkerPool pool(2);
+  auto release = BlockPool(&pool);
+  std::vector<int> produced(50, 0);
+  size_t consumed = 0;
+  Status s = OrderedFanOut(
+      &pool, produced.size(), /*round_size=*/4,
+      [&](size_t i) { ++produced[i]; },
+      [&](size_t i) -> Status {
+        EXPECT_EQ(produced[i], 1) << i;
+        EXPECT_EQ(i, consumed++);
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(consumed, produced.size());
+  release();
+  pool.Shutdown();
+  EXPECT_EQ(std::count(produced.begin(), produced.end(), 1), 50);
+}
+
+TEST(OrderedFanOutTest, RunsFromATaskOnItsOwnPool) {
+  // Every pool thread runs an outer task that fans out on the same pool,
+  // so the inner helpers queue behind the outer tasks.
+  WorkerPool pool(2);
+  std::vector<int> ok(8, 0);
+  auto round = TaskRound::Start(&pool, ok.size(), [&](size_t t) {
+    std::vector<size_t> got;
+    Status s = OrderedFanOut<size_t>(
+        &pool, 40, /*round_size=*/4,
+        [](size_t i, size_t* out) { *out = i * i; },
+        [&](size_t i, size_t& square) -> Status {
+          got.push_back(square == i * i ? i : SIZE_MAX);
+          return Status::OK();
+        });
+    bool in_order = s.ok() && got.size() == 40;
+    for (size_t i = 0; in_order && i < got.size(); ++i) {
+      in_order = got[i] == i;
+    }
+    ok[t] = in_order;
+  });
+  round->Drain();
+  round->Join();
+  EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 8);
 }
 
 TEST(AsyncChunkBatchTest, DefaultStoreReturnsReadyBatches) {
@@ -355,8 +454,8 @@ TEST(AsyncDiffGcTest, PipelinedDiffAndMarkMatchMemoryStore) {
     EXPECT_EQ((*deltas_or)[i].key, (*reference_or)[i].key);
   }
 
-  // MarkLive streams its waves through the same pipeline; both roots'
-  // closures must cover exactly the reachable chunk sets.
+  // MarkLive sweeps its waves on the hash pool; both roots' closures must
+  // cover exactly the reachable chunk sets.
   auto live_or = MarkLive(store, {base.root(), edited.root()});
   ASSERT_TRUE(live_or.ok());
   std::vector<Hash256> reach_a, reach_b;

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "chunk/mem_chunk_store.h"
 #include "postree/tree.h"
+#include "store/gc.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -629,6 +632,220 @@ TEST(PosTreeShapeTest, CountsAddUp) {
   std::vector<Hash256> chunks;
   ASSERT_TRUE(tree.ReachableChunks(&chunks).ok());
   EXPECT_EQ(chunks.size(), shape->total_nodes);
+}
+
+// ------------------------------------- Batched sweeps against serial walks --
+
+// Leaves to fault: the first, and both sides of the edges at which the
+// table scan (runs of 16, rounds of 128 leaves) and the batched sweeps (runs
+// of 64, rounds of 512 ids) cut a level for their parallel readers.
+const size_t kFaultLeaves[] = {0,   15,  16,  63,  64,  127, 128,
+                               255, 256, 257, 511, 512, 513};
+
+// A tree of `type` with more leaves than the last fault position.
+PosTree BuildSweepTree(MemChunkStore* store, ChunkType type) {
+  StatusOr<TreeInfo> info = Status::InvalidArgument("type");
+  if (type == ChunkType::kMapLeaf) {
+    info = PosTree::BuildKeyed(store, type, MakeKvs(40000, 41));
+  } else if (type == ChunkType::kListLeaf) {
+    std::vector<std::string> elements;
+    Rng rng(42);
+    for (int i = 0; i < 44000; ++i) elements.push_back(rng.NextString(30));
+    info = PosTree::BuildList(store, elements);
+  } else {
+    Rng rng(43);
+    info = PosTree::BuildBlob(store, rng.NextString(3000000));
+  }
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  return PosTree(store, type, info->root,
+                 type == ChunkType::kBlobLeaf ? TreeConfig::ForBlob()
+                                              : TreeConfig::ForEntries());
+}
+
+// Erases chunk `id`, or flips its type byte to kTableMeta (neither a leaf
+// nor an index node), until destroyed.
+class ScopedFault {
+ public:
+  ScopedFault(MemChunkStore* store, const Hash256& id, bool missing)
+      : store_(store), id_(id), chunk_(*store->Get(id)), missing_(missing) {
+    if (missing_) {
+      EXPECT_TRUE(store_->Erase(std::vector<Hash256>{id_}).ok());
+    } else {
+      EXPECT_TRUE(store_->TamperForTesting(id_, 0, Mask()));
+    }
+  }
+  ~ScopedFault() {
+    if (missing_) {
+      EXPECT_TRUE(store_->Put(chunk_).ok());
+    } else {
+      EXPECT_TRUE(store_->TamperForTesting(id_, 0, Mask()));
+    }
+  }
+  ScopedFault(const ScopedFault&) = delete;
+  ScopedFault& operator=(const ScopedFault&) = delete;
+
+ private:
+  uint8_t Mask() const {
+    return static_cast<uint8_t>(chunk_.type()) ^
+           static_cast<uint8_t>(ChunkType::kTableMeta);
+  }
+  MemChunkStore* store_;
+  Hash256 id_;
+  Chunk chunk_;
+  bool missing_;
+};
+
+// What a walk saw before it stopped, and the status it stopped with.
+struct Seen {
+  std::vector<std::string> items;
+  Status status;
+};
+
+void ExpectSameSeen(const Seen& got, const Seen& want) {
+  EXPECT_EQ(got.status.code(), want.status.code())
+      << got.status.ToString() << " vs " << want.status.ToString();
+  EXPECT_EQ(got.items.size(), want.items.size());
+  EXPECT_TRUE(got.items == want.items);
+}
+
+// Validate's reference: the serial cursor walk of the same tree. A blob's
+// Validate has no entry visitor, so only the statuses are compared.
+Seen CursorWalk(const PosTree& tree) {
+  Seen seen;
+  if (tree.leaf_type() == ChunkType::kBlobLeaf) {
+    std::string bytes;
+    seen.status = tree.ReadBytes(0, UINT64_MAX / 2, &bytes);
+    return seen;
+  }
+  seen.status = tree.Scan([&](const EntryView& e) {
+    seen.items.push_back(e.raw.ToString());
+    return Status::OK();
+  });
+  return seen;
+}
+
+Seen ValidateWalk(const PosTree& tree) {
+  Seen seen;
+  seen.status = tree.Validate([&](const EntryView& e) {
+    seen.items.push_back(e.raw.ToString());
+    return Status::OK();
+  });
+  return seen;
+}
+
+// ReachableChunks' reference: the tree's chunks in level order, one Get
+// each, with WalkLevels' rules (a chunk that is not an index node is a
+// leaf; an index node has children; leaves sit at one depth).
+Seen SerialLevelOrder(const ChunkStore& store, const Hash256& root) {
+  Seen seen;
+  std::vector<Hash256> level{root};
+  while (!level.empty()) {
+    std::vector<Hash256> next;
+    bool leaves = false;
+    for (const Hash256& id : level) {
+      StatusOr<Chunk> chunk = store.Get(id);
+      if (!chunk.ok()) {
+        seen.status = chunk.status();
+        return seen;
+      }
+      std::vector<IndexEntry> children;
+      if (chunk->type() != ChunkType::kMeta) {
+        leaves = true;
+      } else if (!ParseIndexEntries(chunk->payload(), &children) ||
+                 children.empty() || leaves) {
+        seen.status = Status::Corruption("bad index node");
+        return seen;
+      }
+      if (leaves && !next.empty()) {
+        seen.status = Status::Corruption("leaves at multiple depths");
+        return seen;
+      }
+      seen.items.push_back(id.ToBase32());
+      for (const IndexEntry& e : children) next.push_back(e.child);
+    }
+    level = std::move(next);
+  }
+  return seen;
+}
+
+Seen ReachableWalk(const PosTree& tree) {
+  Seen seen;
+  std::vector<Hash256> ids;
+  seen.status = tree.ReachableChunks(&ids);
+  for (const Hash256& id : ids) seen.items.push_back(id.ToBase32());
+  return seen;
+}
+
+// MarkLive's reference: a serial breadth-first mark, one Get per unseen
+// id, each chunk's references expanded as GC expands them.
+Seen SerialMark(const ChunkStore& store, const Hash256& root) {
+  Seen seen;
+  std::unordered_set<Hash256, Hash256Hasher> marked;
+  std::vector<Hash256> wave{root};
+  while (!wave.empty()) {
+    std::vector<Hash256> next;
+    for (const Hash256& id : wave) {
+      if (!marked.insert(id).second) continue;
+      StatusOr<Chunk> chunk = store.Get(id);
+      if (!chunk.ok()) {
+        seen.status = chunk.status();
+        return seen;
+      }
+      seen.status = AppendTreeChildren(*chunk, &next);
+      if (!seen.status.ok()) return seen;
+      seen.items.push_back(chunk->hash().ToBase32());
+    }
+    wave = std::move(next);
+  }
+  return seen;
+}
+
+Seen MarkWalk(const ChunkStore& store, const Hash256& root) {
+  Seen seen;
+  seen.status = MarkLive(store, {root}, /*exclude=*/nullptr,
+                         [&](const Chunk& chunk) {
+                           seen.items.push_back(chunk.hash().ToBase32());
+                           return Status::OK();
+                         })
+                    .status();
+  return seen;
+}
+
+TEST(BatchedSweepTest, MatchSerialWalksAroundRunAndRoundEdges) {
+  for (ChunkType type :
+       {ChunkType::kMapLeaf, ChunkType::kListLeaf, ChunkType::kBlobLeaf}) {
+    SCOPED_TRACE(ChunkTypeToString(type));
+    MemChunkStore store;
+    const PosTree tree = BuildSweepTree(&store, type);
+    std::vector<Hash256> leaves;
+    ASSERT_TRUE(tree.LeafIds(&leaves).ok());
+    ASSERT_GT(leaves.size(), 520u);
+    ASSERT_GE(tree.Shape()->height, 3u);
+    {
+      SCOPED_TRACE("intact");
+      EXPECT_TRUE(ValidateWalk(tree).status.ok());
+      ExpectSameSeen(ValidateWalk(tree), CursorWalk(tree));
+      ExpectSameSeen(ReachableWalk(tree), SerialLevelOrder(store, tree.root()));
+      ExpectSameSeen(MarkWalk(store, tree.root()),
+                     SerialMark(store, tree.root()));
+    }
+    for (bool missing : {true, false}) {
+      for (size_t leaf : kFaultLeaves) {
+        SCOPED_TRACE(std::string(missing ? "missing" : "type-flipped") +
+                     " leaf " + std::to_string(leaf));
+        ScopedFault fault(&store, leaves[leaf], missing);
+        const Seen validate = ValidateWalk(tree);
+        EXPECT_EQ(validate.status.code(), missing ? StatusCode::kNotFound
+                                                  : StatusCode::kCorruption)
+            << validate.status.ToString();
+        ExpectSameSeen(validate, CursorWalk(tree));
+        ExpectSameSeen(ReachableWalk(tree),
+                       SerialLevelOrder(store, tree.root()));
+        ExpectSameSeen(MarkWalk(store, tree.root()),
+                       SerialMark(store, tree.root()));
+      }
+    }
+  }
 }
 
 }  // namespace

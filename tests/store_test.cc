@@ -688,13 +688,13 @@ TEST(ForkBaseVerifyTest, LoadsEachChunkOfAVersionOnce) {
     ASSERT_TRUE(uid.ok());
     auto value = db.Get(key);
     ASSERT_TRUE(value.ok());
-    // A table's value root is its header chunk, read by Attach and then
-    // again by the header's own re-hash check.
+    // A table's value root is its header chunk, read once: the read that
+    // re-hashes it also yields the schema and the rows root.
     Hash256 tree_root = value->root();
     size_t header_loads = 0;
     if (key == "table") {
       tree_root = db.GetTable(key)->rows().root();
-      header_loads = 2;
+      header_loads = 1;
     }
     std::vector<Hash256> reachable;
     ASSERT_TRUE(PosTree(store.get(), ChunkType::kMapLeaf, tree_root)
@@ -713,6 +713,35 @@ TEST(ForkBaseVerifyTest, LoadsEachChunkOfAVersionOnce) {
     const size_t fnode_loads = 2;  // the version and its one ancestor
     EXPECT_EQ(total, reachable.size() + header_loads + fnode_loads);
   }
+}
+
+TEST(ForkBaseVerifyTest, TableVerifyReadsItsHeaderOnce) {
+  auto store = NewStore();
+  ForkBase db(store);
+  CsvGenOptions opts;
+  opts.num_rows = 2000;
+  auto uid = db.PutTableFromCsv("ds", GenerateCsv(opts));
+  ASSERT_TRUE(uid.ok());
+  auto table = db.GetTable("ds");
+  ASSERT_TRUE(table.ok());
+  std::vector<Hash256> rows;
+  ASSERT_TRUE(table->rows().tree().ReachableChunks(&rows).ok());
+
+  // The FNode, the header, and each row-tree chunk: one read apiece.
+  uint64_t before = store->stats().get_calls;
+  ASSERT_TRUE(db.Verify(*uid).ok());
+  EXPECT_EQ(store->stats().get_calls - before, 1 + 1 + rows.size());
+
+  before = store->stats().get_calls;
+  ASSERT_TRUE(FTable::Verify(store.get(), table->id()).ok());
+  EXPECT_EQ(store->stats().get_calls - before, 1 + rows.size());
+
+  // A flipped schema byte still parses, so only the re-hash catches it.
+  ASSERT_TRUE(store->TamperForTesting(table->id(), 3, 0x01));
+  Status verify = db.Verify(*uid);
+  EXPECT_TRUE(verify.IsCorruption()) << verify.ToString();
+  EXPECT_NE(verify.ToString().find("table header tampered"), std::string::npos)
+      << verify.ToString();
 }
 
 // ------------------------------------------------------------------ Stat --
