@@ -25,6 +25,7 @@
 #include "store/forkbase.h"
 #include "store/gc.h"
 #include "testing/remote_chunk_store.h"
+#include "testing/serial_walk.h"
 #include "types/table.h"
 #include "util/datagen.h"
 #include "util/rolling_hash.h"
@@ -516,24 +517,26 @@ void BM_FileStoreGetBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_FileStoreGetBatched)->Arg(64)->Arg(256);
 
-// ---- async prefetch: double-buffered scans ------------------------------
+// ---- scans: the parallel leaf walk against the serial reference --------
 //
-// The scan pipeline's win is latency hiding: while the consumer parses
-// window N, the store reads window N+1. The File pair measures the real
-// file store (page-cache-warm reads, so the hidden latency is small); the
-// SlowDevice pair adds a fixed per-batch device latency (seek/network
-// class) on top of the file store, the regime the prefetcher exists for.
+// Every scan pair reads one tree two ways on one store. The walk side is
+// PosTree::Scan (or FTable::Scan): the leaf walk reads runs of 16 leaves
+// with one GetMany each, on the caller and the hash pool's helpers, while
+// the caller consumes entries in order. The serial side is SerialScan
+// (testing/serial_walk.h): one scalar Get per node on the caller, the
+// plain depth-first walk the leaf walk must beat. The pair names keep
+// their Async (walk) and Sync (serial) suffixes. The File benches read a
+// page-cache-warm file store, so little latency is there to hide; the
+// SlowDevice pair adds a fixed per-read device latency (seek/network
+// class) on top of it, the regime reading ahead exists for.
 
-/// Fixed per-read latency on top of a real store. GetManyAsync pays the
-/// same latency, but on a background worker — exactly what a device with
-/// queue depth > 1 offers — so a double-buffered consumer can hide it.
+/// Fixed per-read latency on top of a real store, paid on the calling
+/// thread by every Get and GetMany. Reads from several threads overlap, as
+/// on a device with queue depth > 1.
 class SlowChunkStore : public ChunkStore {
  public:
-  /// `workers` models the device's queue depth: that many batch reads can
-  /// be "in the device" concurrently. 0 = synchronous store.
-  SlowChunkStore(std::shared_ptr<ChunkStore> base, unsigned latency_us,
-                 size_t workers)
-      : base_(std::move(base)), latency_us_(latency_us), pool_(workers) {}
+  SlowChunkStore(std::shared_ptr<ChunkStore> base, unsigned latency_us)
+      : base_(std::move(base)), latency_us_(latency_us) {}
 
   StatusOr<Chunk> Get(const Hash256& id) const override {
     Delay();
@@ -544,15 +547,6 @@ class SlowChunkStore : public ChunkStore {
     Delay();
     return base_->GetMany(ids);
   }
-  AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const override {
-    if (pool_.thread_count() == 0) return ChunkStore::GetManyAsync(ids);
-    return AsyncChunkBatch::OnPool(
-        pool_, [this, owned = std::vector<Hash256>(ids.begin(), ids.end())] {
-          Delay();
-          return base_->GetMany(owned);
-        });
-  }
-  bool SupportsAsyncGet() const override { return pool_.thread_count() > 0; }
   bool Contains(const Hash256& id) const override {
     return base_->Contains(id);
   }
@@ -574,49 +568,61 @@ class SlowChunkStore : public ChunkStore {
   }
   std::shared_ptr<ChunkStore> base_;
   const unsigned latency_us_;
-  mutable WorkerPool pool_;
 };
 
 constexpr size_t kScanEntries = 100000;
 constexpr unsigned kDeviceLatencyUs = 150;
 
+/// Scans the map tree at `root` every iteration: through the leaf walk, or
+/// through the serial reference when `serial` is set.
 void RunMapScan(benchmark::State& state, const ChunkStore* store,
-                const Hash256& root) {
+                const Hash256& root, bool serial = false) {
   PosTree tree(store, ChunkType::kMapLeaf, root);
   for (auto _ : state) {
     uint64_t count = 0;
-    (void)tree.Scan([&count](const EntryView&) {
+    auto visit = [&count](const EntryView&) {
       ++count;
       return Status::OK();
-    });
+    };
+    Status s = serial ? SerialScan(*store, root, visit) : tree.Scan(visit);
+    if (!s.ok() || count != kScanEntries) {
+      state.SkipWithError("scan failed");
+      break;
+    }
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kScanEntries));
 }
 
+/// A file store holding a 100k-entry map built from `seed`.
+struct FileMap {
+  ScopedStoreDir dir;
+  std::unique_ptr<FileChunkStore> store;
+  Hash256 root;
+
+  FileMap(const std::string& tag, uint64_t seed) : dir(tag) {
+    auto opened = FileChunkStore::Open(dir.path());
+    store = std::move(*opened);
+    root = PosTree::BuildKeyed(store.get(), ChunkType::kMapLeaf,
+                               RandomKvs(kScanEntries, seed))
+               ->root;
+  }
+};
+
+// The serial side of the validate pair below.
 void BM_MapScanFileSync(benchmark::State& state) {
-  ScopedStoreDir dir("scan_sync");
-  FileChunkStore::Options options;
-  options.prefetch_threads = 0;
-  auto store = FileChunkStore::Open(dir.path(), options);
-  auto kvs = RandomKvs(kScanEntries, 31);
-  auto built = PosTree::BuildKeyed(store->get(), ChunkType::kMapLeaf, kvs);
-  RunMapScan(state, store->get(), built->root);
+  FileMap map("scan_sync", 31);
+  RunMapScan(state, map.store.get(), map.root, /*serial=*/true);
 }
 BENCHMARK(BM_MapScanFileSync)->UseRealTime();
 
 // Deep validation of the same tree BM_MapScanFileSync scans: one batched,
-// re-hashing pass over every chunk, so it should cost about one scan plus
-// the hashing spread over the shared hash pool.
+// re-hashing pass over every chunk, read and hashed on the shared hash
+// pool.
 void BM_MapValidateFileSync(benchmark::State& state) {
-  ScopedStoreDir dir("validate_sync");
-  FileChunkStore::Options options;
-  options.prefetch_threads = 0;
-  auto store = FileChunkStore::Open(dir.path(), options);
-  auto kvs = RandomKvs(kScanEntries, 31);
-  auto built = PosTree::BuildKeyed(store->get(), ChunkType::kMapLeaf, kvs);
-  PosTree tree(store->get(), ChunkType::kMapLeaf, built->root);
+  FileMap map("validate_sync", 31);
+  PosTree tree(map.store.get(), ChunkType::kMapLeaf, map.root);
   for (auto _ : state) {
     if (!tree.Validate().ok()) {
       state.SkipWithError("validation failed");
@@ -628,10 +634,16 @@ void BM_MapValidateFileSync(benchmark::State& state) {
 }
 BENCHMARK(BM_MapValidateFileSync)->UseRealTime();
 
+void BM_MapScanFileAsync(benchmark::State& state) {
+  FileMap map("scan_async", 31);
+  RunMapScan(state, map.store.get(), map.root);
+}
+BENCHMARK(BM_MapScanFileAsync)->UseRealTime();
+
 // Full scan of a 100k-row table (GenerateCsv: 7 columns of three-word
-// cells) on a file-backed store with no prefetch threads under a cache of
-// a fifth of the CSV bytes, the stack an archive query reads an old
-// version through. The callback touches every cell.
+// cells) on a file-backed store under a cache of a fifth of the CSV bytes,
+// the stack an archive query reads an old version through. The callback
+// touches every cell.
 struct ScanTable {
   ScopedStoreDir dir{"table_scan"};
   std::shared_ptr<ChunkStore> store;
@@ -643,9 +655,7 @@ struct ScanTable {
     opts.num_rows = num_rows;
     CsvDocument doc = GenerateCsv(opts);
     rows = doc.rows.size();
-    FileChunkStore::Options options;
-    options.prefetch_threads = 0;
-    auto file = FileChunkStore::Open(dir.path(), options);
+    auto file = FileChunkStore::Open(dir.path());
     store = std::make_shared<CachingChunkStore>(
         std::shared_ptr<ChunkStore>(std::move(*file)), CsvBytes(doc) / 5);
     auto built = FTable::FromCsv(store.get(), doc);
@@ -674,11 +684,10 @@ void BM_TableScan(benchmark::State& state) {
 }
 BENCHMARK(BM_TableScan)->Arg(100000)->UseRealTime();
 
-// Bench-local serial reference for the parallel table scan: the scan as
-// FTable::Scan ran it before it went parallel — a cursor walk of the row
-// map, each row split into cell views and assigned into one reused cells
-// buffer, all on the caller's thread. Same stack and callback as
-// BM_TableScan.
+// Bench-local serial reference for the table scan: the serial reference
+// walk of the row map, each row split into cell views and assigned into
+// one reused cells buffer, all on the caller's thread. Same stack and
+// callback as BM_TableScan.
 void BM_TableScanSerial(benchmark::State& state) {
   ScanTable t(static_cast<size_t>(state.range(0)));
   const size_t ncols = t.table->columns().size();
@@ -686,21 +695,22 @@ void BM_TableScanSerial(benchmark::State& state) {
     size_t rows = 0, bytes = 0;
     std::vector<std::string> cells(ncols);
     std::vector<Slice> views(ncols);
-    Status s = t.table->rows().ForEach([&](Slice, Slice value) -> Status {
-      Decoder dec(value);
-      for (size_t c = 0; c < ncols; ++c) {
-        if (!dec.GetLengthPrefixed(&views[c])) {
-          return Status::Corruption("malformed row");
-        }
-      }
-      if (!dec.AtEnd()) return Status::Corruption("malformed row");
-      for (size_t c = 0; c < ncols; ++c) {
-        cells[c].assign(views[c].data(), views[c].size());
-      }
-      for (const auto& c : cells) bytes += c.size();
-      ++rows;
-      return Status::OK();
-    });
+    Status s = SerialScan(
+        *t.store, t.table->rows().root(), [&](const EntryView& e) -> Status {
+          Decoder dec(e.value);
+          for (size_t c = 0; c < ncols; ++c) {
+            if (!dec.GetLengthPrefixed(&views[c])) {
+              return Status::Corruption("malformed row");
+            }
+          }
+          if (!dec.AtEnd()) return Status::Corruption("malformed row");
+          for (size_t c = 0; c < ncols; ++c) {
+            cells[c].assign(views[c].data(), views[c].size());
+          }
+          for (const auto& c : cells) bytes += c.size();
+          ++rows;
+          return Status::OK();
+        });
     if (!s.ok() || rows != t.rows) {
       state.SkipWithError("scan failed");
       break;
@@ -712,39 +722,20 @@ void BM_TableScanSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_TableScanSerial)->Arg(100000)->UseRealTime();
 
-void BM_MapScanFileAsync(benchmark::State& state) {
-  ScopedStoreDir dir("scan_async");
-  FileChunkStore::Options options;
-  options.prefetch_threads = 1;
-  auto store = FileChunkStore::Open(dir.path(), options);
-  auto kvs = RandomKvs(kScanEntries, 31);
-  auto built = PosTree::BuildKeyed(store->get(), ChunkType::kMapLeaf, kvs);
-  RunMapScan(state, store->get(), built->root);
-}
-BENCHMARK(BM_MapScanFileAsync)->UseRealTime();
-
-void RunSlowDeviceScan(benchmark::State& state, size_t workers) {
-  ScopedStoreDir dir("scan_slow" + std::to_string(workers));
-  FileChunkStore::Options options;
-  options.prefetch_threads = 0;  // the decorator owns the async workers
-  auto file = FileChunkStore::Open(dir.path(), options);
-  auto kvs = RandomKvs(kScanEntries, 32);
-  auto built = PosTree::BuildKeyed(file->get(), ChunkType::kMapLeaf, kvs);
-  SlowChunkStore store(std::shared_ptr<ChunkStore>(std::move(*file)),
-                       kDeviceLatencyUs, workers);
-  const size_t depth = GetScanPrefetchDepth();
-  SetScanPrefetchDepth(workers > 0 ? 2 * workers : depth);
-  RunMapScan(state, &store, built->root);
-  SetScanPrefetchDepth(depth);
+void RunSlowDeviceScan(benchmark::State& state, bool serial) {
+  FileMap map(serial ? "scan_slow_serial" : "scan_slow", 32);
+  SlowChunkStore store(std::shared_ptr<ChunkStore>(std::move(map.store)),
+                       kDeviceLatencyUs);
+  RunMapScan(state, &store, map.root, serial);
 }
 
 void BM_MapScanSlowDeviceSync(benchmark::State& state) {
-  RunSlowDeviceScan(state, 0);
+  RunSlowDeviceScan(state, /*serial=*/true);
 }
 BENCHMARK(BM_MapScanSlowDeviceSync)->UseRealTime();
 
 void BM_MapScanSlowDeviceAsync(benchmark::State& state) {
-  RunSlowDeviceScan(state, 4);
+  RunSlowDeviceScan(state, /*serial=*/false);
 }
 BENCHMARK(BM_MapScanSlowDeviceAsync)->UseRealTime();
 
@@ -754,11 +745,10 @@ BENCHMARK(BM_MapScanSlowDeviceAsync)->UseRealTime();
 // local: the scan pays one hot-tier Contains probe per id on top of the
 // plain file-store scan. The TieredCold pair is the tiered acceptance
 // criterion: the tree lives only on a slow remote cold tier (the same
-// 150us/batch device class as the SlowDevice pair), and the async scan —
-// cursor prefetch windows riding the remote's connection pool through
-// TieredChunkStore::GetManyAsync — must beat the synchronous scan by the
-// compare_bench.py floor. Promotion is off so every iteration measures
-// steady cold reads, not a one-shot migration.
+// 150us/batch device class as the SlowDevice pair), and the leaf walk,
+// whose runs' round trips overlap on the hash pool, must beat the serial
+// reference by the compare_bench.py floor. Promotion is off so every
+// iteration measures steady cold reads, not a one-shot migration.
 
 void BM_MapScanTieredHot(benchmark::State& state) {
   ScopedStoreDir dir("scan_tiered_hot");
@@ -776,8 +766,8 @@ void BM_MapScanTieredHot(benchmark::State& state) {
 }
 BENCHMARK(BM_MapScanTieredHot)->UseRealTime();
 
-void RunTieredColdScan(benchmark::State& state, size_t connections) {
-  ScopedStoreDir dir("scan_tiered_cold" + std::to_string(connections));
+void RunTieredColdScan(benchmark::State& state, bool serial) {
+  ScopedStoreDir dir(serial ? "scan_tiered_cold_serial" : "scan_tiered_cold");
   // The tree is built directly into the cold backend; the hot tier starts
   // (and stays) empty — the "fresh local disk over a populated remote"
   // state.
@@ -786,7 +776,6 @@ void RunTieredColdScan(benchmark::State& state, size_t connections) {
   auto built = PosTree::BuildKeyed(cold_file->get(), ChunkType::kMapLeaf, kvs);
   RemoteChunkStore::Options remote_options;
   remote_options.batch_latency_us = kDeviceLatencyUs;
-  remote_options.connections = connections;
   auto cold = std::make_shared<RemoteChunkStore>(
       std::shared_ptr<ChunkStore>(std::move(*cold_file)), remote_options);
   auto hot = FileChunkStore::Open(dir.path() + "/hot");
@@ -794,19 +783,16 @@ void RunTieredColdScan(benchmark::State& state, size_t connections) {
   tier_options.promote_on_read = false;
   TieredChunkStore store(std::shared_ptr<ChunkStore>(std::move(*hot)),
                          std::move(cold), tier_options);
-  const size_t depth = GetScanPrefetchDepth();
-  SetScanPrefetchDepth(connections > 0 ? 2 * connections : depth);
-  RunMapScan(state, &store, built->root);
-  SetScanPrefetchDepth(depth);
+  RunMapScan(state, &store, built->root, serial);
 }
 
 void BM_MapScanTieredColdSync(benchmark::State& state) {
-  RunTieredColdScan(state, 0);
+  RunTieredColdScan(state, /*serial=*/true);
 }
 BENCHMARK(BM_MapScanTieredColdSync)->UseRealTime();
 
 void BM_MapScanTieredColdAsync(benchmark::State& state) {
-  RunTieredColdScan(state, 4);
+  RunTieredColdScan(state, /*serial=*/false);
 }
 BENCHMARK(BM_MapScanTieredColdAsync)->UseRealTime();
 
@@ -815,8 +801,8 @@ BENCHMARK(BM_MapScanTieredColdAsync)->UseRealTime();
 // continuously promotes the chunks it touches while the evictor erases
 // (and the hot store's segment rewrite reclaims) the least-recent half
 // behind it. This is the steady state of a working set larger than local
-// disk; the async scan must still beat the synchronous unbounded cold scan
-// (compare_bench.py floors it against BM_MapScanTieredColdSync).
+// disk; the leaf walk must still keep up with the serial unbounded cold
+// scan (compare_bench.py floors it against BM_MapScanTieredColdSync).
 void BM_MapScanTieredEvicting(benchmark::State& state) {
   ScopedStoreDir dir("scan_tiered_evicting");
   auto cold_file = FileChunkStore::Open(dir.path() + "/cold");
@@ -825,7 +811,6 @@ void BM_MapScanTieredEvicting(benchmark::State& state) {
   const uint64_t tree_bytes = (*cold_file)->stats().physical_bytes;
   RemoteChunkStore::Options remote_options;
   remote_options.batch_latency_us = kDeviceLatencyUs;
-  remote_options.connections = 4;
   auto cold = std::make_shared<RemoteChunkStore>(
       std::shared_ptr<ChunkStore>(std::move(*cold_file)), remote_options);
   FileChunkStore::Options hot_options;
@@ -835,14 +820,32 @@ void BM_MapScanTieredEvicting(benchmark::State& state) {
   tier_options.hot_bytes_budget = tree_bytes / 2;  // working set 2x budget
   TieredChunkStore store(std::shared_ptr<ChunkStore>(std::move(*hot)),
                          std::move(cold), tier_options);
-  const size_t depth = GetScanPrefetchDepth();
-  SetScanPrefetchDepth(8);
   RunMapScan(state, &store, built->root);
-  SetScanPrefetchDepth(depth);
   state.counters["evictions"] = static_cast<double>(
       store.tier_stats().evictions);
 }
 BENCHMARK(BM_MapScanTieredEvicting)->UseRealTime();
+
+// A scalar Get through a write-through tiered store of two file stores,
+// every id hot-resident: the tier split and merge on top of a file store
+// Get. Ungated; it tracks the per-read cost of the one tiered read path.
+void BM_TieredGetScalar(benchmark::State& state) {
+  ScopedStoreDir dir("tiered_get_scalar");
+  auto hot = FileChunkStore::Open(dir.path() + "/hot");
+  auto cold = FileChunkStore::Open(dir.path() + "/cold");
+  TieredChunkStore store(std::shared_ptr<ChunkStore>(std::move(*hot)),
+                         std::shared_ptr<ChunkStore>(std::move(*cold)));
+  uint64_t counter = 0;
+  auto chunks = MakeUniqueChunks(4000, &counter);
+  (void)store.PutMany(chunks);
+  Rng rng(24);
+  for (auto _ : state) {
+    const Hash256& id = chunks[rng.Uniform(chunks.size())].hash();
+    benchmark::DoNotOptimize(store.Get(id).ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TieredGetScalar);
 
 // ---- group commit: concurrent FNode writers -----------------------------
 //
@@ -862,7 +865,6 @@ class CommitBench : public benchmark::Fixture {
       dir_ = std::make_unique<ScopedStoreDir>(
           state.range(0) != 0 ? "commit_grouped" : "commit_scalar");
       ForkBase::Config config;
-      config.prefetch_threads = 0;
       // Power-loss durability: every commit run fsyncs. This is the cost
       // the queue amortizes — scalar pays one sync per commit, the group
       // pays one per drain.
@@ -1270,7 +1272,7 @@ void RunEncodedScanBench(benchmark::State& state,
   (void)(*file)->PutMany(chunks);
   (void)(*file)->Flush();
   SlowChunkStore store(std::shared_ptr<ChunkStore>(std::move(*file)),
-                       kDeviceLatencyUs, /*workers=*/0);
+                       kDeviceLatencyUs);
   constexpr size_t kBatch = 32;
   for (auto _ : state) {
     for (size_t off = 0; off < ids.size(); off += kBatch) {

@@ -9,7 +9,8 @@ bench/baseline.json in two ways:
    from their own same-machine measurements. The new ratio must not fall
    more than --threshold percent below the baseline ratio, and must stay
    above the pair's hard floor where one is set (the PR acceptance
-   criteria: async scans >= 1.5x sync on a latency-bound store, grouped
+   criteria: leaf-walk scans >= 1.5x the serial reference walk on a
+   latency-bound store, grouped
    4-thread commits >= 1x the 4 independent scalar commits, a lone
    grouped commit >= 0.9x a scalar one). Ratios are
    machine-independent, so this gate is meaningful on any runner.
@@ -53,23 +54,25 @@ TRACKED_PAIRS = [
     ("BM_FileStorePutBatched/1024", "BM_FileStorePutScalar/1024", None, True),
     ("BM_FileStoreGetBatched/64", "BM_FileStoreGetScalar/64", 1.5, True),
     ("BM_FileStoreGetBatched/256", "BM_FileStoreGetScalar/256", 1.5, True),
-    # Tentpole criteria of the async I/O pipeline PR. The slow-device scan
-    # is dominated by the simulated latency, so its ratio travels well; the
-    # commit pair's ratio moves with cores and fsync cost, floor only.
+    # Read-ahead criterion: on a latency-bound store (150us per read) the
+    # leaf walk (Async), whose runs of 16 leaves are read one GetMany each
+    # on the caller and the hash pool, must beat the serial reference walk
+    # (Sync: one Get per node, testing/serial_walk.h). The ratio is
+    # dominated by the simulated latency and by the runs in flight, which
+    # is the hash pool's size: it travels to runners with as many cores.
     ("BM_MapScanSlowDeviceAsync/real_time",
      "BM_MapScanSlowDeviceSync/real_time", 1.5, True),
-    # Tentpole criterion of the tiered-store PR: scanning a tree resident
-    # only on a slow cold tier, the prefetching tiered scan must beat the
-    # synchronous one. Latency-dominated like the SlowDevice pair, so the
-    # ratio is portable across runners.
+    # Tiered-store criterion: scanning a tree resident only on a slow cold
+    # tier, the leaf walk must beat the serial reference walk.
+    # Latency-dominated like the SlowDevice pair.
     ("BM_MapScanTieredColdAsync/real_time",
      "BM_MapScanTieredColdSync/real_time", 1.5, True),
     # Bounded-tier criterion: scanning a working set 2x the hot budget —
     # every chunk promoted, evicted and its segment rewritten each cycle —
-    # must cost at most ~2x the plain synchronous cold scan. The evicting
-    # side is CPU-heavy (promotion hashing, tombstones, rewrites) while the
-    # sync side is latency-bound, so the ratio moves with the runner's CPU:
-    # floor only, no baseline comparison.
+    # must cost at most ~2x the serial reference scan of the cold tier. The
+    # evicting side is CPU-heavy (promotion hashing, tombstones, rewrites)
+    # while the serial side is latency-bound, so the ratio moves with the
+    # runner's CPU: floor only, no baseline comparison.
     ("BM_MapScanTieredEvicting/real_time",
      "BM_MapScanTieredColdSync/real_time", 0.5, False),
     # Group-commit criteria: ForkBase::Put (the one commit path) against a
@@ -137,10 +140,10 @@ TRACKED_PAIRS = [
     ("BM_DeltaExport/1000", "BM_DeltaExport/100", 0.5, False),
     # One-pass integrity criterion: validating a file-backed 100k-entry map
     # loads each chunk once, batched, with re-hashing spread across the
-    # hash pool, so it must keep >= 0.5x the throughput of a plain scan of
-    # the same tree (a per-node Get with serial hashing ran ~0.35x, the
-    # batched walk ~0.65x). The hashing share moves with the runner's cores
-    # and SHA support: floor only.
+    # hash pool, so it must keep >= 0.5x the throughput of a serial
+    # reference scan of the same tree (one Get per node, no hashing). The
+    # hashing share moves with the runner's cores and SHA support: floor
+    # only.
     ("BM_MapValidateFileSync/real_time", "BM_MapScanFileSync/real_time", 0.5,
      False),
     # Parallel bulk-load criterion: a 100k-row table load that splits,
@@ -154,7 +157,7 @@ TRACKED_PAIRS = [
     # file-backed store under a small cache, with hash-pool helpers reading
     # and splitting runs of leaves while the caller delivers rows in key
     # order, must run >= 1.3x faster in wall-clock time than the bench-local
-    # serial cursor scan of the same table. Scales with the runner's core
+    # serial reference scan of the same table. Scales with the runner's core
     # count: floor only.
     ("BM_TableScan/100000/real_time",
      "BM_TableScanSerial/100000/real_time", 1.3, False),

@@ -81,7 +81,7 @@ CachingChunkStore::BatchProbe CachingChunkStore::ProbeShards(
   probe.slots.resize(ids.size());
   // Maps a pending miss id to its index in miss_ids, so a duplicate id
   // later in the batch is served by the same base fetch. Its hit/miss is
-  // accounted in MergeMisses once the fetch outcome is known — exactly as
+  // accounted in GetMany once the fetch outcome is known — exactly as
   // the scalar sequence Get(x); Get(x) would count it (a successful first
   // call fills the cache so the second hits; a NotFound fills nothing, so
   // the second misses again).
@@ -109,16 +109,13 @@ CachingChunkStore::BatchProbe CachingChunkStore::ProbeShards(
   return probe;
 }
 
-std::vector<StatusOr<Chunk>> CachingChunkStore::UnwrapSlots(
-    std::vector<std::optional<StatusOr<Chunk>>> slots) {
-  std::vector<StatusOr<Chunk>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-std::vector<StatusOr<Chunk>> CachingChunkStore::MergeMisses(
-    BatchProbe probe, std::vector<StatusOr<Chunk>> fetched) const {
+std::vector<StatusOr<Chunk>> CachingChunkStore::GetMany(
+    std::span<const Hash256> ids) const {
+  BatchProbe probe = ProbeShards(ids);
+  std::vector<StatusOr<Chunk>> fetched;
+  if (!probe.miss_ids.empty()) fetched = base_->GetMany(probe.miss_ids);
+  // Fill the cache from the fetch and scatter each result into every slot
+  // that requested it.
   for (size_t j = 0; j < fetched.size(); ++j) {
     const auto& targets = probe.miss_slots[j];
     {
@@ -147,32 +144,10 @@ std::vector<StatusOr<Chunk>> CachingChunkStore::MergeMisses(
     }
     probe.slots[targets.back()] = std::move(fetched[j]);
   }
-  return UnwrapSlots(std::move(probe.slots));
-}
-
-std::vector<StatusOr<Chunk>> CachingChunkStore::GetMany(
-    std::span<const Hash256> ids) const {
-  BatchProbe probe = ProbeShards(ids);
-  if (probe.miss_ids.empty()) {
-    return UnwrapSlots(std::move(probe.slots));
-  }
-  auto fetched = base_->GetMany(probe.miss_ids);
-  return MergeMisses(std::move(probe), std::move(fetched));
-}
-
-AsyncChunkBatch CachingChunkStore::GetManyAsync(
-    std::span<const Hash256> ids) const {
-  BatchProbe probe = ProbeShards(ids);
-  if (probe.miss_ids.empty()) {
-    return AsyncChunkBatch::Ready(UnwrapSlots(std::move(probe.slots)));
-  }
-  AsyncChunkBatch base_batch = base_->GetManyAsync(probe.miss_ids);
-  return AsyncChunkBatch::Mapped(
-      std::move(base_batch),
-      [this, probe = std::move(probe)](
-          std::vector<StatusOr<Chunk>> fetched) mutable {
-        return MergeMisses(std::move(probe), std::move(fetched));
-      });
+  std::vector<StatusOr<Chunk>> out;
+  out.reserve(probe.slots.size());
+  for (auto& slot : probe.slots) out.push_back(std::move(*slot));
+  return out;
 }
 
 Status CachingChunkStore::PutImpl(const Chunk& chunk) {

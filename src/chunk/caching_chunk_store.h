@@ -40,12 +40,6 @@ class CachingChunkStore : public ChunkStore {
   StatusOr<Chunk> Get(const Hash256& id) const override;
   std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const override;
-  /// Pass-through async: hits are resolved inline against the shards, only
-  /// the (deduplicated) miss set rides the base store's async path. The
-  /// cache fill and hit/miss merge run on the taker's thread, never on the
-  /// base store's I/O pool.
-  AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const override;
-  bool SupportsAsyncGet() const override { return base_->SupportsAsyncGet(); }
   bool Contains(const Hash256& id) const override;
   /// Erase passes through to the base store after dropping any cached
   /// copies, so the decorator never serves a chunk its backend reclaimed.
@@ -101,22 +95,14 @@ class CachingChunkStore : public ChunkStore {
   /// byte budget.
   void InsertLocked(Shard& shard, const Hash256& id, const Chunk& chunk) const;
 
-  /// Shard-probe result shared by the sync and async batch paths: resolved
-  /// hit slots plus the deduplicated miss set with the slots each miss id
-  /// must fill.
+  /// GetMany's shard probe: resolved hit slots plus the deduplicated miss
+  /// set with the slots each miss id must fill.
   struct BatchProbe {
     std::vector<std::optional<StatusOr<Chunk>>> slots;
     std::vector<Hash256> miss_ids;               // unique, in first-seen order
     std::vector<std::vector<size_t>> miss_slots; // parallel to miss_ids
   };
   BatchProbe ProbeShards(std::span<const Hash256> ids) const;
-  /// Fills the cache from `fetched` (parallel to probe.miss_ids) and
-  /// scatters the results into every slot that requested them.
-  std::vector<StatusOr<Chunk>> MergeMisses(
-      BatchProbe probe, std::vector<StatusOr<Chunk>> fetched) const;
-  /// Collapses fully-resolved probe slots into the result vector.
-  static std::vector<StatusOr<Chunk>> UnwrapSlots(
-      std::vector<std::optional<StatusOr<Chunk>>> slots);
 
   std::shared_ptr<ChunkStore> base_;
   size_t shard_capacity_bytes_;

@@ -4,14 +4,6 @@
 
 namespace forkbase {
 
-AsyncChunkBatch AsyncChunkBatch::OnPool(WorkerPool& pool,
-                                        std::function<Slots()> read) {
-  auto task = std::make_shared<std::packaged_task<Slots()>>(std::move(read));
-  auto future = task->get_future();
-  pool.Submit([task] { (*task)(); });
-  return Deferred(std::move(future));
-}
-
 std::vector<StatusOr<Chunk>> ChunkStore::GetMany(
     std::span<const Hash256> ids) const {
   std::vector<StatusOr<Chunk>> out;
@@ -20,10 +12,6 @@ std::vector<StatusOr<Chunk>> ChunkStore::GetMany(
     out.push_back(Get(id));
   }
   return out;
-}
-
-AsyncChunkBatch ChunkStore::GetManyAsync(std::span<const Hash256> ids) const {
-  return AsyncChunkBatch::Ready(GetMany(ids));
 }
 
 Status ChunkStore::PutManyImpl(std::span<const Chunk> chunks) {

@@ -25,26 +25,14 @@
 
 namespace forkbase {
 
-class WorkerPool;
-
-/// Handle to an in-flight (or already complete) batched read — the unit of
-/// the async prefetch pipeline. Move-only and single-shot: Take() blocks
-/// until the slots are ready and surrenders them. A default-constructed
-/// handle is empty (valid() == false); taking it is a programming error.
-///
-/// Three flavours compose the store stack:
-///   Ready     — slots computed inline (the synchronous default / MemStore)
-///   Deferred  — a future fulfilled by a WorkerPool task (FileChunkStore)
-///   Mapped    — another handle plus a post-processing step that runs on
-///               the taker's thread (CachingChunkStore merges its hits and
-///               fills its shards there, so cache mutation never happens on
-///               a store's I/O thread; the deliberate cost is that a Mapped
-///               handle abandoned without Take() discards the completed
-///               base read instead of caching it)
+/// A batched read's result slots behind a handle. No library code issues or
+/// serves one: the library reads with GetMany, and reads ahead of a caller
+/// come from the ordered fan-out (ForEachChunkBatch, PosTree's leaf walk). The type is kept only because the perfbench
+/// harness's TimedStore decorator names it; delete it with that harness's
+/// override.
 class AsyncChunkBatch {
  public:
   using Slots = std::vector<StatusOr<Chunk>>;
-  using MapFn = std::function<Slots(Slots)>;
 
   AsyncChunkBatch() = default;
   AsyncChunkBatch(AsyncChunkBatch&&) = default;
@@ -62,28 +50,13 @@ class AsyncChunkBatch {
     batch.valid_ = true;
     return batch;
   }
-  static AsyncChunkBatch Mapped(AsyncChunkBatch inner, MapFn fn) {
-    AsyncChunkBatch batch;
-    batch.inner_ = std::make_unique<AsyncChunkBatch>(std::move(inner));
-    batch.map_ = std::move(fn);
-    batch.valid_ = true;
-    return batch;
-  }
-  /// Deferred batch that runs `read` on `pool` — the one place the
-  /// packaged-task wiring lives for every pooled async store.
-  static AsyncChunkBatch OnPool(WorkerPool& pool, std::function<Slots()> read);
 
   bool valid() const { return valid_; }
 
-  /// Blocks until the batch is complete and returns the slots (one per
+  /// Blocks until the slots are ready and surrenders them (one per
   /// requested id, in request order). Invalidates the handle.
   Slots Take() {
     valid_ = false;
-    if (inner_) {
-      Slots base = inner_->Take();
-      inner_.reset();
-      return map_(std::move(base));
-    }
     if (ready_) {
       Slots slots = std::move(*ready_);
       ready_.reset();
@@ -95,8 +68,6 @@ class AsyncChunkBatch {
  private:
   std::optional<Slots> ready_;
   std::future<Slots> future_;
-  std::unique_ptr<AsyncChunkBatch> inner_;
-  MapFn map_;
   bool valid_ = false;
 };
 
@@ -148,21 +119,13 @@ class ChunkStore {
   virtual std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const;
 
-  /// Starts a batched fetch without waiting for it: the returned handle's
-  /// Take() yields exactly what GetMany(ids) would have. The default
-  /// implementation performs the read inline and returns a ready handle, so
-  /// every backend is async-callable; backends with real I/O latency
-  /// (FileChunkStore) overlap the read with the caller's work on a
-  /// background pool, and decorators (CachingChunkStore) pass the miss set
-  /// through to their base's async path.
-  virtual AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const;
-
-  /// True when GetManyAsync actually overlaps I/O with the caller (rather
-  /// than the inline default). Pipelined readers (TreeCursor and the diff
-  /// frontier) only issue speculative next-window reads when this holds, so
-  /// purely synchronous stores never pay for prefetch the consumer may not
-  /// reach. Batched sweeps (ForEachChunkBatch) read on the hash pool
-  /// instead, on every store.
+  /// Ignored by the library, which never calls it: GetMany(ids) behind a
+  /// ready handle. Kept, with SupportsAsyncGet, only because the perfbench
+  /// harness's TimedStore overrides both; delete them with that override.
+  virtual AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const {
+    return AsyncChunkBatch::Ready(GetMany(ids));
+  }
+  /// Always false in the library; see GetManyAsync.
   virtual bool SupportsAsyncGet() const { return false; }
 
   /// Batched store with Put semantics per element: idempotent, and

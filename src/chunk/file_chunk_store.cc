@@ -72,14 +72,12 @@ FileChunkStore::FileChunkStore(std::string dir, Options options)
     : dir_(std::move(dir)),
       options_(options),
       shards_(kIndexShards),
-      prefetch_pool_(options.prefetch_threads),
       compact_pool_(options.maintenance_threads) {}
 
 FileChunkStore::~FileChunkStore() {
   // Scheduled rewrites still need the index and the append stream; run them
-  // out first, then the async readers, then close the stream.
+  // out first, then close the stream.
   compact_pool_.Shutdown();
-  prefetch_pool_.Shutdown();
   std::lock_guard<std::mutex> lock(append_mu_);
   append_.Close();
 }
@@ -518,17 +516,6 @@ std::vector<StatusOr<Chunk>> FileChunkStore::GetMany(
   out.reserve(slots.size());
   for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
-}
-
-AsyncChunkBatch FileChunkStore::GetManyAsync(
-    std::span<const Hash256> ids) const {
-  if (options_.prefetch_threads == 0) return ChunkStore::GetManyAsync(ids);
-  // The span is borrowed from the caller; the task owns a copy.
-  return AsyncChunkBatch::OnPool(
-      prefetch_pool_,
-      [this, owned = std::vector<Hash256>(ids.begin(), ids.end())] {
-        return GetMany(owned);
-      });
 }
 
 // ---- write path ------------------------------------------------------------

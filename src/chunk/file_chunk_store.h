@@ -95,13 +95,8 @@ class FileChunkStore : public ChunkStore {
   struct Options {
     uint64_t segment_bytes = 64ull << 20;  ///< roll segments at 64 MiB
     bool verify_on_get = false;  ///< recompute hash on every read
-    /// Background readers serving GetManyAsync. Threads spawn lazily on the
-    /// first async read. 0 (the default — bare stores keep their purely
-    /// synchronous semantics, which is also faster on page-cache-warm
-    /// data) makes GetManyAsync fall back to the inline path and
-    /// SupportsAsyncGet() false, so pipelined readers never speculate.
-    /// ForkBase::Open turns prefetch on for the production stack, where
-    /// cold reads have latency worth hiding.
+    /// Ignored: the store reads only on its callers' threads. Kept only
+    /// because the perfbench harness sets it; delete it with that line.
     uint32_t prefetch_threads = 0;
     /// fsync the segment after every flushed append run. Upgrades Put's
     /// durability from crash-safe (survives the process dying) to
@@ -156,12 +151,6 @@ class FileChunkStore : public ChunkStore {
   StatusOr<Chunk> Get(const Hash256& id) const override;
   std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const override;
-  /// Runs GetMany on the prefetch pool; the caller consumes the previous
-  /// window while this one reads disk.
-  AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const override;
-  bool SupportsAsyncGet() const override {
-    return options_.prefetch_threads > 0;
-  }
   bool Contains(const Hash256& id) const override;
   bool SupportsErase() const override { return true; }
   /// Tombstoned erase: drops each id's index entry and journals a tombstone
@@ -419,9 +408,6 @@ class FileChunkStore : public ChunkStore {
       cache_map_;
   mutable uint64_t cache_bytes_ = 0;
 
-  // Serves GetManyAsync. Shut down first in the destructor so no background
-  // read can outlive the shards or the append stream.
-  mutable WorkerPool prefetch_pool_;
   // Runs segment rewrites; shut down before the append stream closes.
   WorkerPool compact_pool_;
 

@@ -3,27 +3,35 @@
 namespace forkbase {
 
 StatusOr<Chunk> MemChunkStore::Get(const Hash256& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++const_cast<ChunkStoreStats&>(stats_).get_calls;
-  auto it = chunks_.find(id);
-  if (it == chunks_.end()) {
-    return Status::NotFound("chunk " + id.ToBase32());
+  Chunk chunk;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++const_cast<ChunkStoreStats&>(stats_).get_calls;
+    auto it = chunks_.find(id);
+    if (it != chunks_.end()) chunk = it->second;
   }
-  return Chunk::FromBytes(it->second);
+  if (!chunk.valid()) return Status::NotFound("chunk " + id.ToBase32());
+  return chunk;
 }
 
 std::vector<StatusOr<Chunk>> MemChunkStore::GetMany(
     std::span<const Hash256> ids) const {
+  std::vector<Chunk> found(ids.size());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const_cast<ChunkStoreStats&>(stats_).get_calls += ids.size();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto it = chunks_.find(ids[i]);
+      if (it != chunks_.end()) found[i] = it->second;
+    }
+  }
   std::vector<StatusOr<Chunk>> out;
   out.reserve(ids.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  const_cast<ChunkStoreStats&>(stats_).get_calls += ids.size();
-  for (const Hash256& id : ids) {
-    auto it = chunks_.find(id);
-    if (it == chunks_.end()) {
-      out.push_back(Status::NotFound("chunk " + id.ToBase32()));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (found[i].valid()) {
+      out.push_back(std::move(found[i]));
     } else {
-      out.push_back(Chunk::FromBytes(it->second));
+      out.push_back(Status::NotFound("chunk " + ids[i].ToBase32()));
     }
   }
   return out;
@@ -31,11 +39,11 @@ std::vector<StatusOr<Chunk>> MemChunkStore::GetMany(
 
 Status MemChunkStore::PutImpl(const Chunk& chunk) {
   if (!chunk.valid()) return Status::InvalidArgument("invalid chunk");
+  chunk.hash();  // computed outside the lock
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.put_calls;
   stats_.logical_bytes += chunk.size();
-  auto [it, inserted] = chunks_.try_emplace(chunk.hash(),
-                                            chunk.bytes().ToString());
+  auto [it, inserted] = chunks_.try_emplace(chunk.hash(), chunk);
   (void)it;
   if (!inserted) {
     ++stats_.dedup_hits;
@@ -54,8 +62,7 @@ Status MemChunkStore::PutManyImpl(std::span<const Chunk> chunks) {
   for (const Chunk& chunk : chunks) {
     ++stats_.put_calls;
     stats_.logical_bytes += chunk.size();
-    auto [it, inserted] = chunks_.try_emplace(chunk.hash(),
-                                              chunk.bytes().ToString());
+    auto [it, inserted] = chunks_.try_emplace(chunk.hash(), chunk);
     (void)it;
     if (!inserted) {
       ++stats_.dedup_hits;
@@ -80,9 +87,7 @@ ChunkStoreStats MemChunkStore::stats() const {
 void MemChunkStore::ForEach(
     const std::function<void(const Hash256&, const Chunk&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, bytes] : chunks_) {
-    fn(id, Chunk::FromBytes(bytes));
-  }
+  for (const auto& [id, chunk] : chunks_) fn(id, chunk);
 }
 
 bool MemChunkStore::TamperForTesting(const Hash256& id, size_t offset,
@@ -90,8 +95,10 @@ bool MemChunkStore::TamperForTesting(const Hash256& id, size_t offset,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = chunks_.find(id);
   if (it == chunks_.end() || offset >= it->second.size()) return false;
-  it->second[offset] = static_cast<char>(
-      static_cast<uint8_t>(it->second[offset]) ^ xor_mask);
+  std::string bytes = it->second.bytes().ToString();
+  bytes[offset] = static_cast<char>(static_cast<uint8_t>(bytes[offset]) ^
+                                    xor_mask);
+  it->second = Chunk::FromBytes(std::move(bytes));
   return true;
 }
 
@@ -103,8 +110,8 @@ void MemChunkStore::ForEachId(
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot.reserve(chunks_.size());
-    for (const auto& [id, bytes] : chunks_) {
-      snapshot.emplace_back(id, bytes.size());
+    for (const auto& [id, chunk] : chunks_) {
+      snapshot.emplace_back(id, chunk.size());
     }
   }
   for (const auto& [id, size] : snapshot) fn(id, size);

@@ -1,5 +1,9 @@
 // In-memory chunk store (hash map), thread-safe.
 //
+// The map holds Chunk handles, which share their bytes (and their cached
+// hash) with every copy: a read holds the store mutex only for the lookup
+// and hands out a copy of the handle, never of the bytes.
+//
 // Doubles as the "possibly malicious storage provider" of the §II-D threat
 // model: TamperForTesting() mutates stored bytes in place without touching
 // the index, exactly what a dishonest provider could do. Clients detect this
@@ -8,7 +12,6 @@
 #define FORKBASE_CHUNK_MEM_CHUNK_STORE_H_
 
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "chunk/chunk_store.h"
@@ -35,8 +38,10 @@ class MemChunkStore : public ChunkStore {
       const std::function<void(const Hash256&, uint64_t)>& fn) const override;
 
   /// Malicious-provider simulation: XORs `xor_mask` into byte `offset` of the
-  /// chunk stored under `id`, leaving the index untouched. Returns false if
-  /// the chunk is absent or the offset out of range.
+  /// chunk stored under `id`, leaving the index untouched. The entry gets a
+  /// fresh chunk with no cached hash, so a re-hash sees the change; handles
+  /// already read keep the old bytes. Returns false if the chunk is absent
+  /// or the offset out of range.
   bool TamperForTesting(const Hash256& id, size_t offset, uint8_t xor_mask);
 
  protected:
@@ -45,7 +50,7 @@ class MemChunkStore : public ChunkStore {
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<Hash256, std::string, Hash256Hasher> chunks_;
+  std::unordered_map<Hash256, Chunk, Hash256Hasher> chunks_;
   ChunkStoreStats stats_;
 };
 

@@ -17,18 +17,6 @@ void DedupByHash(std::vector<Chunk>* chunks) {
   }
   chunks->resize(w);
 }
-
-// Starts one tier's share of a split batch. With `async` set, a tier that
-// supports it starts its read now; every other read is deferred to Take(),
-// so no synchronous read runs at issue. An empty share reads nothing.
-AsyncChunkBatch IssueTier(const ChunkStore& tier,
-                          const std::vector<Hash256>& ids, bool async) {
-  if (ids.empty()) return AsyncChunkBatch::Ready({});
-  if (async && tier.SupportsAsyncGet()) return tier.GetManyAsync(ids);
-  return AsyncChunkBatch::Mapped(
-      AsyncChunkBatch::Ready({}),
-      [&tier, ids](AsyncChunkBatch::Slots) { return tier.GetMany(ids); });
-}
 }  // namespace
 
 TieredChunkStore::TieredChunkStore(std::shared_ptr<ChunkStore> hot,
@@ -444,22 +432,20 @@ StatusOr<Chunk> TieredChunkStore::Get(const Hash256& id) const {
 
 std::vector<StatusOr<Chunk>> TieredChunkStore::GetMany(
     std::span<const Hash256> ids) const {
-  return Read(ids, /*speculative=*/false).Take();
-}
-
-AsyncChunkBatch TieredChunkStore::GetManyAsync(
-    std::span<const Hash256> ids) const {
-  return Read(ids, /*speculative=*/true);
+  Partition split = Split(ids);
+  auto read = [](const ChunkStore& tier, const std::vector<Hash256>& share) {
+    return share.empty() ? std::vector<StatusOr<Chunk>>() : tier.GetMany(share);
+  };
+  std::vector<StatusOr<Chunk>> hot = read(*hot_, split.hot_ids);
+  std::vector<StatusOr<Chunk>> cold = read(*cold_, split.cold_ids);
+  return MergeTiers(split, ids.size(), std::move(hot), std::move(cold));
 }
 
 TieredChunkStore::Partition TieredChunkStore::Split(
     std::span<const Hash256> ids) const {
-  // The per-id Contains probe is what lets a read issue the cold ranged
-  // fetch BEFORE the hot read — an index lookup buys the overlap window.
-  // Reading hot first and cold-fetching its kNotFound slots would save the
-  // probe but serialize the tiers, which is the wrong trade whenever the
-  // cold tier has real latency. Races the probe can lose are healed in
-  // MergeTiers (hot-miss → cold retry, cold-miss → hot retry).
+  // The per-id Contains probe (an index lookup) sends each id to the one
+  // tier that holds it. Races the probe can lose are healed in MergeTiers
+  // (hot-miss → cold retry, cold-miss → hot retry).
   Partition partition;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (hot_->Contains(ids[i])) {
@@ -471,28 +457,6 @@ TieredChunkStore::Partition TieredChunkStore::Split(
     }
   }
   return partition;
-}
-
-AsyncChunkBatch TieredChunkStore::Read(std::span<const Hash256> ids,
-                                       bool speculative) const {
-  // A tier's read goes out at issue only when something runs under it: the
-  // caller's own work for a speculative read, or the hot read for the cold
-  // share. A read taken at once otherwise runs on the taker's thread rather
-  // than queueing behind the tier's in-flight prefetches. The cold read is
-  // issued first; the taker collects the hot side first — a deferred hot
-  // read then runs under the cold fetch — and merges and promotes on its
-  // own thread (the cache's miss-fill rule: tier mutation never runs on a
-  // store's I/O thread). The cold handle rides in a shared_ptr because
-  // MapFn is a copyable std::function.
-  Partition split = Split(ids);
-  auto cold = std::make_shared<AsyncChunkBatch>(IssueTier(
-      *cold_, split.cold_ids, speculative || !split.hot_ids.empty()));
-  AsyncChunkBatch hot = IssueTier(*hot_, split.hot_ids, speculative);
-  return AsyncChunkBatch::Mapped(
-      std::move(hot), [this, split = std::move(split), cold,
-                       total = ids.size()](AsyncChunkBatch::Slots hot_slots) {
-        return MergeTiers(split, total, std::move(hot_slots), cold->Take());
-      });
 }
 
 std::vector<StatusOr<Chunk>> TieredChunkStore::MergeTiers(

@@ -48,17 +48,12 @@
 // its final check), and content addressing makes a lost race merely re-read
 // identical bytes from the cold tier.
 //
-// Reads take one path (Read). Get is a one-id GetMany; GetMany takes the
-// handle Read returns at once, and GetManyAsync returns it. A read splits
-// its batch by tier with a hot Contains probe per id (an index lookup, no
-// I/O) and issues the cold share first, then the hot share. No synchronous
-// read runs at issue: a synchronous tier's read is deferred to Take(). An
-// async tier starts its read at issue only when something runs under it —
-// the caller's own work for GetManyAsync, the hot read for the cold share —
-// so a read taken at once never queues behind the tier's prefetches.
-// Take() collects the hot side, then the cold side, so a deferred hot read
-// runs under a cold fetch already in flight. One merge then heals the
-// probe's races: a hot slot that came back
+// Reads take one path: Get is a one-id GetMany. A read splits its batch by
+// tier with a hot Contains probe per id (an index lookup, no I/O), then
+// reads the hot share and the cold share with one GetMany each (an empty
+// share reads nothing). Reads ahead of a caller come from the caller's
+// ordered fan-out, which runs several such reads at once on the hash pool.
+// One merge then heals the probe's races: a hot slot that came back
 // kNotFound (the copy was evicted after the probe) is retried against the
 // cold tier in one batch, and a cold kNotFound is re-probed against the hot
 // tier once (a concurrent Put may have landed there). Cold hits are
@@ -135,13 +130,6 @@ class TieredChunkStore : public ChunkStore {
   StatusOr<Chunk> Get(const Hash256& id) const override;
   std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const override;
-  /// Splits the batch at issue and starts each async tier's read; Take()
-  /// runs the synchronous tiers' reads, then merges and promotes on the
-  /// taker's thread, like CachingChunkStore's miss fill.
-  AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const override;
-  bool SupportsAsyncGet() const override {
-    return hot_->SupportsAsyncGet() || cold_->SupportsAsyncGet();
-  }
   bool Contains(const Hash256& id) const override;
   bool SupportsErase() const override {
     return hot_->SupportsErase() || cold_->SupportsErase();
@@ -235,17 +223,10 @@ class TieredChunkStore : public ChunkStore {
     std::vector<size_t> cold_slots;
   };
   Partition Split(std::span<const Hash256> ids) const;
-  /// The one read path: splits `ids`, issues the cold share then the hot
-  /// share, and returns a handle whose Take() merges them. A `speculative`
-  /// read (GetManyAsync) starts every async tier's read at issue; a read
-  /// taken at once (GetMany) starts only the cold read, and only when a
-  /// hot read can run under it.
-  AsyncChunkBatch Read(std::span<const Hash256> ids, bool speculative) const;
   /// Scatters both tiers' fetch results into request order, retries hot
   /// misses against the cold tier in one batch (the hot copy vanished after
   /// the probe — e.g. evicted) and cold misses against the hot tier (a
-  /// concurrent Put), promotes cold hits and counts every slot. Runs on the
-  /// taking thread.
+  /// concurrent Put), promotes cold hits and counts every slot.
   std::vector<StatusOr<Chunk>> MergeTiers(
       const Partition& split, size_t total,
       std::vector<StatusOr<Chunk>> hot_slots,

@@ -91,11 +91,6 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
       FB_RETURN_IF_ERROR(next(&ctx->author));
     } else if (a == "--message" || a == "-m") {
       FB_RETURN_IF_ERROR(next(&ctx->message));
-    } else if (a == "--prefetch-threads") {
-      FB_ASSIGN_OR_RETURN(ctx->config.prefetch_threads, count(256));
-    } else if (a == "--prefetch-depth") {
-      FB_ASSIGN_OR_RETURN(uint64_t depth, count(64, 1));
-      SetScanPrefetchDepth(depth);
     } else if (a == "--cache-mb") {
       FB_ASSIGN_OR_RETURN(uint64_t mb, count(1u << 20));
       ctx->config.cache_bytes = mb << 20;
@@ -674,7 +669,6 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
 std::string CliUsage() {
   return
       "forkbase_cli [--db DIR] [--branch B] [--author A] [-m MSG]\n"
-      "             [--prefetch-threads N] [--prefetch-depth N]\n"
       "             [--cache-mb N] [--fsync]\n"
       "             [--maintenance-threads N] [--segment-kb N]\n"
       "             [--tier-cold DIR] [--tier-policy write-through|write-back]\n"

@@ -1,7 +1,6 @@
 #include "postree/diff.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace forkbase {
 
@@ -12,28 +11,21 @@ struct NodeRef {
   std::string max_key;  // known max key (filled from parent index entries)
 };
 
-// Starts the batched read of one frontier's surviving nodes. Issued for
-// BOTH trees before either side is parsed, so on an async store the two
-// sides' level reads overlap each other (and the parse of whichever side
-// completes first).
-AsyncChunkBatch StartFrontier(const ChunkStore* store,
-                              const std::vector<NodeRef>& refs) {
+// Reads one frontier's surviving nodes with one GetMany. Metas: children
+// are appended to `next` for the following round. Leaves: the chunk is kept
+// in `leaves` and its entries are appended to `out` as views into it, so
+// the merge-scan compares slices and copies bytes only for real deltas.
+// Only differing paths ever reach this function, which is what bounds the
+// loads to O(D log N); the batch turns each round's loads into one store
+// call instead of one per node.
+Status ExpandFrontier(const ChunkStore* store,
+                      const std::vector<NodeRef>& refs,
+                      std::vector<NodeRef>* next, std::vector<Chunk>* leaves,
+                      std::vector<EntryView>* out, DiffMetrics* metrics) {
   std::vector<Hash256> ids;
   ids.reserve(refs.size());
   for (const auto& ref : refs) ids.push_back(ref.id);
-  return store->GetManyAsync(ids);
-}
-
-// Consumes one frontier's read. Metas: children are appended to `next` for
-// the following round. Leaves: the chunk is kept in `leaves` and its entries
-// are appended to `out` as views into it, so the merge-scan compares slices
-// and copies bytes only for real deltas. Only differing paths ever reach
-// this function, which is what bounds the loads to O(D log N); the batch
-// turns each round's loads into one store call instead of one per node.
-Status ExpandFrontier(AsyncChunkBatch batch, std::vector<NodeRef>* next,
-                      std::vector<Chunk>* leaves, std::vector<EntryView>* out,
-                      DiffMetrics* metrics) {
-  auto chunks = batch.Take();
+  auto chunks = store->GetMany(ids);
   std::vector<EntryView> entries;
   for (size_t i = 0; i < chunks.size(); ++i) {
     if (!chunks[i].ok()) return chunks[i].status();
@@ -140,20 +132,15 @@ StatusOr<std::vector<KeyDelta>> DiffKeyed(const PosTree& left,
     if (da == db) PruneEqual(&la, &lb, metrics);
     const bool expand_a = !la.empty() && (da >= db || lb.empty());
     const bool expand_b = !lb.empty() && (db >= da || la.empty());
-    AsyncChunkBatch batch_a, batch_b;
-    if (expand_a) batch_a = StartFrontier(ls, la);
-    if (expand_b) batch_b = StartFrontier(rs, lb);
     if (expand_a) {
       std::vector<NodeRef> na;
-      FB_RETURN_IF_ERROR(
-          ExpandFrontier(std::move(batch_a), &na, &leaves, &ea, metrics));
+      FB_RETURN_IF_ERROR(ExpandFrontier(ls, la, &na, &leaves, &ea, metrics));
       la = std::move(na);
       --da;
     }
     if (expand_b) {
       std::vector<NodeRef> nb;
-      FB_RETURN_IF_ERROR(
-          ExpandFrontier(std::move(batch_b), &nb, &leaves, &eb, metrics));
+      FB_RETURN_IF_ERROR(ExpandFrontier(rs, lb, &nb, &leaves, &eb, metrics));
       lb = std::move(nb);
       --db;
     }

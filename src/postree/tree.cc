@@ -147,28 +147,21 @@ Status PosTree::ReadBytes(uint64_t offset, uint64_t len,
                           std::string* out) const {
   out->clear();
   if (len == 0) return Status::OK();
-  FB_ASSIGN_OR_RETURN(uint64_t total, Count());
-  if (offset >= total) return Status::OK();
-  if (offset + len > total) len = total - offset;
-  out->reserve(len);
-  // Descend to the leaf containing `offset`, then stream forward.
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
-  // Skip whole leaves before the offset.
-  while (!cursor.done()) {
-    uint64_t leaf_size = cursor.leaf().payload().size();
-    if (cursor.position() + leaf_size > offset) break;
-    FB_RETURN_IF_ERROR(cursor.NextLeaf());
-  }
-  while (!cursor.done() && out->size() < len) {
-    Slice payload = cursor.leaf().payload();
-    uint64_t start =
-        offset > cursor.position() ? offset - cursor.position() : 0;
-    uint64_t take = std::min<uint64_t>(payload.size() - start,
-                                       len - out->size());
-    out->append(payload.data() + start, take);
-    FB_RETURN_IF_ERROR(cursor.NextLeaf());
-  }
-  return Status::OK();
+  const uint64_t end = len > UINT64_MAX - offset ? UINT64_MAX : offset + len;
+  uint64_t pos = 0;  // the byte offset of the next leaf
+  return WalkLeaves<LeafRun>(
+      LeafRange::Positions(offset, end), nullptr,
+      [&](LeafRun& run) -> Status {
+        for (const Chunk& leaf : run.leaves) {
+          const Slice bytes = leaf.payload();
+          const uint64_t from = std::max(pos, offset);
+          const uint64_t to = std::min(pos + bytes.size(), end);
+          if (from < to) out->append(bytes.data() + (from - pos), to - from);
+          pos += bytes.size();
+        }
+        return Status::OK();
+      },
+      &pos);
 }
 
 Status PosTree::Scan(
@@ -176,12 +169,10 @@ Status PosTree::Scan(
   if (leaf_type_ == ChunkType::kBlobLeaf) {
     return Status::InvalidArgument("Scan is entry-based; blobs use ReadBytes");
   }
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
-  while (!cursor.done()) {
-    FB_RETURN_IF_ERROR(fn(cursor.entry()));
-    FB_RETURN_IF_ERROR(cursor.Next());
-  }
-  return Status::OK();
+  return WalkLeaves<LeafRun>({}, nullptr, [&](LeafRun& run) -> Status {
+    for (const EntryView& e : run.entries) FB_RETURN_IF_ERROR(fn(e));
+    return Status::OK();
+  });
 }
 
 Status PosTree::ScanRange(
@@ -190,14 +181,15 @@ Status PosTree::ScanRange(
   if (leaf_type_ != ChunkType::kMapLeaf && leaf_type_ != ChunkType::kSetLeaf) {
     return Status::InvalidArgument("ScanRange requires a keyed tree");
   }
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor,
-                      TreeCursor::AtKey(store_, root_, begin));
-  while (!cursor.done()) {
-    if (!end.empty() && !(cursor.entry().key < end)) break;
-    FB_RETURN_IF_ERROR(fn(cursor.entry()));
-    FB_RETURN_IF_ERROR(cursor.Next());
-  }
-  return Status::OK();
+  if (!end.empty() && !(begin < end)) return Status::OK();
+  return WalkLeaves<LeafRun>(
+      LeafRange::Keys(begin, end), nullptr, [&](LeafRun& run) -> Status {
+        for (const EntryView& e : run.entries) {
+          if (e.key < begin || (!end.empty() && !(e.key < end))) continue;
+          FB_RETURN_IF_ERROR(fn(e));
+        }
+        return Status::OK();
+      });
 }
 
 StatusOr<std::vector<std::pair<std::string, std::string>>> PosTree::Entries()
@@ -369,7 +361,6 @@ StatusOr<TreeInfo> PosTree::SpliceElements(
     return Status::InvalidArgument("SpliceElements requires a list tree");
   }
   TreeBuilder builder(const_cast<ChunkStore*>(store_), leaf_type_, config_);
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
   uint64_t index = 0;
   bool inserted = false;
   std::string entry;
@@ -382,18 +373,19 @@ StatusOr<TreeInfo> PosTree::SpliceElements(
     inserted = true;
     return Status::OK();
   };
-  while (!cursor.done()) {
-    if (index == start && !inserted) {
-      FB_RETURN_IF_ERROR(emit_inserts());
-    }
-    if (index >= start && index < start + remove) {
-      // removed element: skip
-    } else {
-      FB_RETURN_IF_ERROR(builder.AddEntry(cursor.entry().raw, Slice()));
-    }
-    ++index;
-    FB_RETURN_IF_ERROR(cursor.Next());
-  }
+  FB_RETURN_IF_ERROR(
+      WalkLeaves<LeafRun>({}, nullptr, [&](LeafRun& run) -> Status {
+        for (const EntryView& e : run.entries) {
+          if (index == start && !inserted) {
+            FB_RETURN_IF_ERROR(emit_inserts());
+          }
+          if (index < start || index >= start + remove) {
+            FB_RETURN_IF_ERROR(builder.AddEntry(e.raw, Slice()));
+          }
+          ++index;
+        }
+        return Status::OK();
+      }));
   if (!inserted) {
     FB_RETURN_IF_ERROR(emit_inserts());  // append at/after end
   }
@@ -410,7 +402,6 @@ StatusOr<TreeInfo> PosTree::SpliceBytes(uint64_t offset, uint64_t remove,
   if (offset + remove > total) remove = total - offset;
   TreeBuilder builder(const_cast<ChunkStore*>(store_), leaf_type_, config_);
   // Stream leaves, carving out the spliced range.
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
   uint64_t pos = 0;
   bool inserted = false;
   auto maybe_insert = [&](uint64_t at) -> Status {
@@ -420,29 +411,34 @@ StatusOr<TreeInfo> PosTree::SpliceBytes(uint64_t offset, uint64_t remove,
     }
     return Status::OK();
   };
-  while (!cursor.done()) {
-    Slice payload = cursor.leaf().payload();
-    uint64_t leaf_start = pos;
-    uint64_t leaf_end = pos + payload.size();
-    if (leaf_end <= offset || leaf_start >= offset + remove) {
-      // Leaf entirely outside the removed range.
-      if (leaf_start >= offset) FB_RETURN_IF_ERROR(maybe_insert(leaf_start));
-      FB_RETURN_IF_ERROR(builder.AddBytes(payload));
-    } else {
-      // Overlaps the removed range: keep the outside pieces.
-      if (leaf_start < offset) {
-        FB_RETURN_IF_ERROR(
-            builder.AddBytes(payload.substr(0, offset - leaf_start)));
-      }
-      FB_RETURN_IF_ERROR(maybe_insert(offset));
-      if (leaf_end > offset + remove) {
-        uint64_t keep_from = offset + remove - leaf_start;
-        FB_RETURN_IF_ERROR(builder.AddBytes(payload.substr(keep_from)));
-      }
-    }
-    pos = leaf_end;
-    FB_RETURN_IF_ERROR(cursor.NextLeaf());
-  }
+  FB_RETURN_IF_ERROR(
+      WalkLeaves<LeafRun>({}, nullptr, [&](LeafRun& run) -> Status {
+        for (const Chunk& leaf : run.leaves) {
+          const Slice payload = leaf.payload();
+          const uint64_t leaf_start = pos;
+          const uint64_t leaf_end = pos + payload.size();
+          if (leaf_end <= offset || leaf_start >= offset + remove) {
+            // Leaf entirely outside the removed range.
+            if (leaf_start >= offset) {
+              FB_RETURN_IF_ERROR(maybe_insert(leaf_start));
+            }
+            FB_RETURN_IF_ERROR(builder.AddBytes(payload));
+          } else {
+            // Overlaps the removed range: keep the outside pieces.
+            if (leaf_start < offset) {
+              FB_RETURN_IF_ERROR(
+                  builder.AddBytes(payload.substr(0, offset - leaf_start)));
+            }
+            FB_RETURN_IF_ERROR(maybe_insert(offset));
+            if (leaf_end > offset + remove) {
+              const uint64_t keep_from = offset + remove - leaf_start;
+              FB_RETURN_IF_ERROR(builder.AddBytes(payload.substr(keep_from)));
+            }
+          }
+          pos = leaf_end;
+        }
+        return Status::OK();
+      }));
   FB_RETURN_IF_ERROR(maybe_insert(pos));
   return builder.Finish();
 }
@@ -487,35 +483,83 @@ Status PosTree::WalkLevels(bool verify_hashes,
   return Status::OK();
 }
 
-Status PosTree::LeafIds(std::vector<Hash256>* leaves) const {
+Status PosTree::LeafIds(std::vector<Hash256>* leaves, const LeafRange& range,
+                        uint64_t* first) const {
+  // The kept nodes of one level, and each one's position (first entry).
   std::vector<Hash256> level{root_};
+  std::vector<uint64_t> starts{0};
   std::vector<IndexEntry> children;
   Status cut;  // the earliest error in key order so far
   for (uint32_t depth = 0; !level.empty(); ++depth) {
     if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
-    StatusOr<Chunk> first = store_->Get(level.front());
-    if (first.ok() && first->type() != ChunkType::kMeta) break;
+    StatusOr<Chunk> head = store_->Get(level.front());
+    if (head.ok() && head->type() != ChunkType::kMeta) break;
     std::vector<Hash256> next;
-    auto expand = [&](const StatusOr<Chunk>& node) -> Status {
+    std::vector<uint64_t> next_starts;
+    auto expand = [&](size_t i, const StatusOr<Chunk>& node) -> Status {
       if (!node.ok()) return node.status();
       if (node->type() != ChunkType::kMeta) {
         return Status::Corruption("leaves at multiple depths");
       }
       FB_RETURN_IF_ERROR(ParseIndexNode(*node, &children));
-      for (const IndexEntry& e : children) next.push_back(e.child);
+      uint64_t pos = starts[i];
+      for (size_t c = 0; c < children.size(); ++c) {
+        const IndexEntry& e = children[c];
+        // Child c holds the keys in (split key c-1, split key c] and the
+        // positions [pos, pos + count).
+        bool keep = true;
+        if (range.kind == LeafRange::Kind::kKeys) {
+          keep = !(Slice(e.key) < range.begin_key) &&
+                 (c == 0 || range.end_key.empty() ||
+                  Slice(children[c - 1].key) < range.end_key);
+        } else if (range.kind == LeafRange::Kind::kPositions) {
+          keep = pos < range.end && pos + e.count > range.begin;
+        }
+        if (keep) {
+          next.push_back(e.child);
+          next_starts.push_back(pos);
+        }
+        pos += e.count;
+      }
       return Status::OK();
     };
-    Status s = expand(first);
+    Status s = expand(0, head);
     if (s.ok()) {
       s = ForEachChunkBatch(
           *store_, std::span<const Hash256>(level).subspan(1),
-          [&](size_t, StatusOr<Chunk>& node) { return expand(node); });
+          [&](size_t i, StatusOr<Chunk>& node) { return expand(i + 1, node); });
     }
     if (!s.ok()) cut = std::move(s);
     level = std::move(next);
+    starts = std::move(next_starts);
   }
+  if (first) *first = starts.empty() ? 0 : starts.front();
   *leaves = std::move(level);
   return cut;
+}
+
+void PosTree::ReadLeafRun(std::span<const Hash256> ids, LeafRun* run) const {
+  std::vector<StatusOr<Chunk>> slots = store_->GetMany(ids);
+  std::vector<EntryView> entries;
+  for (StatusOr<Chunk>& slot : slots) {
+    if (!slot.ok()) {
+      run->status = slot.status();
+      return;
+    }
+    const ChunkType type = slot->type();
+    if (!IsLeafType(type)) {
+      run->status = Status::Corruption("expected leaf chunk, got " +
+                                       std::string(ChunkTypeToString(type)));
+      return;
+    }
+    run->leaves.push_back(std::move(*slot));
+    if (type == ChunkType::kBlobLeaf) continue;
+    if (!ParseLeafEntries(type, run->leaves.back().payload(), &entries)) {
+      run->status = Status::Corruption("malformed leaf payload");
+      return;
+    }
+    run->entries.insert(run->entries.end(), entries.begin(), entries.end());
+  }
 }
 
 Status PosTree::Validate(

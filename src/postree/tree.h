@@ -15,7 +15,7 @@
 
 #include "chunk/chunk_store.h"
 #include "postree/builder.h"
-#include "postree/cursor.h"
+#include "util/worker_pool.h"
 
 namespace forkbase {
 
@@ -23,6 +23,28 @@ namespace forkbase {
 struct KeyedOp {
   std::string key;
   std::optional<std::string> value;
+};
+
+/// Which leaves a leaf walk (PosTree::LeafIds, PosTree::WalkLeaves) keeps:
+/// every leaf by default. Keys(begin, end) keeps the leaves that may hold a
+/// key in [begin, end), an empty `end` meaning no upper bound, and
+/// Positions(begin, end) the leaves that hold the entries (blob: bytes) at
+/// positions [begin, end). The walk prunes at every index level, by split
+/// key or by IndexEntry::count, so a range costs O(height + leaves in it)
+/// chunk reads. A kept leaf may also hold entries outside the range; the
+/// caller filters those.
+struct LeafRange {
+  enum class Kind : uint8_t { kAll, kKeys, kPositions };
+  Kind kind = Kind::kAll;
+  Slice begin_key, end_key;
+  uint64_t begin = 0, end = 0;
+
+  static LeafRange Keys(Slice begin, Slice end) {
+    return LeafRange{Kind::kKeys, begin, end, 0, 0};
+  }
+  static LeafRange Positions(uint64_t begin, uint64_t end) {
+    return LeafRange{Kind::kPositions, Slice(), Slice(), begin, end};
+  }
 };
 
 /// Structural statistics of a tree (drives Table I / ablation reporting).
@@ -72,15 +94,19 @@ class PosTree {
   /// Element at `index` in a list tree. O(log N).
   StatusOr<std::string> Element(uint64_t index) const;
 
-  /// Reads `len` bytes at `offset` from a blob tree.
+  /// Reads up to `len` bytes at `offset` from a blob tree: fewer when the
+  /// blob ends first, none at or past its end. Walks only the leaves that
+  /// hold the range (WalkLeaves with a position range).
   Status ReadBytes(uint64_t offset, uint64_t len, std::string* out) const;
 
-  /// In-order scan of all entries (non-blob). The callback may return a
-  /// non-OK status to stop early (it is propagated).
+  /// In-order scan of all entries (non-blob), on the calling thread, while
+  /// the leaf walk (WalkLeaves) reads ahead on the hash pool. The callback
+  /// may return a non-OK status to stop early (it is propagated).
   Status Scan(const std::function<Status(const EntryView&)>& fn) const;
 
   /// Scans entries with begin <= key < end (keyed trees). An empty `end`
-  /// means "to the last key". O(log N) seek + O(range) scan.
+  /// means "to the last key"; begin >= a non-empty end is an empty range.
+  /// The walk reads O(height + leaves in range) chunks.
   Status ScanRange(Slice begin, Slice end,
                    const std::function<Status(const EntryView&)>& fn) const;
 
@@ -97,8 +123,9 @@ class PosTree {
   /// config(), or reused nodes would not match a rebuild.
   StatusOr<TreeInfo> ApplyKeyedOps(std::vector<KeyedOp> ops) const;
 
-  /// Positional splices still stream every entry of the old tree through a
-  /// fresh builder: O(N) per call, whatever the size of the edit.
+  /// Positional splices still stream every entry of the old tree, read by
+  /// the leaf walk, through a fresh builder: O(N) per call, whatever the
+  /// size of the edit.
   ///
   /// Replaces `remove` elements at `start` with `inserts` (list trees).
   StatusOr<TreeInfo> SpliceElements(
@@ -142,22 +169,84 @@ class PosTree {
       const std::vector<IndexEntry>& children)>;
   Status WalkLevels(bool verify_hashes, const NodeVisitor& visit) const;
 
-  /// The ids of the tree's leaves in key order, from the same level-by-level
-  /// walk stopped above the leaves: each index node is read once, and of
-  /// the leaves only the first, which shows that its level is the leaf
-  /// level. An index node that is unreadable or malformed cuts its level
-  /// there: `leaves` then holds every leaf before that node's subtree, and
-  /// the error returned is the one a cursor walk meets right after them.
-  Status LeafIds(std::vector<Hash256>* leaves) const;
+  /// The ids of the tree's leaves in `range`, in key order, from a
+  /// level-by-level walk stopped above the leaves: each kept index node is
+  /// read once (a level in ForEachChunkBatch sweeps), and of the leaves
+  /// only the first, which shows that its level is the leaf level. An index
+  /// node that is unreadable or malformed cuts its level there: `leaves`
+  /// then holds every kept leaf before that node's subtree, and the error
+  /// returned is the one a serial depth-first walk meets right after them.
+  /// `first`, if set, receives the position of the first kept leaf (its
+  /// first entry's ordinal; blob: byte offset).
+  Status LeafIds(std::vector<Hash256>* leaves, const LeafRange& range = {},
+                 uint64_t* first = nullptr) const;
+
+  /// One run of consecutive leaves of a walk, read by the thread that
+  /// claims it with one GetMany: each leaf checked to be a leaf chunk and
+  /// parsed (blob leaves are not entry-parsed).
+  struct LeafRun {
+    std::vector<Chunk> leaves;       ///< own the bytes `entries` view
+    std::vector<EntryView> entries;  ///< the leaves' entries, in order
+    Status status;  ///< the error the run stops at, after the above
+  };
+  /// Leaves per run, and runs per round of the ordered fan-out.
+  static constexpr size_t kWalkRunLeaves = 16;
+  static constexpr size_t kWalkRoundRuns = 8;
+
+  /// The one leaf walk (Scan, ScanRange, ReadBytes, the splices, the table
+  /// row walk): the leaves of `range` from LeafIds, read in runs of
+  /// kWalkRunLeaves on the ordered fan-out (OrderedFanOut), at most two
+  /// rounds of kWalkRoundRuns runs ahead of the caller. `Run` is LeafRun
+  /// or a type derived from it. `split`, if set, runs on the claiming
+  /// thread after the run is parsed, to derive more per-entry data; to
+  /// fail at entry k it truncates `entries` to k and sets `status`.
+  /// `consume` runs on the calling thread, strictly in leaf order; its
+  /// first non-OK status stops the walk and is returned. A run's `status`
+  /// stops the walk after the run is consumed, and so does an index error
+  /// from LeafIds after every leaf before it. `first` is as for LeafIds
+  /// and is set before the first consume.
+  template <typename Run = LeafRun>
+  Status WalkLeaves(const LeafRange& range,
+                    const std::function<void(Run*)>& split,
+                    const std::function<Status(Run&)>& consume,
+                    uint64_t* first = nullptr) const;
 
   const ChunkStore* store() const { return store_; }
 
  private:
+  /// Reads leaves `ids` into `run` (see LeafRun).
+  void ReadLeafRun(std::span<const Hash256> ids, LeafRun* run) const;
+
   const ChunkStore* store_;
   ChunkType leaf_type_;
   Hash256 root_;
   TreeConfig config_;
 };
+
+template <typename Run>
+Status PosTree::WalkLeaves(const LeafRange& range,
+                           const std::function<void(Run*)>& split,
+                           const std::function<Status(Run&)>& consume,
+                           uint64_t* first) const {
+  std::vector<Hash256> leaves;
+  const Status index_status = LeafIds(&leaves, range, first);
+  const std::span<const Hash256> ids(leaves);
+  FB_RETURN_IF_ERROR(OrderedFanOut<Run>(
+      SharedHashPool(), (ids.size() + kWalkRunLeaves - 1) / kWalkRunLeaves,
+      kWalkRoundRuns,
+      [&](size_t r, Run* run) {
+        const size_t begin = r * kWalkRunLeaves;
+        ReadLeafRun(
+            ids.subspan(begin, std::min(kWalkRunLeaves, ids.size() - begin)),
+            run);
+        if (split) split(run);
+      },
+      [&](size_t, Run& run) -> Status {
+        FB_RETURN_IF_ERROR(consume(run));
+        return run.status;
+      }));
+  return index_status;
+}
 
 }  // namespace forkbase
 

@@ -47,14 +47,10 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path) {
 
 StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
                                                    const Config& config) {
-  // Hot and cold file stores share every knob but two: only the hot store
-  // gets the budget clamp, and the cold store keeps a prefetch worker even
-  // when the hot tier runs synchronously, because TieredChunkStore::GetMany
-  // overlaps the cold ranged fetch with the hot read through it.
+  // Hot and cold file stores share every knob but one: only the hot store
+  // gets the budget clamp.
   auto file_options = [&config](bool hot) {
     FileChunkStore::Options options;
-    options.prefetch_threads =
-        hot ? config.prefetch_threads : std::max(config.prefetch_threads, 1u);
     options.fsync_on_flush = config.fsync;
     options.maintenance_threads = config.maintenance_threads;
     options.compression = config.compression

@@ -106,8 +106,8 @@ class ForkBase {
   /// behind Open(), with the layer-specific sections nested.
   struct Config {
     size_t cache_bytes = 64ull << 20;  ///< sharded LRU read-cache budget
-    /// Background readers in the FileChunkStore (async scan prefetch);
-    /// 0 = fully synchronous I/O.
+    /// Ignored: stores read on their callers' threads. Kept only because
+    /// the perfbench harness sets it; delete it with those lines.
     uint32_t prefetch_threads = 1;
     /// fsync every append run (power-loss durability). Concurrent writers
     /// share one sync per commit group.
@@ -144,9 +144,7 @@ class ForkBase {
     struct Tier {
       /// Non-empty = tiered storage: the open path becomes the hot tier
       /// and a second FileChunkStore at this path the cold tier, composed
-      /// through a TieredChunkStore under the read cache. The cold store
-      /// gets its own prefetch worker so cold ranged fetches overlap hot
-      /// reads.
+      /// through a TieredChunkStore under the read cache.
       std::string cold_dir;
       /// Cold-tier write policy: false = write-through (every commit
       /// reaches both tiers before returning), true = write-back (commits
@@ -179,7 +177,7 @@ class ForkBase {
   ~ForkBase();
 
   /// Opens a production-shaped instance at `path`: a sharded-index
-  /// FileChunkStore (with async prefetch workers) under a sharded LRU
+  /// FileChunkStore under a sharded LRU
   /// read cache, optionally tiered, with branch heads in the head log
   /// `path`/heads.fbh (BranchTable::Attach). This is the stack the CLI and
   /// the server use, and the only open path; tests that need a bare

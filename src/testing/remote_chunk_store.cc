@@ -8,14 +8,7 @@ namespace forkbase {
 
 RemoteChunkStore::RemoteChunkStore(std::shared_ptr<ChunkStore> backend,
                                    Options options)
-    : backend_(std::move(backend)),
-      options_(std::move(options)),
-      connection_pool_(options_.connections) {}
-
-RemoteChunkStore::~RemoteChunkStore() {
-  // Run out in-flight round trips before the backend reference drops.
-  connection_pool_.Shutdown();
-}
+    : backend_(std::move(backend)), options_(std::move(options)) {}
 
 void RemoteChunkStore::SimulateTransfer(uint64_t payload_bytes) const {
   uint64_t delay_us = options_.batch_latency_us;
@@ -39,7 +32,7 @@ Status RemoteChunkStore::MaybeFault(FaultSchedule::Op op,
       return Status::IOError("remote: transient error (connection reset)");
     case FaultSchedule::Kind::kTimeout:
       // The caller blocks for the full timeout before learning anything —
-      // the latency spike the prefetch pipeline has to absorb.
+      // the latency spike a reader has to absorb.
       std::this_thread::sleep_for(
           std::chrono::microseconds(options_.timeout_us));
       return Status::IOError("remote: timeout after " +
@@ -92,16 +85,6 @@ std::vector<StatusOr<Chunk>> RemoteChunkStore::GetMany(
     for (auto& slot : slots) slot = StatusOr<Chunk>(fault);
   }
   return slots;
-}
-
-AsyncChunkBatch RemoteChunkStore::GetManyAsync(
-    std::span<const Hash256> ids) const {
-  if (options_.connections == 0) return ChunkStore::GetManyAsync(ids);
-  return AsyncChunkBatch::OnPool(
-      connection_pool_,
-      [this, owned = std::vector<Hash256>(ids.begin(), ids.end())] {
-        return GetMany(owned);
-      });
 }
 
 Status RemoteChunkStore::PutImpl(const Chunk& chunk) {

@@ -22,10 +22,9 @@
 // server" model), so a caller that saw an error can always retry the whole
 // batch — the same contract PutMany already documents.
 //
-// GetManyAsync runs the whole simulated round trip (delay + faults + read)
-// on an internal connection pool, so a tiered store or prefetching scan can
-// overlap remote fetches with local work; `connections` models how many
-// round trips the "server" serves concurrently.
+// Round trips from different threads overlap: the simulated server serves
+// any number at once, so a caller's ordered fan-out hides the latency of
+// several batches behind one.
 #ifndef FORKBASE_TESTING_REMOTE_CHUNK_STORE_H_
 #define FORKBASE_TESTING_REMOTE_CHUNK_STORE_H_
 
@@ -33,7 +32,6 @@
 
 #include "chunk/chunk_store.h"
 #include "testing/fault_schedule.h"
-#include "util/worker_pool.h"
 
 namespace forkbase {
 
@@ -48,22 +46,15 @@ class RemoteChunkStore : public ChunkStore {
     uint64_t bandwidth_bytes_per_sec = 0;
     /// How long a timed-out operation blocks before failing.
     unsigned timeout_us = 2000;
-    /// Concurrent round trips the simulated server accepts; this many async
-    /// batches can be in flight at once. 0 disables the async path
-    /// (SupportsAsyncGet() == false), keeping the store fully synchronous.
-    size_t connections = 1;
     /// Fault source, shared with the test harness. May be null (no faults).
     std::shared_ptr<FaultSchedule> faults;
   };
 
   RemoteChunkStore(std::shared_ptr<ChunkStore> backend, Options options);
-  ~RemoteChunkStore() override;
 
   StatusOr<Chunk> Get(const Hash256& id) const override;
   std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const override;
-  AsyncChunkBatch GetManyAsync(std::span<const Hash256> ids) const override;
-  bool SupportsAsyncGet() const override { return options_.connections > 0; }
   /// Local index probe (the client-side manifest); no round trip simulated.
   bool Contains(const Hash256& id) const override;
   /// Administrative space reclamation (a server-side delete); bypasses the
@@ -106,7 +97,6 @@ class RemoteChunkStore : public ChunkStore {
 
   std::shared_ptr<ChunkStore> backend_;
   const Options options_;
-  mutable WorkerPool connection_pool_;
 };
 
 }  // namespace forkbase

@@ -5,8 +5,6 @@
 #include <map>
 #include <string_view>
 
-#include "util/sha256.h"
-#include "util/worker_pool.h"
 
 namespace forkbase {
 
@@ -299,80 +297,36 @@ StatusOr<FTable> FTable::RenameColumn(size_t column,
                      key_column_, rows_);
 }
 
-namespace {
-
-// Leaves per run: one GetMany, split by whichever thread claims the run.
-constexpr size_t kScanRunLeaves = 16;
-// Runs per round of the ordered fan-out.
-constexpr size_t kScanRoundRuns = 8;
-
-}  // namespace
-
-// Rows of one run of leaves, read and split by the thread that claims the
-// run; read by the caller once the run is done.
-struct FTable::RowRun {
-  std::vector<Chunk> leaves;  ///< own the bytes `keys` and `cells` view
-  std::vector<Slice> keys;
-  std::vector<Slice> cells;  ///< ncols per row, row after row
-  Status status;  ///< the error the rows above stop at, if any
+// A run of the row walk: the leaf walk's run plus every row's SplitRow
+// cells, split by the thread that claims the run.
+struct FTable::RowRun : PosTree::LeafRun {
+  std::vector<Slice> cells;  ///< ncols per entry, entry after entry
 };
 
-void FTable::ReadRun(std::span<const Hash256> ids, RowRun* run) const {
-  const size_t ncols = columns_.size();
-  std::vector<StatusOr<Chunk>> slots = store_->GetMany(ids);
-  std::vector<EntryView> entries;
-  std::vector<Slice> row;
-  for (StatusOr<Chunk>& slot : slots) {
-    if (!slot.ok()) {
-      run->status = slot.status();
-      return;
-    }
-    const ChunkType type = slot->type();
-    if (!IsLeafType(type)) {
-      run->status = Status::Corruption("expected leaf chunk, got " +
-                                       std::string(ChunkTypeToString(type)));
-      return;
-    }
-    run->leaves.push_back(std::move(*slot));
-    if (!ParseLeafEntries(type, run->leaves.back().payload(), &entries)) {
-      run->status = Status::Corruption("malformed leaf payload");
-      return;
-    }
-    for (const EntryView& e : entries) {
-      if (!SplitRow(e.value, ncols, &row)) {
-        run->status =
-            Status::Corruption("malformed row for key " + e.key.ToString());
-        return;
-      }
-      run->keys.push_back(e.key);
-      run->cells.insert(run->cells.end(), row.begin(), row.end());
-    }
-  }
-}
-
 Status FTable::WalkRows(const RowVisitor& visit) const {
-  std::vector<Hash256> leaves;
-  const Status index_status = rows_.tree().LeafIds(&leaves);
-  const std::span<const Hash256> ids(leaves);
   const size_t ncols = columns_.size();
-  FB_RETURN_IF_ERROR(OrderedFanOut<RowRun>(
-      SharedHashPool(), (ids.size() + kScanRunLeaves - 1) / kScanRunLeaves,
-      kScanRoundRuns,
-      [&](size_t r, RowRun* run) {
-        const size_t begin = r * kScanRunLeaves;
-        ReadRun(
-            ids.subspan(begin, std::min(kScanRunLeaves, ids.size() - begin)),
-            run);
-      },
-      [&](size_t, RowRun& run) -> Status {
-        const std::span<const Slice> cells(run.cells);
-        for (size_t k = 0; k < run.keys.size(); ++k) {
-          FB_RETURN_IF_ERROR(
-              visit(run.keys[k], cells.subspan(k * ncols, ncols)));
+  return rows_.tree().WalkLeaves<RowRun>(
+      {},
+      [ncols](RowRun* run) {
+        std::vector<Slice> row;
+        for (size_t k = 0; k < run->entries.size(); ++k) {
+          if (!SplitRow(run->entries[k].value, ncols, &row)) {
+            run->status = Status::Corruption("malformed row for key " +
+                                             run->entries[k].key.ToString());
+            run->entries.resize(k);
+            return;
+          }
+          run->cells.insert(run->cells.end(), row.begin(), row.end());
         }
-        return run.status;
-      }));
-  return index_status;
+      },
+      [&](RowRun& run) -> Status {
+        const std::span<const Slice> cells(run.cells);
+        for (size_t k = 0; k < run.entries.size(); ++k) {
+          FB_RETURN_IF_ERROR(
+              visit(run.entries[k].key, cells.subspan(k * ncols, ncols)));
+        }
+        return Status::OK();
+      });
 }
 
 Status FTable::Scan(const std::function<Status(

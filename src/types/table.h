@@ -137,18 +137,15 @@ class FTable {
   static bool SplitRow(Slice row, size_t ncols, std::vector<Slice>* cells);
   /// The one row walk (Scan, RewriteRows): visits every row in key order,
   /// on the calling thread, with its SplitRow cells (valid during the call
-  /// only). The leaf ids come from PosTree::LeafIds; on the ordered fan-out
-  /// (OrderedFanOut), SharedHashPool() helpers and the caller read and
-  /// split runs of kScanRunLeaves leaves, at most two rounds of
-  /// kScanRoundRuns runs ahead. A non-OK visit stops the walk. A missing or
-  /// malformed chunk or row stops it too, after exactly the rows a cursor
-  /// walk delivers before it, with an error of the same class.
+  /// only). It is the row map's leaf walk (PosTree::WalkLeaves), whose
+  /// runs also split their rows on the thread that reads them. A non-OK
+  /// visit stops the walk. A missing or malformed chunk or row stops it
+  /// too, after exactly the rows a serial walk delivers before it, with an
+  /// error of the same class.
   using RowVisitor =
       std::function<Status(Slice key, std::span<const Slice> cells)>;
   Status WalkRows(const RowVisitor& visit) const;
   struct RowRun;
-  /// Reads leaves `ids` into `run`: every row up to the first error.
-  void ReadRun(std::span<const Hash256> ids, RowRun* run) const;
   /// Builds a row tree of every row's SplitRow cells as changed by
   /// `rewrite`.
   StatusOr<FMap> RewriteRows(

@@ -1,23 +1,23 @@
-// WorkerPool — the one thread primitive behind the async I/O pipeline.
+// WorkerPool — the one thread primitive behind background and parallel work.
 //
-// Both halves of the pipeline are built on this class: chunk stores submit
-// background GetMany batches here (read prefetch), and ForkBase's commit
-// queue runs its drain loop on a single-thread pool (group commit). Keeping
-// one primitive means one place to reason about lifetime: a pool joins its
-// workers in the destructor after running every task already submitted, so
-// an owner that destroys its pool before its other members can never leak a
-// task into freed state.
+// ForkBase's commit queue runs its drain loop on a single-thread pool
+// (group commit), the server executes requests on one, file stores rewrite
+// segments and tiered stores demote on theirs, and the shared hash pool
+// runs the fan-outs below. Keeping one primitive means one
+// place to reason about lifetime: a pool joins its workers in the
+// destructor after running every task already submitted, so an owner that
+// destroys its pool before its other members can never leak a task into
+// freed state.
 //
 // Threads are spawned lazily on the first Submit, so constructing a pool
-// (e.g. inside every FileChunkStore) costs nothing until async work is
-// actually requested.
+// costs nothing until work is actually submitted.
 //
 // TaskRound is the one fan-out pattern on top of it: the caller and pool
 // helpers claim indexed tasks from one counter (Sha256Many hashes a batch
 // with one round). OrderedFanOut runs rounds of TaskRounds and hands each
-// result to the caller in index order: a bulk load's leaf segments, a
-// table scan's leaf runs and every batched chunk sweep (ForEachChunkBatch)
-// are its three callers.
+// result to the caller in index order: a bulk load's leaf segments, the
+// POS-Tree leaf walk's runs (scans, range reads, the table row walk) and
+// every batched chunk sweep (ForEachChunkBatch) are its three callers.
 #ifndef FORKBASE_UTIL_WORKER_POOL_H_
 #define FORKBASE_UTIL_WORKER_POOL_H_
 

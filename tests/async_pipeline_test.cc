@@ -1,9 +1,7 @@
-// The async I/O pipeline: WorkerPool, TaskRound and the ordered fan-out,
-// GetManyAsync across the store stack, double-buffered cursor scans,
-// pipelined diff reads, GC marking on an async store, and the
-// group-commit queue. Every async path is checked for result equivalence
-// with its synchronous twin — the pipeline must change latency, never
-// answers.
+// The parallel and background pipeline: WorkerPool, TaskRound and the
+// ordered fan-out, diff and GC marking on a file store, and the
+// group-commit queue. Every path is checked for result equivalence with a
+// serial twin — the pipeline must change latency, never answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +14,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "chunk/caching_chunk_store.h"
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
 #include "postree/diff.h"
@@ -38,14 +35,6 @@ std::vector<std::pair<std::string, std::string>> SortedKvs(size_t n,
     sorted[rng.NextString(12)] = rng.NextString(24);
   }
   return {sorted.begin(), sorted.end()};
-}
-
-// Bare FileChunkStore defaults to synchronous reads; these tests exercise
-// the overlap machinery, so they opt in.
-FileChunkStore::Options AsyncOptions(uint32_t threads = 1) {
-  FileChunkStore::Options options;
-  options.prefetch_threads = threads;
-  return options;
 }
 
 class ScopedDir {
@@ -248,186 +237,9 @@ TEST(OrderedFanOutTest, RunsFromATaskOnItsOwnPool) {
   EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 8);
 }
 
-TEST(AsyncChunkBatchTest, DefaultStoreReturnsReadyBatches) {
-  MemChunkStore store;
-  Chunk a = Chunk::Make(ChunkType::kCell, "alpha");
-  Chunk b = Chunk::Make(ChunkType::kCell, "beta");
-  ASSERT_TRUE(store.Put(a).ok());
-  ASSERT_TRUE(store.Put(b).ok());
-  EXPECT_FALSE(store.SupportsAsyncGet());
-
-  std::vector<Hash256> ids{a.hash(), Chunk::Make(ChunkType::kCell, "?").hash(),
-                           b.hash()};
-  AsyncChunkBatch batch = store.GetManyAsync(ids);
-  ASSERT_TRUE(batch.valid());
-  auto slots = batch.Take();
-  EXPECT_FALSE(batch.valid());
-  ASSERT_EQ(slots.size(), 3u);
-  EXPECT_EQ(slots[0]->payload().ToString(), "alpha");
-  EXPECT_TRUE(slots[1].status().IsNotFound());
-  EXPECT_EQ(slots[2]->payload().ToString(), "beta");
-}
-
-TEST(AsyncChunkBatchTest, FileStoreAsyncMatchesSync) {
-  ScopedDir dir("fb_async_file");
-  auto store_or = FileChunkStore::Open(dir.path(), AsyncOptions(2));
-  ASSERT_TRUE(store_or.ok());
-  auto& store = **store_or;
-  EXPECT_TRUE(store.SupportsAsyncGet());
-
-  Rng rng(3);
-  std::vector<Chunk> chunks;
-  std::vector<Hash256> ids;
-  for (int i = 0; i < 300; ++i) {
-    chunks.push_back(Chunk::Make(ChunkType::kCell, rng.NextBytes(200)));
-    ids.push_back(chunks.back().hash());
-  }
-  ASSERT_TRUE(store.PutMany(chunks).ok());
-  ids.push_back(Chunk::Make(ChunkType::kCell, "missing").hash());
-
-  // Several batches in flight at once, all consistent with the sync read.
-  auto sync = store.GetMany(ids);
-  std::vector<AsyncChunkBatch> batches;
-  for (int i = 0; i < 4; ++i) batches.push_back(store.GetManyAsync(ids));
-  for (auto& batch : batches) {
-    auto slots = batch.Take();
-    ASSERT_EQ(slots.size(), sync.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      ASSERT_EQ(slots[i].ok(), sync[i].ok()) << i;
-      if (slots[i].ok()) {
-        EXPECT_EQ(slots[i]->bytes().ToString(), sync[i]->bytes().ToString());
-      } else {
-        EXPECT_TRUE(slots[i].status().IsNotFound());
-      }
-    }
-  }
-}
-
-TEST(AsyncChunkBatchTest, AbandonedBatchCompletesHarmlessly) {
-  ScopedDir dir("fb_async_abandon");
-  auto store_or = FileChunkStore::Open(dir.path(), AsyncOptions());
-  ASSERT_TRUE(store_or.ok());
-  Chunk c = Chunk::Make(ChunkType::kCell, "payload");
-  ASSERT_TRUE((*store_or)->Put(c).ok());
-  std::vector<Hash256> ids{c.hash()};
-  { AsyncChunkBatch dropped = (*store_or)->GetManyAsync(ids); }
-  // Store destruction joins the pool with the task possibly still queued.
-}
-
-TEST(AsyncChunkBatchTest, CachePassThroughFillsShardsOnTake) {
-  ScopedDir dir("fb_async_cache");
-  auto file_or = FileChunkStore::Open(dir.path(), AsyncOptions());
-  ASSERT_TRUE(file_or.ok());
-  auto cache = std::make_shared<CachingChunkStore>(
-      std::shared_ptr<ChunkStore>(std::move(*file_or)), 1 << 20);
-  EXPECT_TRUE(cache->SupportsAsyncGet());
-
-  Rng rng(4);
-  std::vector<Chunk> chunks;
-  std::vector<Hash256> ids;
-  for (int i = 0; i < 64; ++i) {
-    chunks.push_back(Chunk::Make(ChunkType::kCell, rng.NextBytes(100)));
-    ids.push_back(chunks.back().hash());
-  }
-  ASSERT_TRUE(cache->PutMany(chunks).ok());
-
-  // All resident: the async handle is ready without touching the base.
-  auto warm = cache->GetManyAsync(ids).Take();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(warm[i].ok());
-    EXPECT_EQ(warm[i]->hash(), ids[i]);
-  }
-
-  // Cold cache: misses ride the base's async path, Take() fills the shards.
-  auto cold_base_or = FileChunkStore::Open(dir.path(), AsyncOptions());
-  ASSERT_TRUE(cold_base_or.ok());
-  auto cold_cache = std::make_shared<CachingChunkStore>(
-      std::shared_ptr<ChunkStore>(std::move(*cold_base_or)), 1 << 20);
-  auto before = cold_cache->cache_stats();
-  EXPECT_EQ(before.hits + before.misses, 0u);
-  auto cold = cold_cache->GetManyAsync(ids).Take();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(cold[i].ok());
-    EXPECT_EQ(cold[i]->hash(), ids[i]);
-  }
-  auto after = cold_cache->cache_stats();
-  EXPECT_EQ(after.misses, ids.size());
-  EXPECT_EQ(after.resident_bytes, 64u * 101u);
-  // Now resident: a second async read is all hits.
-  (void)cold_cache->GetManyAsync(ids).Take();
-  EXPECT_EQ(cold_cache->cache_stats().hits, ids.size());
-}
-
-// Builds one map tree into a file-backed dir and scans it with prefetching
-// disabled and enabled; the entry streams must be identical.
-TEST(AsyncScanTest, DoubleBufferedScanMatchesSynchronous) {
-  ScopedDir dir("fb_async_scan");
-  auto kvs = SortedKvs(5000, 7);
-  Hash256 root;
-  {
-    FileChunkStore::Options options;
-    options.prefetch_threads = 0;
-    auto store_or = FileChunkStore::Open(dir.path(), options);
-    ASSERT_TRUE(store_or.ok());
-    auto built = PosTree::BuildKeyed(store_or->get(), ChunkType::kMapLeaf,
-                                     kvs);
-    ASSERT_TRUE(built.ok());
-    root = built->root;
-  }
-  auto scan_all = [&](uint32_t threads) {
-    auto store_or = FileChunkStore::Open(dir.path(), AsyncOptions(threads));
-    EXPECT_TRUE(store_or.ok());
-    PosTree tree(store_or->get(), ChunkType::kMapLeaf, root);
-    std::vector<std::pair<std::string, std::string>> seen;
-    EXPECT_TRUE(tree.Scan([&seen](const EntryView& e) {
-                      seen.emplace_back(e.key.ToString(),
-                                        e.value.ToString());
-                      return Status::OK();
-                    })
-                    .ok());
-    return seen;
-  };
-  auto sync_entries = scan_all(0);
-  auto async_entries = scan_all(2);
-  EXPECT_EQ(sync_entries, kvs);
-  EXPECT_EQ(async_entries, kvs);
-}
-
-TEST(AsyncScanTest, EarlyStopAndRangeScanStayCorrect) {
-  ScopedDir dir("fb_async_range");
-  auto kvs = SortedKvs(3000, 8);
-  auto store_or = FileChunkStore::Open(dir.path(), AsyncOptions());
-  ASSERT_TRUE(store_or.ok());
-  auto built = PosTree::BuildKeyed(store_or->get(), ChunkType::kMapLeaf, kvs);
-  ASSERT_TRUE(built.ok());
-  PosTree tree(store_or->get(), ChunkType::kMapLeaf, built->root);
-
-  // Early stop mid-scan with windows in flight.
-  size_t count = 0;
-  Status stopped = tree.Scan([&count](const EntryView&) {
-    return ++count < 100 ? Status::OK()
-                         : Status::InvalidArgument("stop");
-  });
-  EXPECT_FALSE(stopped.ok());
-  EXPECT_EQ(count, 100u);
-
-  // Range scan through AtKey positioning (cold windows, then pipelined).
-  const std::string begin = kvs[1000].first;
-  const std::string end = kvs[2000].first;
-  std::vector<std::string> keys;
-  ASSERT_TRUE(tree.ScanRange(begin, end, [&keys](const EntryView& e) {
-                    keys.push_back(e.key.ToString());
-                    return Status::OK();
-                  })
-                  .ok());
-  ASSERT_EQ(keys.size(), 1000u);
-  EXPECT_EQ(keys.front(), begin);
-  EXPECT_EQ(keys.back(), kvs[1999].first);
-}
-
-TEST(AsyncDiffGcTest, PipelinedDiffAndMarkMatchMemoryStore) {
+TEST(FileStoreDiffGcTest, DiffAndMarkMatchTheirReferences) {
   ScopedDir dir("fb_async_diff");
-  auto store_or = FileChunkStore::Open(dir.path(), AsyncOptions());
+  auto store_or = FileChunkStore::Open(dir.path());
   ASSERT_TRUE(store_or.ok());
   auto& store = **store_or;
 

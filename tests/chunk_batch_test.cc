@@ -426,7 +426,7 @@ TEST(CacheErrorPropagation, BatchTransientErrorSurfacesPerMissSlot) {
   }
 }
 
-TEST(CacheErrorPropagation, AsyncMissPathPropagatesErrors) {
+TEST(CacheErrorPropagation, BatchTimeoutSurfacesInEveryMissSlot) {
   FlakyCacheRig rig;
   auto chunks = MakeChunks(4, 41);
   ASSERT_TRUE(rig.backend->PutMany(chunks).ok());
@@ -435,16 +435,14 @@ TEST(CacheErrorPropagation, AsyncMissPathPropagatesErrors) {
 
   rig.faults->InjectOnce(FaultSchedule::Op::kGetBatch,
                          {FaultSchedule::Kind::kTimeout});
-  auto handle = rig.cache->GetManyAsync(ids);
-  ASSERT_TRUE(handle.valid());
-  auto slots = handle.Take();
+  auto slots = rig.cache->GetMany(ids);
   ASSERT_EQ(slots.size(), ids.size());
   for (const auto& slot : slots) {
     ASSERT_FALSE(slot.ok());
     EXPECT_EQ(slot.status().code(), StatusCode::kIOError);
   }
 
-  auto retried = rig.cache->GetManyAsync(ids).Take();
+  auto retried = rig.cache->GetMany(ids);
   for (size_t i = 0; i < retried.size(); ++i) {
     ASSERT_TRUE(retried[i].ok()) << i;
     EXPECT_EQ(retried[i]->hash(), ids[i]);

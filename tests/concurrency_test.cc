@@ -523,15 +523,13 @@ TEST(ConcurrencyTest, RacingPutIfsOnOneHeadHaveExactlyOneWinner) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ConcurrencyTest, ConcurrentAsyncScansShareOnePrefetchPool) {
-  // Multiple cursors double-buffering through the same store's pool: every
-  // scan must see its full, ordered entry stream.
+TEST(ConcurrencyTest, ConcurrentScansShareTheHashPool) {
+  // Four leaf walks reading ahead on the one shared hash pool: every scan
+  // must see its full, ordered entry stream.
   const std::string dir = ::testing::TempDir() + "/fb_conc_scan";
   std::filesystem::remove_all(dir);
   {
-    FileChunkStore::Options options;
-    options.prefetch_threads = 1;  // bare stores default to synchronous
-    auto store_or = FileChunkStore::Open(dir, options);
+    auto store_or = FileChunkStore::Open(dir);
     ASSERT_TRUE(store_or.ok());
     auto& store = **store_or;
     std::map<std::string, std::string> sorted;

@@ -53,7 +53,6 @@ struct FaultedStack {
                            AllWriteKinds(), seed + 3);
     RemoteChunkStore::Options remote_options;
     remote_options.timeout_us = 100;
-    remote_options.connections = 2;
     remote_options.faults = faults;
     cold = std::make_shared<RemoteChunkStore>(cold_backend, remote_options);
     TieredChunkStore::Options options;

@@ -4,15 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
+#include <thread>
 #include <unordered_set>
 
 #include "chunk/mem_chunk_store.h"
 #include "postree/tree.h"
 #include "store/gc.h"
+#include "testing/serial_walk.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -637,7 +641,7 @@ TEST(PosTreeShapeTest, CountsAddUp) {
 // ------------------------------------- Batched sweeps against serial walks --
 
 // Leaves to fault: the first, and both sides of the edges at which the
-// table scan (runs of 16, rounds of 128 leaves) and the batched sweeps (runs
+// leaf walk (runs of 16, rounds of 128 leaves) and the batched sweeps (runs
 // of 64, rounds of 512 ids) cut a level for their parallel readers.
 const size_t kFaultLeaves[] = {0,   15,  16,  63,  64,  127, 128,
                                255, 256, 257, 511, 512, 513};
@@ -647,6 +651,10 @@ PosTree BuildSweepTree(MemChunkStore* store, ChunkType type) {
   StatusOr<TreeInfo> info = Status::InvalidArgument("type");
   if (type == ChunkType::kMapLeaf) {
     info = PosTree::BuildKeyed(store, type, MakeKvs(40000, 41));
+  } else if (type == ChunkType::kSetLeaf) {
+    auto keys = MakeKvs(120000, 44);
+    for (auto& kv : keys) kv.second.clear();
+    info = PosTree::BuildKeyed(store, type, keys);
   } else if (type == ChunkType::kListLeaf) {
     std::vector<std::string> elements;
     Rng rng(42);
@@ -701,26 +709,57 @@ struct Seen {
   Status status;
 };
 
-void ExpectSameSeen(const Seen& got, const Seen& want) {
+// With `same_message`, the statuses must match in full, not just in class.
+void ExpectSameSeen(const Seen& got, const Seen& want,
+                    bool same_message = false) {
   EXPECT_EQ(got.status.code(), want.status.code())
       << got.status.ToString() << " vs " << want.status.ToString();
+  if (same_message) EXPECT_EQ(got.status.ToString(), want.status.ToString());
   EXPECT_EQ(got.items.size(), want.items.size());
   EXPECT_TRUE(got.items == want.items);
 }
 
-// Validate's reference: the serial cursor walk of the same tree. A blob's
-// Validate has no entry visitor, so only the statuses are compared.
-Seen CursorWalk(const PosTree& tree) {
+// The serial reference walk of a tree (testing/serial_walk.h): each entry's
+// raw bytes, or for a blob one item of every byte before the walk stopped.
+Seen SerialWalk(const ChunkStore& store, const PosTree& tree) {
   Seen seen;
   if (tree.leaf_type() == ChunkType::kBlobLeaf) {
     std::string bytes;
-    seen.status = tree.ReadBytes(0, UINT64_MAX / 2, &bytes);
+    seen.status = SerialLeafWalk(store, tree.root(), [&](const Chunk& leaf) {
+      bytes.append(leaf.payload().data(), leaf.payload().size());
+      return Status::OK();
+    });
+    seen.items.push_back(std::move(bytes));
+    return seen;
+  }
+  seen.status = SerialScan(store, tree.root(), [&](const EntryView& e) {
+    seen.items.push_back(e.raw.ToString());
+    return Status::OK();
+  });
+  return seen;
+}
+
+// The same through the leaf walk: Scan, or a blob's ReadBytes of it all.
+Seen LeafWalk(const PosTree& tree) {
+  Seen seen;
+  if (tree.leaf_type() == ChunkType::kBlobLeaf) {
+    std::string bytes;
+    seen.status = tree.ReadBytes(0, UINT64_MAX, &bytes);
+    seen.items.push_back(std::move(bytes));
     return seen;
   }
   seen.status = tree.Scan([&](const EntryView& e) {
     seen.items.push_back(e.raw.ToString());
     return Status::OK();
   });
+  return seen;
+}
+
+// Validate's reference is the serial walk too. A blob's Validate has no
+// entry visitor, so only the statuses are compared.
+Seen ValidateReference(const ChunkStore& store, const PosTree& tree) {
+  Seen seen = SerialWalk(store, tree);
+  if (tree.leaf_type() == ChunkType::kBlobLeaf) seen.items.clear();
   return seen;
 }
 
@@ -812,8 +851,8 @@ Seen MarkWalk(const ChunkStore& store, const Hash256& root) {
 }
 
 TEST(BatchedSweepTest, MatchSerialWalksAroundRunAndRoundEdges) {
-  for (ChunkType type :
-       {ChunkType::kMapLeaf, ChunkType::kListLeaf, ChunkType::kBlobLeaf}) {
+  for (ChunkType type : {ChunkType::kMapLeaf, ChunkType::kSetLeaf,
+                         ChunkType::kListLeaf, ChunkType::kBlobLeaf}) {
     SCOPED_TRACE(ChunkTypeToString(type));
     MemChunkStore store;
     const PosTree tree = BuildSweepTree(&store, type);
@@ -824,7 +863,8 @@ TEST(BatchedSweepTest, MatchSerialWalksAroundRunAndRoundEdges) {
     {
       SCOPED_TRACE("intact");
       EXPECT_TRUE(ValidateWalk(tree).status.ok());
-      ExpectSameSeen(ValidateWalk(tree), CursorWalk(tree));
+      ExpectSameSeen(ValidateWalk(tree), ValidateReference(store, tree));
+      ExpectSameSeen(LeafWalk(tree), SerialWalk(store, tree), true);
       ExpectSameSeen(ReachableWalk(tree), SerialLevelOrder(store, tree.root()));
       ExpectSameSeen(MarkWalk(store, tree.root()),
                      SerialMark(store, tree.root()));
@@ -838,13 +878,274 @@ TEST(BatchedSweepTest, MatchSerialWalksAroundRunAndRoundEdges) {
         EXPECT_EQ(validate.status.code(), missing ? StatusCode::kNotFound
                                                   : StatusCode::kCorruption)
             << validate.status.ToString();
-        ExpectSameSeen(validate, CursorWalk(tree));
+        ExpectSameSeen(validate, ValidateReference(store, tree));
+        ExpectSameSeen(LeafWalk(tree), SerialWalk(store, tree), true);
         ExpectSameSeen(ReachableWalk(tree),
                        SerialLevelOrder(store, tree.root()));
         ExpectSameSeen(MarkWalk(store, tree.root()),
                        SerialMark(store, tree.root()));
       }
     }
+  }
+}
+
+// ------------------------------------------- Leaf walk vs the serial walk --
+
+// A tree made of exactly the first `leaves` leaves of `big`: its entries
+// (blob: bytes) are a prefix of big's that ends on one of its leaf
+// boundaries, and cut points depend only on the bytes since a node start.
+PosTree PrefixTree(MemChunkStore* store, const PosTree& big, size_t leaves) {
+  const ChunkType type = big.leaf_type();
+  std::vector<std::pair<std::string, std::string>> kvs;
+  std::vector<std::string> elements;
+  std::string bytes;
+  std::vector<EntryView> entries;
+  size_t seen = 0;
+  (void)SerialLeafWalk(*store, big.root(), [&](const Chunk& leaf) -> Status {
+    if (seen++ == leaves) return Status::Unavailable("enough leaves");
+    if (type == ChunkType::kBlobLeaf) {
+      bytes.append(leaf.payload().data(), leaf.payload().size());
+      return Status::OK();
+    }
+    EXPECT_TRUE(ParseLeafEntries(type, leaf.payload(), &entries));
+    for (const EntryView& e : entries) {
+      if (type == ChunkType::kListLeaf) {
+        elements.push_back(e.value.ToString());
+      } else {
+        kvs.emplace_back(e.key.ToString(), e.value.ToString());
+      }
+    }
+    return Status::OK();
+  });
+  EXPECT_EQ(seen, leaves + 1) << "base tree too small";
+  StatusOr<TreeInfo> info =
+      type == ChunkType::kBlobLeaf   ? PosTree::BuildBlob(store, bytes)
+      : type == ChunkType::kListLeaf ? PosTree::BuildList(store, elements)
+                                     : PosTree::BuildKeyed(store, type, kvs);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  PosTree tree(store, type, info->root, big.config());
+  if (leaves > 0) {
+    std::vector<Hash256> ids;
+    EXPECT_TRUE(tree.LeafIds(&ids).ok());
+    EXPECT_EQ(ids.size(), leaves);
+  }
+  return tree;
+}
+
+// Entries (blob: bytes) held by the tree's first `leaves` leaves.
+uint64_t PositionOfLeaf(const ChunkStore& store, const PosTree& tree,
+                        size_t leaves) {
+  std::vector<Hash256> ids;
+  EXPECT_TRUE(tree.LeafIds(&ids).ok());
+  uint64_t pos = 0;
+  for (size_t i = 0; i < leaves; ++i) {
+    auto leaf = store.Get(ids[i]);
+    EXPECT_TRUE(leaf.ok());
+    pos += *LeafEntryCount(leaf->type(), leaf->payload());
+  }
+  return pos;
+}
+
+constexpr ChunkType kAllLeafTypes[] = {ChunkType::kMapLeaf,
+                                       ChunkType::kSetLeaf,
+                                       ChunkType::kListLeaf,
+                                       ChunkType::kBlobLeaf};
+
+TEST(LeafWalkTest, MatchesTheSerialWalkAroundRunAndRoundEdges) {
+  // Runs hold 16 leaves and rounds 8 runs (128 leaves).
+  for (ChunkType type : kAllLeafTypes) {
+    SCOPED_TRACE(ChunkTypeToString(type));
+    MemChunkStore store;
+    const PosTree big = BuildSweepTree(&store, type);
+    ExpectSameSeen(LeafWalk(big), SerialWalk(store, big), true);
+    for (size_t leaves : {0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 257}) {
+      SCOPED_TRACE("leaves " + std::to_string(leaves));
+      const PosTree tree = PrefixTree(&store, big, leaves);
+      const Seen want = SerialWalk(store, tree);
+      ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+      ExpectSameSeen(LeafWalk(tree), want, true);
+    }
+  }
+}
+
+TEST(LeafWalkTest, StopAtEntryKMakesExactlyKPlusOneCallbacks) {
+  for (ChunkType type :
+       {ChunkType::kMapLeaf, ChunkType::kSetLeaf, ChunkType::kListLeaf}) {
+    SCOPED_TRACE(ChunkTypeToString(type));
+    MemChunkStore store;
+    const PosTree tree =
+        PrefixTree(&store, BuildSweepTree(&store, type), 300);
+    const Seen all = SerialWalk(store, tree);
+    const size_t run = PositionOfLeaf(store, tree, 16);
+    const size_t round = PositionOfLeaf(store, tree, 128);
+    for (size_t k : {size_t{0}, size_t{1}, run - 1, run, round - 1, round,
+                     all.items.size() - 1}) {
+      SCOPED_TRACE("stop at entry " + std::to_string(k));
+      std::atomic<size_t> calls{0};
+      std::vector<std::string> got;
+      Status s = tree.Scan([&](const EntryView& e) -> Status {
+        got.push_back(e.raw.ToString());
+        if (calls.fetch_add(1) == k) return Status::Unavailable("stop");
+        return Status::OK();
+      });
+      EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+      const size_t at_return = calls.load();
+      EXPECT_EQ(at_return, k + 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      EXPECT_EQ(calls.load(), at_return) << "callback ran after Scan returned";
+      ASSERT_EQ(got.size(), k + 1);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), all.items.begin()));
+    }
+  }
+}
+
+TEST(LeafWalkTest, ScanRangeMatchesTheFilteredSerialWalk) {
+  for (ChunkType type : {ChunkType::kMapLeaf, ChunkType::kSetLeaf}) {
+    SCOPED_TRACE(ChunkTypeToString(type));
+    MemChunkStore store;
+    const PosTree tree =
+        PrefixTree(&store, BuildSweepTree(&store, type), 300);
+    std::vector<std::pair<std::string, std::string>> all;  // key, raw
+    ASSERT_TRUE(SerialScan(store, tree.root(), [&](const EntryView& e) {
+                  all.emplace_back(e.key.ToString(), e.raw.ToString());
+                  return Status::OK();
+                }).ok());
+    // Bounds: none, past every key, and the first and last key of the
+    // leaves at the leaf walk's run and round edges.
+    std::vector<std::string> bounds{"", "zzzz"};
+    for (size_t leaf : {0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 299}) {
+      bounds.push_back(all[PositionOfLeaf(store, tree, leaf)].first);
+      bounds.push_back(all[PositionOfLeaf(store, tree, leaf + 1) - 1].first);
+    }
+    for (const std::string& begin : bounds) {
+      for (const std::string& end : bounds) {
+        SCOPED_TRACE("[" + begin + ", " + end + ")");
+        std::vector<std::string> want, got;
+        for (const auto& [key, raw] : all) {
+          if (key >= begin && (end.empty() || key < end)) want.push_back(raw);
+        }
+        ASSERT_TRUE(tree.ScanRange(begin, end, [&](const EntryView& e) {
+                          got.push_back(e.raw.ToString());
+                          return Status::OK();
+                        })
+                        .ok());
+        EXPECT_TRUE(got == want) << got.size() << " vs " << want.size();
+      }
+    }
+  }
+}
+
+TEST(LeafWalkTest, ReadBytesMatchesTheSerialBytes) {
+  MemChunkStore store;
+  const PosTree tree = PrefixTree(
+      &store, BuildSweepTree(&store, ChunkType::kBlobLeaf), 300);
+  const std::string all = SerialWalk(store, tree).items[0];
+  std::vector<uint64_t> offsets{0, 1};
+  for (size_t leaf : {1, 15, 16, 17, 127, 128, 129, 255, 256, 299}) {
+    const uint64_t edge = PositionOfLeaf(store, tree, leaf);
+    offsets.insert(offsets.end(), {edge - 1, edge, edge + 1});
+  }
+  offsets.insert(offsets.end(), {all.size() - 1, all.size(), all.size() + 1,
+                                 all.size() + 5000});
+  for (uint64_t offset : offsets) {
+    for (uint64_t len : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{100},
+                         uint64_t{9000}, uint64_t{70000}, UINT64_MAX}) {
+      SCOPED_TRACE(std::to_string(offset) + "+" + std::to_string(len));
+      std::string got = "stale";
+      ASSERT_TRUE(tree.ReadBytes(offset, len, &got).ok());
+      EXPECT_EQ(got, offset < all.size() ? all.substr(offset, len) : "");
+    }
+  }
+}
+
+TEST(LeafWalkTest, SplicesMatchGoldenRoots) {
+  // Roots the cursor-driven splices produced for these inputs.
+  MemChunkStore store;
+  Rng rng(61);
+  std::vector<std::string> elements;
+  for (int i = 0; i < 5000; ++i) {
+    elements.push_back(rng.NextString(1 + rng.Uniform(40)));
+  }
+  auto list = PosTree::BuildList(&store, elements);
+  ASSERT_TRUE(list.ok());
+  const PosTree list_tree(&store, ChunkType::kListLeaf, list->root);
+  std::vector<std::string> inserts;
+  for (int i = 0; i < 20; ++i) inserts.push_back(rng.NextString(10));
+  struct Case {
+    uint64_t at, remove;
+    const char* root;
+  };
+  for (const Case& c :
+       {Case{0, 0, "O55LRR67JUREEYCFJDVPXSR5B32IZILTXGTFGOQUWFASFLHIJ35A"},
+        Case{0, 7, "ZJYHZSD2ZR36NAXZ5FPGQYASNG62Y2CQD3PXXX6NS6PV35WQWOVQ"},
+        Case{1234, 50, "H4ATRJEX3CXO3LHYY7BN2FUO5IQD7GJUPQNTRGEKU6OORZ4P6NLA"},
+        Case{4990, 100, "YX6GTVT4RR3TSEMDQJFDMQKQ6WTYIP2F4ME4XQNV243T7H56XKRA"},
+        Case{5000, 0, "23F5XXXK532JFYJPGOM6LHKEGYJBASRJXVB7W6KWQID4FPPJQZ7A"},
+        Case{7000, 3, "23F5XXXK532JFYJPGOM6LHKEGYJBASRJXVB7W6KWQID4FPPJQZ7A"}}) {
+    auto spliced = list_tree.SpliceElements(c.at, c.remove, inserts);
+    ASSERT_TRUE(spliced.ok());
+    EXPECT_EQ(spliced->root.ToBase32(), c.root) << c.at << " " << c.remove;
+  }
+  auto blob = PosTree::BuildBlob(&store, rng.NextString(300000));
+  ASSERT_TRUE(blob.ok());
+  const PosTree blob_tree(&store, ChunkType::kBlobLeaf, blob->root,
+                          TreeConfig::ForBlob());
+  const std::string insert = rng.NextString(3000);
+  for (const Case& c :
+       {Case{0, 0, "3UMCHNBLITFVIK2K5P5LI2OHJAM5P3OJD7LBPDCL7HJNKW6OBDUA"},
+        Case{0, 4000, "XNBUMYIWURBXJW34IRHSFRBEVFQ4TTO3WZZOY433JA5CXFHXZSHQ"},
+        Case{100000, 5000,
+             "MQZNQAEGHDR7EFJPFAQBUTTPRI7EZ7FGYY5CR6HHXWAZOFPXUBCA"},
+        Case{299000, 5000,
+             "XPXAZEHOIYMT6IVEPMMQ7MSB4IPFHKYMNPJSQLJZF6I3CEMFWJXA"},
+        Case{300000, 0, "S2PWVCMT7OKVXH2D6EOKDWVE3ZI3CFSUTWLSLILDMZSM6ZKGBIHA"},
+        Case{400000, 10,
+             "S2PWVCMT7OKVXH2D6EOKDWVE3ZI3CFSUTWLSLILDMZSM6ZKGBIHA"}}) {
+    auto spliced = blob_tree.SpliceBytes(c.at, c.remove, insert);
+    ASSERT_TRUE(spliced.ok());
+    EXPECT_EQ(spliced->root.ToBase32(), c.root) << c.at << " " << c.remove;
+  }
+}
+
+TEST(LeafWalkTest, RangeReadsLoadHeightPlusRangeChunks) {
+  // Each level of the walk reads its first kept node, then the rest; a
+  // range that spans at most two leaves keeps at most two nodes a level,
+  // and the first leaf is read twice: at most 2 * height + 1 loads.
+  MemChunkStore store;
+  const auto kvs = MakeKvs(100000, 45);
+  auto map = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+  ASSERT_TRUE(map.ok());
+  const PosTree map_tree(&store, ChunkType::kMapLeaf, map->root);
+  std::vector<Hash256> leaves;
+  ASSERT_TRUE(map_tree.LeafIds(&leaves).ok());
+  ASSERT_GT(leaves.size(), 1000u);
+  for (size_t at : {size_t{0}, kvs.size() / 2, kvs.size() - 11}) {
+    SCOPED_TRACE("keys from " + std::to_string(at));
+    const uint64_t before = store.stats().get_calls;
+    size_t n = 0;
+    ASSERT_TRUE(map_tree
+                    .ScanRange(kvs[at].first, kvs[at + 10].first,
+                               [&n](const EntryView&) {
+                                 ++n;
+                                 return Status::OK();
+                               })
+                    .ok());
+    EXPECT_EQ(n, 10u);
+    EXPECT_LE(store.stats().get_calls - before, 2 * map->height + 1);
+  }
+  auto blob = PosTree::BuildBlob(&store, Rng(46).NextString(4 << 20));
+  ASSERT_TRUE(blob.ok());
+  const PosTree blob_tree(&store, ChunkType::kBlobLeaf, blob->root,
+                          TreeConfig::ForBlob());
+  ASSERT_TRUE(blob_tree.LeafIds(&leaves).ok());
+  ASSERT_GT(leaves.size(), 500u);
+  for (uint64_t offset : {uint64_t{1} << 20, (uint64_t{4} << 20) - 100}) {
+    SCOPED_TRACE("bytes from " + std::to_string(offset));
+    const uint64_t before = store.stats().get_calls;
+    std::string out;
+    ASSERT_TRUE(blob_tree.ReadBytes(offset, 100, &out).ok());
+    EXPECT_EQ(out.size(), 100u);
+    EXPECT_LE(store.stats().get_calls - before, 2 * blob->height + 1);
   }
 }
 

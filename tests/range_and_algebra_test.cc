@@ -1,11 +1,12 @@
-// Tests for range scans (cursor seek) and set algebra.
+// Tests for range scans (seek to a lower bound) and set algebra.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "chunk/mem_chunk_store.h"
-#include "postree/cursor.h"
+#include "postree/tree.h"
 #include "types/map.h"
 #include "types/set.h"
 #include "util/random.h"
@@ -23,11 +24,26 @@ std::vector<std::pair<std::string, std::string>> MakeKvs(size_t n,
   return {sorted.begin(), sorted.end()};
 }
 
-// ----------------------------------------------------------- cursor seek --
+// ------------------------------------------------------------- range seek --
 
-class CursorSeekTest : public ::testing::TestWithParam<size_t> {};
+// The first key ScanRange(probe, "") delivers, or nullopt when it delivers
+// none.
+std::optional<std::string> LowerBound(const ChunkStore& store,
+                                      const Hash256& root, Slice probe) {
+  PosTree tree(&store, ChunkType::kMapLeaf, root);
+  std::optional<std::string> first;
+  Status s = tree.ScanRange(probe, Slice(), [&](const EntryView& e) {
+    first = e.key.ToString();
+    return Status::Unavailable("seen the first");
+  });
+  EXPECT_TRUE(first ? s.code() == StatusCode::kUnavailable : s.ok())
+      << s.ToString();
+  return first;
+}
 
-TEST_P(CursorSeekTest, AtKeyLandsOnLowerBound) {
+class RangeSeekTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RangeSeekTest, ScanRangeStartsAtTheLowerBound) {
   MemChunkStore store;
   auto kvs = MakeKvs(GetParam(), GetParam() + 7);
   auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
@@ -36,35 +52,29 @@ TEST_P(CursorSeekTest, AtKeyLandsOnLowerBound) {
   for (int trial = 0; trial < 50; ++trial) {
     std::string probe = trial % 2 ? rng.NextString(12)
                                   : kvs[rng.Uniform(kvs.size())].first;
-    auto cursor = TreeCursor::AtKey(&store, info->root, probe);
-    ASSERT_TRUE(cursor.ok());
+    const auto first = LowerBound(store, info->root, probe);
     auto it = std::lower_bound(
         kvs.begin(), kvs.end(), probe,
         [](const auto& kv, const std::string& k) { return kv.first < k; });
     if (it == kvs.end()) {
-      EXPECT_TRUE(cursor->done()) << probe;
+      EXPECT_FALSE(first.has_value()) << probe;
     } else {
-      ASSERT_FALSE(cursor->done()) << probe;
-      EXPECT_EQ(cursor->entry().key.ToString(), it->first);
+      ASSERT_TRUE(first.has_value()) << probe;
+      EXPECT_EQ(*first, it->first);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, CursorSeekTest,
+INSTANTIATE_TEST_SUITE_P(Sizes, RangeSeekTest,
                          ::testing::Values(1, 50, 5000, 50000));
 
-TEST(CursorSeekTest, SeekBeforeFirstAndAfterLast) {
+TEST(RangeSeekTest, SeekBeforeFirstAndAfterLast) {
   MemChunkStore store;
   auto kvs = MakeKvs(100, 3);
   auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
   ASSERT_TRUE(info.ok());
-  auto front = TreeCursor::AtKey(&store, info->root, "");
-  ASSERT_TRUE(front.ok());
-  ASSERT_FALSE(front->done());
-  EXPECT_EQ(front->entry().key.ToString(), kvs.front().first);
-  auto past = TreeCursor::AtKey(&store, info->root, "zzzzzzzzzzzzzz");
-  ASSERT_TRUE(past.ok());
-  EXPECT_TRUE(past->done());
+  EXPECT_EQ(LowerBound(store, info->root, ""), kvs.front().first);
+  EXPECT_FALSE(LowerBound(store, info->root, "zzzzzzzzzzzzzz").has_value());
 }
 
 // ------------------------------------------------------------ map ranges --

@@ -7,15 +7,14 @@
 // write-back tier under a deliberately tiny hot budget, so eviction,
 // demotion and the dirty manifest churn beneath every test), and
 // CompressedDeltaTieredWriteBack (both tiers writing LZ-compressed,
-// delta-encoded FBC2 records), and AsyncFileTieredWriteBack (the stack
-// ForkBase::Open builds: both file tiers with a prefetch worker). A new
+// delta-encoded FBC2 records), and FileTieredWriteBack (the stack
+// ForkBase::Open builds: a file hot tier over a file cold tier). A new
 // backend earns its place by adding a Traits struct to StoreTypes —
 // nothing else.
 //
 // Covered contract points: scalar round trips, kNotFound for absent ids,
 // GetMany slot ordering and per-slot missing ids, idempotent PutMany with
-// in-batch duplicates, async/sync equivalence (GetManyAsync's Take must
-// yield exactly what GetMany would), Contains, and a ForEach sweep that
+// in-batch duplicates, Contains, and a ForEach sweep that
 // visits every resident chunk exactly once.
 #include <gtest/gtest.h>
 
@@ -81,19 +80,15 @@ struct CachingStoreTraits {
 struct RemoteStoreTraits {
   static constexpr const char* kName = "Remote";
   static std::shared_ptr<ChunkStore> Make(const std::string&) {
-    RemoteChunkStore::Options options;
-    options.connections = 1;
     return std::make_shared<RemoteChunkStore>(
-        std::make_shared<MemChunkStore>(), options);
+        std::make_shared<MemChunkStore>(), RemoteChunkStore::Options{});
   }
 };
 
 std::shared_ptr<ChunkStore> MakeTiered(const std::string& dir,
                                        TierPolicy policy) {
-  RemoteChunkStore::Options remote_options;
-  remote_options.connections = 1;
   auto cold = std::make_shared<RemoteChunkStore>(OpenFile(dir + "/cold"),
-                                                 remote_options);
+                                                 RemoteChunkStore::Options{});
   TieredChunkStore::Options options;
   options.policy = policy;
   options.background_demotion = false;  // deterministic in conformance runs
@@ -124,10 +119,8 @@ struct TieredBoundedWriteBackTraits {
   // placement, never content.
   static constexpr const char* kName = "TieredBoundedWriteBack";
   static std::shared_ptr<ChunkStore> Make(const std::string& dir) {
-    RemoteChunkStore::Options remote_options;
-    remote_options.connections = 1;
-    auto cold = std::make_shared<RemoteChunkStore>(OpenFile(dir + "/cold"),
-                                                   remote_options);
+    auto cold = std::make_shared<RemoteChunkStore>(
+        OpenFile(dir + "/cold"), RemoteChunkStore::Options{});
     auto manifest = DirtyManifest::Open(dir + "/hot");
     EXPECT_TRUE(manifest.ok());
     TieredChunkStore::Options options;
@@ -177,17 +170,14 @@ struct CompressedDeltaTieredTraits {
   }
 };
 
-struct AsyncFileTieredTraits {
-  // The 9th stack: the tiered stack ForkBase::Open builds, where both file
-  // tiers read through a prefetch worker — the one stack whose hot tier
-  // reads asynchronously.
-  static constexpr const char* kName = "AsyncFileTieredWriteBack";
+struct FileTieredTraits {
+  // The 9th stack: the tiered stack ForkBase::Open builds, a file hot tier
+  // over a file cold tier.
+  static constexpr const char* kName = "FileTieredWriteBack";
   static std::shared_ptr<ChunkStore> Make(const std::string& dir) {
-    FileChunkStore::Options prefetching;
-    prefetching.prefetch_threads = 1;
-    auto cold = FileChunkStore::Open(dir + "/cold", prefetching);
+    auto cold = FileChunkStore::Open(dir + "/cold");
     EXPECT_TRUE(cold.ok());
-    auto hot = FileChunkStore::Open(dir + "/hot", prefetching);
+    auto hot = FileChunkStore::Open(dir + "/hot");
     EXPECT_TRUE(hot.ok());
     TieredChunkStore::Options options;
     options.policy = TierPolicy::kWriteBack;
@@ -201,7 +191,7 @@ using StoreTypes =
     ::testing::Types<MemStoreTraits, FileStoreTraits, CachingStoreTraits,
                      RemoteStoreTraits, TieredWriteThroughTraits,
                      TieredWriteBackTraits, TieredBoundedWriteBackTraits,
-                     CompressedDeltaTieredTraits, AsyncFileTieredTraits>;
+                     CompressedDeltaTieredTraits, FileTieredTraits>;
 
 class TraitsNames {
  public:
@@ -336,32 +326,6 @@ TYPED_TEST(StoreConformanceTest, ScalarAndBatchedGetAgree) {
       EXPECT_EQ(scalar->bytes().ToString(), slots[i]->bytes().ToString());
     } else {
       EXPECT_EQ(scalar.status().code(), slots[i].status().code()) << i;
-    }
-  }
-}
-
-// ---- async contract -------------------------------------------------------
-
-TYPED_TEST(StoreConformanceTest, AsyncBatchMatchesSync) {
-  auto chunks = MakeChunks(32, 107);
-  ASSERT_TRUE(this->store().PutMany(chunks).ok());
-  std::vector<Hash256> ids;
-  for (const auto& chunk : chunks) ids.push_back(chunk.hash());
-  ids.insert(ids.begin() + 7, AbsentId(6));
-  ids.push_back(AbsentId(7));
-
-  auto handle = this->store().GetManyAsync(ids);
-  ASSERT_TRUE(handle.valid());
-  auto sync_slots = this->store().GetMany(ids);
-  auto async_slots = handle.Take();
-  ASSERT_EQ(async_slots.size(), sync_slots.size());
-  for (size_t i = 0; i < sync_slots.size(); ++i) {
-    EXPECT_EQ(async_slots[i].ok(), sync_slots[i].ok()) << i;
-    if (async_slots[i].ok() && sync_slots[i].ok()) {
-      EXPECT_EQ(async_slots[i]->bytes().ToString(),
-                sync_slots[i]->bytes().ToString());
-    } else if (!async_slots[i].ok() && !sync_slots[i].ok()) {
-      EXPECT_EQ(async_slots[i].status().code(), sync_slots[i].status().code());
     }
   }
 }

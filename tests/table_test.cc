@@ -1,6 +1,6 @@
 // Unit tests for FTable: schema handling, CSV round trips, row/cell CRUD,
 // selection, row+column diff, column-refined three-way merge, and the
-// parallel ordered scan against a serial cursor walk.
+// parallel ordered scan against the serial reference walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 
 #include "chunk/mem_chunk_store.h"
 #include "postree/tree.h"
+#include "testing/serial_walk.h"
 #include "types/table.h"
 #include "util/codec.h"
 #include "util/datagen.h"
@@ -331,18 +332,23 @@ struct Walk {
   Status status;
 };
 
-// The reference: a serial cursor walk of the row map, each row decoded.
-Walk CursorWalk(const FTable& table) {
+// The reference: the serial walk of the row map (testing/serial_walk.h),
+// each row decoded.
+Walk SerialRowWalk(const FTable& table) {
   Walk w;
   const size_t ncols = table.columns().size();
-  w.status = table.rows().ForEach([&](Slice key, Slice value) -> Status {
-    std::vector<std::string> cells;
-    if (!FTable::DecodeRow(value, ncols, &cells)) {
-      return Status::Corruption("malformed row for key " + key.ToString());
-    }
-    w.rows.emplace_back(key.ToString(), std::move(cells));
-    return Status::OK();
-  });
+  const PosTree& rows = table.rows().tree();
+  w.status = SerialScan(*rows.store(), rows.root(),
+                        [&](const EntryView& e) -> Status {
+                          std::vector<std::string> cells;
+                          if (!FTable::DecodeRow(e.value, ncols, &cells)) {
+                            return Status::Corruption("malformed row for key " +
+                                                      e.key.ToString());
+                          }
+                          w.rows.emplace_back(e.key.ToString(),
+                                              std::move(cells));
+                          return Status::OK();
+                        });
   return w;
 }
 
@@ -356,11 +362,10 @@ Walk ScanWalk(const FTable& table) {
   return w;
 }
 
-void ExpectSameWalk(const Walk& scan, const Walk& cursor) {
-  EXPECT_EQ(scan.status.code(), cursor.status.code())
-      << scan.status.ToString() << " vs " << cursor.status.ToString();
-  ASSERT_EQ(scan.rows.size(), cursor.rows.size());
-  EXPECT_TRUE(scan.rows == cursor.rows);
+void ExpectSameWalk(const Walk& scan, const Walk& serial) {
+  EXPECT_EQ(scan.status.ToString(), serial.status.ToString());
+  ASSERT_EQ(scan.rows.size(), serial.rows.size());
+  EXPECT_TRUE(scan.rows == serial.rows);
 }
 
 // Ids of the row tree's nodes at `depth` (0 = root), in key order.
@@ -411,7 +416,7 @@ FTable TableWithLeaves(MemChunkStore* store, size_t leaves) {
   return *table;
 }
 
-TEST(FTableScanTest, MatchesCursorWalkAroundRunAndRoundBounds) {
+TEST(FTableScanTest, MatchesTheSerialWalkAroundRunAndRoundBounds) {
   {
     MemChunkStore store;
     auto empty = FTable::Create(&store, {"id", "v"}, {});
@@ -419,24 +424,24 @@ TEST(FTableScanTest, MatchesCursorWalkAroundRunAndRoundBounds) {
     Walk w = ScanWalk(*empty);
     EXPECT_TRUE(w.status.ok());
     EXPECT_TRUE(w.rows.empty());
-    ExpectSameWalk(w, CursorWalk(*empty));
+    ExpectSameWalk(w, SerialRowWalk(*empty));
   }
   // Runs hold 16 leaves and rounds 8 runs (128 leaves).
   for (size_t leaves : {1, 2, 15, 16, 17, 127, 128, 129, 255, 256, 257}) {
     SCOPED_TRACE("leaves " + std::to_string(leaves));
     MemChunkStore store;
     FTable table = TableWithLeaves(&store, leaves);
-    Walk cursor = CursorWalk(table);
-    ASSERT_TRUE(cursor.status.ok());
-    ASSERT_FALSE(cursor.rows.empty());
-    ExpectSameWalk(ScanWalk(table), cursor);
+    Walk serial = SerialRowWalk(table);
+    ASSERT_TRUE(serial.status.ok());
+    ASSERT_FALSE(serial.rows.empty());
+    ExpectSameWalk(ScanWalk(table), serial);
   }
 }
 
 TEST(FTableScanTest, EarlyExitStopsAtTheRowThatFailed) {
   MemChunkStore store;
   FTable table = TableWithLeaves(&store, 300);
-  const Walk all = CursorWalk(table);
+  const Walk all = SerialRowWalk(table);
   for (size_t k : {size_t{0}, size_t{1}, size_t{200}, size_t{2000},
                    all.rows.size() - 1}) {
     SCOPED_TRACE("stop at row " + std::to_string(k));
@@ -458,7 +463,7 @@ TEST(FTableScanTest, EarlyExitStopsAtTheRowThatFailed) {
   }
 }
 
-TEST(FTableScanTest, MissingLeafStopsWhereTheCursorDoes) {
+TEST(FTableScanTest, MissingLeafStopsWhereTheSerialWalkDoes) {
   for (size_t n : {size_t{0}, size_t{15}, size_t{16}, size_t{140},
                    size_t{299}}) {
     SCOPED_TRACE("leaf " + std::to_string(n));
@@ -466,13 +471,13 @@ TEST(FTableScanTest, MissingLeafStopsWhereTheCursorDoes) {
     FTable table = TableWithLeaves(&store, 300);
     const Hash256 leaf = LeavesOf(table)[n];
     ASSERT_TRUE(store.Erase(std::vector<Hash256>{leaf}).ok());
-    Walk cursor = CursorWalk(table);
-    EXPECT_TRUE(cursor.status.IsNotFound()) << cursor.status.ToString();
-    ExpectSameWalk(ScanWalk(table), cursor);
+    Walk serial = SerialRowWalk(table);
+    EXPECT_TRUE(serial.status.IsNotFound()) << serial.status.ToString();
+    ExpectSameWalk(ScanWalk(table), serial);
   }
 }
 
-TEST(FTableScanTest, MissingIndexNodeStopsWhereTheCursorDoes) {
+TEST(FTableScanTest, MissingIndexNodeStopsWhereTheSerialWalkDoes) {
   CsvGenOptions opts;
   opts.num_rows = 30000;
   const CsvDocument doc = GenerateCsv(opts);
@@ -490,16 +495,16 @@ TEST(FTableScanTest, MissingIndexNodeStopsWhereTheCursorDoes) {
     ASSERT_GE(nodes.size(), 2u);
     const size_t n = pick < 2 ? pick : nodes.size() / 2;
     ASSERT_TRUE(store.Erase(std::vector<Hash256>{nodes[n]}).ok());
-    Walk cursor = CursorWalk(*table);
-    EXPECT_TRUE(cursor.status.IsNotFound()) << cursor.status.ToString();
-    EXPECT_EQ(cursor.rows.empty(), n == 0);
-    ExpectSameWalk(ScanWalk(*table), cursor);
+    Walk serial = SerialRowWalk(*table);
+    EXPECT_TRUE(serial.status.IsNotFound()) << serial.status.ToString();
+    EXPECT_EQ(serial.rows.empty(), n == 0);
+    ExpectSameWalk(ScanWalk(*table), serial);
   }
 }
 
-TEST(FTableScanTest, CorruptLeafStopsWhereTheCursorDoes) {
-  // Type byte flipped to a non-leaf type (kTableMeta, and kMeta, which the
-  // cursor descends into), and a key length made to overrun the leaf.
+TEST(FTableScanTest, CorruptLeafStopsWhereTheSerialWalkDoes) {
+  // Type byte flipped to a non-leaf type (kTableMeta, and kMeta), and a key
+  // length made to overrun the leaf.
   struct Tamper {
     size_t offset;
     uint8_t mask;
@@ -509,13 +514,13 @@ TEST(FTableScanTest, CorruptLeafStopsWhereTheCursorDoes) {
     MemChunkStore store;
     FTable table = TableWithLeaves(&store, 150);
     ASSERT_TRUE(store.TamperForTesting(LeavesOf(table)[131], t.offset, t.mask));
-    Walk cursor = CursorWalk(table);
-    EXPECT_TRUE(cursor.status.IsCorruption()) << cursor.status.ToString();
-    ExpectSameWalk(ScanWalk(table), cursor);
+    Walk serial = SerialRowWalk(table);
+    EXPECT_TRUE(serial.status.IsCorruption()) << serial.status.ToString();
+    ExpectSameWalk(ScanWalk(table), serial);
   }
 }
 
-TEST(FTableScanTest, MalformedRowStopsWhereTheCursorDoes) {
+TEST(FTableScanTest, MalformedRowStopsWhereTheSerialWalkDoes) {
   for (int bad : {0, 37, 3700, 4999}) {
     SCOPED_TRACE("row " + std::to_string(bad));
     MemChunkStore store;
@@ -526,10 +531,10 @@ TEST(FTableScanTest, MalformedRowStopsWhereTheCursorDoes) {
                                       : FTable::EncodeRow({key, "x"}));
     }
     FTable table = AttachRawRows(&store, rows);
-    Walk cursor = CursorWalk(table);
-    EXPECT_TRUE(cursor.status.IsCorruption());
-    EXPECT_EQ(cursor.rows.size(), static_cast<size_t>(bad));
-    ExpectSameWalk(ScanWalk(table), cursor);
+    Walk serial = SerialRowWalk(table);
+    EXPECT_TRUE(serial.status.IsCorruption());
+    EXPECT_EQ(serial.rows.size(), static_cast<size_t>(bad));
+    ExpectSameWalk(ScanWalk(table), serial);
   }
 }
 
@@ -561,7 +566,7 @@ TEST(FTableScanTest, SchemaRewritesMatchAFreshBuild) {
   EXPECT_EQ(dropped->rows().root(), fresh->rows().root());
   EXPECT_EQ(dropped->id(), fresh->id());
 
-  // The roots the serial cursor rewrite produced for this table.
+  // The roots the serial rewrite produced for this table.
   FTable golden = MakeTable(&store, 3000, 26);
   EXPECT_EQ(golden.rows().root().ToBase32(),
             "KBSICCPP5DX7WIKO4J72TBWPHOKLSROA7EHIRSV7HBFULT73TR2Q");
@@ -574,7 +579,7 @@ TEST(FTableScanTest, SchemaRewritesMatchAFreshBuild) {
 TEST(FTableScanTest, CallerScansAloneWhileThePoolIsBlocked) {
   MemChunkStore store;
   FTable table = TableWithLeaves(&store, 300);
-  const Walk want = CursorWalk(table);
+  const Walk want = SerialRowWalk(table);
   WorkerPool* pool = SharedHashPool();
   std::atomic<size_t> blocked{0};
   std::atomic<bool> release{false};
@@ -596,7 +601,7 @@ TEST(FTableScanTest, ConcurrentScansOfTwoTables) {
   MemChunkStore store;
   FTable a = TableWithLeaves(&store, 300);
   FTable b = MakeTable(&store, 3000, 26);
-  const Walk want_a = CursorWalk(a), want_b = CursorWalk(b);
+  const Walk want_a = SerialRowWalk(a), want_b = SerialRowWalk(b);
   Walk got_a, got_b;
   std::thread ta([&] {
     for (int i = 0; i < 3; ++i) got_a = ScanWalk(a);

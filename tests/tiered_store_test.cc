@@ -1,6 +1,6 @@
 // TieredChunkStore behavior: policy semantics (write-through vs write-back),
-// batch-grouped promotion and demotion, cross-tier batch splitting (sync and
-// async), error-vs-absent discipline on the cold tier, and the full ForkBase
+// batch-grouped promotion and demotion, cross-tier batch splitting,
+// error-vs-absent discipline on the cold tier, and the full ForkBase
 // workload suite (put, scan, diff, GC, group commit) running end-to-end on a
 // tiered persistent stack — including recovery of a lost hot tier from the
 // cold backend.
@@ -42,7 +42,6 @@ struct TieredHarness {
     cold_backend = std::make_shared<MemChunkStore>();
     faults = std::make_shared<FaultSchedule>();
     remote_options.faults = faults;
-    if (remote_options.connections == 0) remote_options.connections = 1;
     cold = std::make_shared<RemoteChunkStore>(cold_backend, remote_options);
     tiered = std::make_shared<TieredChunkStore>(hot, cold, options);
   }
@@ -213,34 +212,31 @@ TEST(TieredStoreTest, GetManySplitsAcrossTiersAndPromotesInOneBatch) {
   }
 }
 
-TEST(TieredStoreTest, AsyncGetManyMatchesSyncAcrossTiers) {
+TEST(TieredStoreTest, MixedBatchMatchesTheReadAfterPromotion) {
   RemoteChunkStore::Options remote_options;
-  remote_options.batch_latency_us = 200;  // real overlap window
+  remote_options.batch_latency_us = 200;
   TieredHarness h({}, remote_options);
   auto hot_chunks = MakeChunks(8, 10);
   auto cold_chunks = MakeChunks(8, 11);
   ASSERT_TRUE(h.hot->PutMany(hot_chunks).ok());
   ASSERT_TRUE(h.cold_backend->PutMany(cold_chunks).ok());
-  ASSERT_TRUE(h.tiered->SupportsAsyncGet());
 
   std::vector<Hash256> ids;
   for (size_t i = 0; i < 8; ++i) {
     ids.push_back(cold_chunks[i].hash());
     ids.push_back(hot_chunks[i].hash());
   }
-  ids.push_back(Sha256(Slice("absent-async")));
+  ids.push_back(Sha256(Slice("absent")));
 
-  auto handle = h.tiered->GetManyAsync(ids);
-  ASSERT_TRUE(handle.valid());
-  auto async_slots = handle.Take();
-  // Promotion already ran at Take; a sync read now is fully hot.
-  auto sync_slots = h.tiered->GetMany(ids);
-  ASSERT_EQ(async_slots.size(), sync_slots.size());
-  for (size_t i = 0; i < sync_slots.size(); ++i) {
-    EXPECT_EQ(async_slots[i].ok(), sync_slots[i].ok()) << i;
-    if (async_slots[i].ok()) {
-      EXPECT_EQ(async_slots[i]->bytes().ToString(),
-                sync_slots[i]->bytes().ToString());
+  auto mixed_slots = h.tiered->GetMany(ids);
+  // Promotion already ran; a second read is fully hot.
+  auto hot_slots = h.tiered->GetMany(ids);
+  ASSERT_EQ(mixed_slots.size(), hot_slots.size());
+  for (size_t i = 0; i < hot_slots.size(); ++i) {
+    EXPECT_EQ(mixed_slots[i].ok(), hot_slots[i].ok()) << i;
+    if (mixed_slots[i].ok()) {
+      EXPECT_EQ(mixed_slots[i]->bytes().ToString(),
+                hot_slots[i]->bytes().ToString());
     }
   }
   for (const auto& chunk : cold_chunks) {
@@ -259,37 +255,6 @@ TEST(TieredStoreTest, DuplicateColdIdsInOneBatchPromoteOnce) {
   auto stats = h.tiered->tier_stats();
   EXPECT_EQ(stats.cold_hits, 3u);   // every slot was served cold
   EXPECT_EQ(stats.promotions, 1u);  // but the chunk promoted once
-}
-
-TEST(TieredStoreTest, AsyncHotOverSyncColdDefersColdReadToTake) {
-  // Async hot tier, synchronous cold store: GetManyAsync must not execute
-  // the cold read at issue time (that would block the speculating caller);
-  // the cold read runs at Take, and results still match the sync path.
-  auto hot_backend = std::make_shared<MemChunkStore>();
-  RemoteChunkStore::Options hot_options;
-  hot_options.connections = 1;  // async hot
-  auto hot = std::make_shared<RemoteChunkStore>(hot_backend, hot_options);
-  auto cold = std::make_shared<MemChunkStore>();  // synchronous cold
-  TieredChunkStore tiered(hot, cold);
-  ASSERT_TRUE(tiered.SupportsAsyncGet());
-
-  auto hot_chunks = MakeChunks(4, 20);
-  auto cold_chunks = MakeChunks(4, 21);
-  ASSERT_TRUE(hot_backend->PutMany(hot_chunks).ok());
-  ASSERT_TRUE(cold->PutMany(cold_chunks).ok());
-  std::vector<Hash256> ids;
-  for (size_t i = 0; i < 4; ++i) {
-    ids.push_back(hot_chunks[i].hash());
-    ids.push_back(cold_chunks[i].hash());
-  }
-  auto async_slots = tiered.GetManyAsync(ids).Take();
-  auto sync_slots = tiered.GetMany(ids);
-  ASSERT_EQ(async_slots.size(), sync_slots.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(async_slots[i].ok()) << i;
-    EXPECT_EQ(async_slots[i]->bytes().ToString(),
-              sync_slots[i]->bytes().ToString());
-  }
 }
 
 TEST(TieredStoreTest, ColdTransientErrorSurfacesAsErrorNotNotFound) {
@@ -360,7 +325,7 @@ TEST(TieredStoreTest, FailedDemotionKeepsChunksDirtyAndReadable) {
 TEST(TieredStoreTest, HotCopyVanishingAfterProbeFallsBackToCold) {
   // The hot tier loses a chunk after it was resident (external cleanup, or
   // a future evicting hot tier). Every read path — scalar, batched fast
-  // path, split batch, async — must heal from the cold tier instead of
+  // path, split batch — must heal from the cold tier instead of
   // reporting kNotFound for a chunk the store still holds.
   TieredHarness h;
   auto chunks = MakeChunks(6, 30);
@@ -382,13 +347,6 @@ TEST(TieredStoreTest, HotCopyVanishingAfterProbeFallsBackToCold) {
   for (size_t i = 0; i < ids.size(); ++i) {
     ASSERT_TRUE(slots[i].ok()) << i;
     EXPECT_EQ(slots[i]->bytes().ToString(), chunks[i].bytes().ToString());
-  }
-
-  // Async.
-  ASSERT_TRUE(h.hot->Erase(std::vector<Hash256>{chunks[2].hash()}).ok());
-  auto async_slots = h.tiered->GetManyAsync(ids).Take();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(async_slots[i].ok()) << i;
   }
 }
 
