@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <thread>
 
 #include "bench_common.h"
@@ -530,22 +531,29 @@ BENCHMARK(BM_FileStoreGetBatched)->Arg(64)->Arg(256);
 // SlowDevice pair adds a fixed per-read device latency (seek/network
 // class) on top of it, the regime reading ahead exists for.
 
-/// Fixed per-read latency on top of a real store, paid on the calling
-/// thread by every Get and GetMany. Reads from several threads overlap, as
-/// on a device with queue depth > 1.
+/// Reads a slow device serves at once. The walk issues one read per
+/// thread, from the caller and the hash pool's helpers, so the device, not
+/// the host's core count, bounds the reads in flight on any host with at
+/// least this many hardware threads; with fewer, the walk issues fewer and
+/// the slow scan pairs' ratios fall with them.
+constexpr size_t kDeviceQueueDepth = 4;
+
+/// A device of queue depth kDeviceQueueDepth in front of a real store:
+/// every Get and GetMany, on the calling thread, waits for one of that many
+/// slots and holds it while it pays a fixed latency and reads the base.
+/// With latency 0 it only queues the base's reads, as for a simulated
+/// remote whose round trips already pay their latency.
 class SlowChunkStore : public ChunkStore {
  public:
   SlowChunkStore(std::shared_ptr<ChunkStore> base, unsigned latency_us)
       : base_(std::move(base)), latency_us_(latency_us) {}
 
   StatusOr<Chunk> Get(const Hash256& id) const override {
-    Delay();
-    return base_->Get(id);
+    return Serve([&] { return base_->Get(id); });
   }
   std::vector<StatusOr<Chunk>> GetMany(
       std::span<const Hash256> ids) const override {
-    Delay();
-    return base_->GetMany(ids);
+    return Serve([&] { return base_->GetMany(ids); });
   }
   bool Contains(const Hash256& id) const override {
     return base_->Contains(id);
@@ -563,11 +571,18 @@ class SlowChunkStore : public ChunkStore {
   }
 
  private:
-  void Delay() const {
+  template <typename Read>
+  auto Serve(Read&& read) const -> decltype(read()) {
+    slots_.acquire();
     std::this_thread::sleep_for(std::chrono::microseconds(latency_us_));
+    auto result = read();
+    slots_.release();
+    return result;
   }
   std::shared_ptr<ChunkStore> base_;
   const unsigned latency_us_;
+  mutable std::counting_semaphore<kDeviceQueueDepth> slots_{
+      kDeviceQueueDepth};
 };
 
 constexpr size_t kScanEntries = 100000;
@@ -750,18 +765,27 @@ BENCHMARK(BM_MapScanSlowDeviceAsync)->UseRealTime();
 // reference by the compare_bench.py floor. Promotion is off so every
 // iteration measures steady cold reads, not a one-shot migration.
 
+/// The slow cold tier of the tiered benches: a simulated remote over
+/// `file`, each round trip kDeviceLatencyUs, queued on a device of depth
+/// kDeviceQueueDepth like the SlowDevice pair's.
+std::shared_ptr<ChunkStore> SlowColdTier(
+    std::unique_ptr<FileChunkStore> file) {
+  RemoteChunkStore::Options remote_options;
+  remote_options.batch_latency_us = kDeviceLatencyUs;
+  return std::make_shared<SlowChunkStore>(
+      std::make_shared<RemoteChunkStore>(
+          std::shared_ptr<ChunkStore>(std::move(file)), remote_options),
+      /*latency_us=*/0);
+}
+
 void BM_MapScanTieredHot(benchmark::State& state) {
   ScopedStoreDir dir("scan_tiered_hot");
   auto hot = FileChunkStore::Open(dir.path() + "/hot");
   auto kvs = RandomKvs(kScanEntries, 33);
   auto built = PosTree::BuildKeyed(hot->get(), ChunkType::kMapLeaf, kvs);
   auto cold_file = FileChunkStore::Open(dir.path() + "/cold");
-  RemoteChunkStore::Options remote_options;
-  remote_options.batch_latency_us = kDeviceLatencyUs;
-  auto cold = std::make_shared<RemoteChunkStore>(
-      std::shared_ptr<ChunkStore>(std::move(*cold_file)), remote_options);
   TieredChunkStore store(std::shared_ptr<ChunkStore>(std::move(*hot)),
-                         std::move(cold));
+                         SlowColdTier(std::move(*cold_file)));
   RunMapScan(state, &store, built->root);
 }
 BENCHMARK(BM_MapScanTieredHot)->UseRealTime();
@@ -774,15 +798,11 @@ void RunTieredColdScan(benchmark::State& state, bool serial) {
   auto cold_file = FileChunkStore::Open(dir.path() + "/cold");
   auto kvs = RandomKvs(kScanEntries, 34);
   auto built = PosTree::BuildKeyed(cold_file->get(), ChunkType::kMapLeaf, kvs);
-  RemoteChunkStore::Options remote_options;
-  remote_options.batch_latency_us = kDeviceLatencyUs;
-  auto cold = std::make_shared<RemoteChunkStore>(
-      std::shared_ptr<ChunkStore>(std::move(*cold_file)), remote_options);
   auto hot = FileChunkStore::Open(dir.path() + "/hot");
   TieredChunkStore::Options tier_options;
   tier_options.promote_on_read = false;
   TieredChunkStore store(std::shared_ptr<ChunkStore>(std::move(*hot)),
-                         std::move(cold), tier_options);
+                         SlowColdTier(std::move(*cold_file)), tier_options);
   RunMapScan(state, &store, built->root, serial);
 }
 
@@ -809,17 +829,13 @@ void BM_MapScanTieredEvicting(benchmark::State& state) {
   auto kvs = RandomKvs(kScanEntries, 35);
   auto built = PosTree::BuildKeyed(cold_file->get(), ChunkType::kMapLeaf, kvs);
   const uint64_t tree_bytes = (*cold_file)->stats().physical_bytes;
-  RemoteChunkStore::Options remote_options;
-  remote_options.batch_latency_us = kDeviceLatencyUs;
-  auto cold = std::make_shared<RemoteChunkStore>(
-      std::shared_ptr<ChunkStore>(std::move(*cold_file)), remote_options);
   FileChunkStore::Options hot_options;
   hot_options.segment_bytes = 256 << 10;  // rewrite at fine granularity
   auto hot = FileChunkStore::Open(dir.path() + "/hot", hot_options);
   TieredChunkStore::Options tier_options;
   tier_options.hot_bytes_budget = tree_bytes / 2;  // working set 2x budget
   TieredChunkStore store(std::shared_ptr<ChunkStore>(std::move(*hot)),
-                         std::move(cold), tier_options);
+                         SlowColdTier(std::move(*cold_file)), tier_options);
   RunMapScan(state, &store, built->root);
   state.counters["evictions"] = static_cast<double>(
       store.tier_stats().evictions);

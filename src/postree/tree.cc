@@ -484,7 +484,8 @@ Status PosTree::WalkLevels(bool verify_hashes,
 }
 
 Status PosTree::LeafIds(std::vector<Hash256>* leaves, const LeafRange& range,
-                        uint64_t* first) const {
+                        uint64_t* first,
+                        std::optional<Chunk>* head_leaf) const {
   // The kept nodes of one level, and each one's position (first entry).
   std::vector<Hash256> level{root_};
   std::vector<uint64_t> starts{0};
@@ -493,7 +494,10 @@ Status PosTree::LeafIds(std::vector<Hash256>* leaves, const LeafRange& range,
   for (uint32_t depth = 0; !level.empty(); ++depth) {
     if (depth > 64) return Status::Corruption("tree too deep (cycle?)");
     StatusOr<Chunk> head = store_->Get(level.front());
-    if (head.ok() && head->type() != ChunkType::kMeta) break;
+    if (head.ok() && head->type() != ChunkType::kMeta) {
+      if (head_leaf) *head_leaf = std::move(*head);
+      break;
+    }
     std::vector<Hash256> next;
     std::vector<uint64_t> next_starts;
     auto expand = [&](size_t i, const StatusOr<Chunk>& node) -> Status {
@@ -538,8 +542,11 @@ Status PosTree::LeafIds(std::vector<Hash256>* leaves, const LeafRange& range,
   return cut;
 }
 
-void PosTree::ReadLeafRun(std::span<const Hash256> ids, LeafRun* run) const {
-  std::vector<StatusOr<Chunk>> slots = store_->GetMany(ids);
+void PosTree::ReadLeafRun(std::span<const Hash256> ids, const Chunk* head,
+                          LeafRun* run) const {
+  std::vector<StatusOr<Chunk>> slots =
+      store_->GetMany(ids.subspan(head ? 1 : 0));
+  if (head) slots.insert(slots.begin(), *head);
   std::vector<EntryView> entries;
   for (StatusOr<Chunk>& slot : slots) {
     if (!slot.ok()) {

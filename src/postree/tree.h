@@ -101,12 +101,19 @@ class PosTree {
 
   /// In-order scan of all entries (non-blob), on the calling thread, while
   /// the leaf walk (WalkLeaves) reads ahead on the hash pool. The callback
-  /// may return a non-OK status to stop early (it is propagated).
+  /// may return a non-OK status to stop early (it is propagated). An early
+  /// stop does not make the walk cheaper up front: it has already read
+  /// every index node above the leaves, and up to two rounds of leaves
+  /// (2 * kWalkRoundRuns * kWalkRunLeaves) past the one consumed.
   Status Scan(const std::function<Status(const EntryView&)>& fn) const;
 
   /// Scans entries with begin <= key < end (keyed trees). An empty `end`
   /// means "to the last key"; begin >= a non-empty end is an empty range.
-  /// The walk reads O(height + leaves in range) chunks.
+  /// The walk reads O(height + leaves in range) chunks, and it lists the
+  /// whole range's leaf ids before the first callback: with an empty `end`
+  /// the range is the whole tail, so a seek that stops after a few entries
+  /// still reads every index node of the tail and up to two rounds of
+  /// leaves ahead, as for Scan.
   Status ScanRange(Slice begin, Slice end,
                    const std::function<Status(const EntryView&)>& fn) const;
 
@@ -177,9 +184,11 @@ class PosTree {
   /// then holds every kept leaf before that node's subtree, and the error
   /// returned is the one a serial depth-first walk meets right after them.
   /// `first`, if set, receives the position of the first kept leaf (its
-  /// first entry's ordinal; blob: byte offset).
+  /// first entry's ordinal; blob: byte offset), and `head`, if set, that
+  /// leaf's chunk, which the walk then need not read again.
   Status LeafIds(std::vector<Hash256>* leaves, const LeafRange& range = {},
-                 uint64_t* first = nullptr) const;
+                 uint64_t* first = nullptr,
+                 std::optional<Chunk>* head = nullptr) const;
 
   /// One run of consecutive leaves of a walk, read by the thread that
   /// claims it with one GetMany: each leaf checked to be a leaf chunk and
@@ -214,8 +223,10 @@ class PosTree {
   const ChunkStore* store() const { return store_; }
 
  private:
-  /// Reads leaves `ids` into `run` (see LeafRun).
-  void ReadLeafRun(std::span<const Hash256> ids, LeafRun* run) const;
+  /// Reads leaves `ids` into `run` (see LeafRun). `head`, if set, is
+  /// leaf ids[0], already read.
+  void ReadLeafRun(std::span<const Hash256> ids, const Chunk* head,
+                   LeafRun* run) const;
 
   const ChunkStore* store_;
   ChunkType leaf_type_;
@@ -229,7 +240,8 @@ Status PosTree::WalkLeaves(const LeafRange& range,
                            const std::function<Status(Run&)>& consume,
                            uint64_t* first) const {
   std::vector<Hash256> leaves;
-  const Status index_status = LeafIds(&leaves, range, first);
+  std::optional<Chunk> head;
+  const Status index_status = LeafIds(&leaves, range, first, &head);
   const std::span<const Hash256> ids(leaves);
   FB_RETURN_IF_ERROR(OrderedFanOut<Run>(
       SharedHashPool(), (ids.size() + kWalkRunLeaves - 1) / kWalkRunLeaves,
@@ -238,7 +250,7 @@ Status PosTree::WalkLeaves(const LeafRange& range,
         const size_t begin = r * kWalkRunLeaves;
         ReadLeafRun(
             ids.subspan(begin, std::min(kWalkRunLeaves, ids.size() - begin)),
-            run);
+            r == 0 && head ? &*head : nullptr, run);
         if (split) split(run);
       },
       [&](size_t, Run& run) -> Status {

@@ -30,8 +30,10 @@ class FMap {
   }
   Status ForEach(
       const std::function<Status(Slice key, Slice value)>& fn) const;
-  /// Visits entries with begin <= key < end (empty end = to the last key).
-  /// O(log N) seek + O(range).
+  /// Visits entries with begin <= key < end (empty end = to the last key)
+  /// through PosTree::ScanRange: O(height + leaves in range) chunk reads,
+  /// which with an empty end are all the leaves from begin on, even when
+  /// `fn` stops early (see ScanRange).
   Status ForEachInRange(
       Slice begin, Slice end,
       const std::function<Status(Slice key, Slice value)>& fn) const;

@@ -1,7 +1,8 @@
 // The parallel and background pipeline: WorkerPool, TaskRound and the
-// ordered fan-out, diff and GC marking on a file store, and the
-// group-commit queue. Every path is checked for result equivalence with a
-// serial twin — the pipeline must change latency, never answers.
+// ordered fan-out, the base GetManyAsync's ready batch, diff and GC
+// marking on a file store, and the group-commit queue. Every path is
+// checked for result equivalence with a serial twin — the pipeline must
+// change latency, never answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -235,6 +236,26 @@ TEST(OrderedFanOutTest, RunsFromATaskOnItsOwnPool) {
   round->Drain();
   round->Join();
   EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 8);
+}
+
+TEST(AsyncChunkBatchTest, DefaultStoreReturnsReadyBatches) {
+  MemChunkStore store;
+  Chunk a = Chunk::Make(ChunkType::kCell, "alpha");
+  Chunk b = Chunk::Make(ChunkType::kCell, "beta");
+  ASSERT_TRUE(store.Put(a).ok());
+  ASSERT_TRUE(store.Put(b).ok());
+  EXPECT_FALSE(store.SupportsAsyncGet());
+
+  std::vector<Hash256> ids{a.hash(), Chunk::Make(ChunkType::kCell, "?").hash(),
+                           b.hash()};
+  AsyncChunkBatch batch = store.GetManyAsync(ids);
+  ASSERT_TRUE(batch.valid());
+  auto slots = batch.Take();
+  EXPECT_FALSE(batch.valid());
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0]->payload().ToString(), "alpha");
+  EXPECT_TRUE(slots[1].status().IsNotFound());
+  EXPECT_EQ(slots[2]->payload().ToString(), "beta");
 }
 
 TEST(FileStoreDiffGcTest, DiffAndMarkMatchTheirReferences) {

@@ -1108,44 +1108,68 @@ TEST(LeafWalkTest, SplicesMatchGoldenRoots) {
 }
 
 TEST(LeafWalkTest, RangeReadsLoadHeightPlusRangeChunks) {
-  // Each level of the walk reads its first kept node, then the rest; a
-  // range that spans at most two leaves keeps at most two nodes a level,
-  // and the first leaf is read twice: at most 2 * height + 1 loads.
+  // LeafIds reads the kept nodes of each level, and of the leaf level only
+  // the first; the walk then reads each other kept leaf once. A range that
+  // spans k leaves keeps one node at the root and at most k on each level
+  // below it, so a range read costs at most 1 + k * (height - 1) loads.
   MemChunkStore store;
+  auto loads_of = [&store](const std::function<Status()>& read) {
+    const uint64_t before = store.stats().get_calls;
+    EXPECT_TRUE(read().ok());
+    return store.stats().get_calls - before;
+  };
+  auto check = [&](const PosTree& tree, uint32_t height,
+                   const LeafRange& range,
+                   const std::function<Status()>& read) {
+    std::vector<Hash256> kept;
+    const uint64_t index_loads =
+        loads_of([&] { return tree.LeafIds(&kept, range); });
+    ASSERT_GE(kept.size(), 1u);
+    const uint64_t walk_loads = loads_of(read);
+    EXPECT_EQ(walk_loads, index_loads + kept.size() - 1);
+    EXPECT_LE(walk_loads, 1 + kept.size() * (height - 1));
+  };
   const auto kvs = MakeKvs(100000, 45);
   auto map = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
   ASSERT_TRUE(map.ok());
+  ASSERT_GE(map->height, 3u);
   const PosTree map_tree(&store, ChunkType::kMapLeaf, map->root);
   std::vector<Hash256> leaves;
   ASSERT_TRUE(map_tree.LeafIds(&leaves).ok());
   ASSERT_GT(leaves.size(), 1000u);
-  for (size_t at : {size_t{0}, kvs.size() / 2, kvs.size() - 11}) {
+  // The fourth range straddles the first two leaves.
+  auto first_leaf = store.Get(leaves[0]);
+  ASSERT_TRUE(first_leaf.ok());
+  std::vector<EntryView> first_entries;
+  ASSERT_TRUE(ParseLeafEntries(ChunkType::kMapLeaf, first_leaf->payload(),
+                               &first_entries));
+  ASSERT_GE(first_entries.size(), 5u);
+  for (size_t at : {size_t{0}, kvs.size() / 2, kvs.size() - 11,
+                    first_entries.size() - 5}) {
     SCOPED_TRACE("keys from " + std::to_string(at));
-    const uint64_t before = store.stats().get_calls;
+    const Slice begin = kvs[at].first, end = kvs[at + 10].first;
     size_t n = 0;
-    ASSERT_TRUE(map_tree
-                    .ScanRange(kvs[at].first, kvs[at + 10].first,
-                               [&n](const EntryView&) {
-                                 ++n;
-                                 return Status::OK();
-                               })
-                    .ok());
+    check(map_tree, map->height, LeafRange::Keys(begin, end), [&] {
+      return map_tree.ScanRange(begin, end, [&n](const EntryView&) {
+        ++n;
+        return Status::OK();
+      });
+    });
     EXPECT_EQ(n, 10u);
-    EXPECT_LE(store.stats().get_calls - before, 2 * map->height + 1);
   }
   auto blob = PosTree::BuildBlob(&store, Rng(46).NextString(4 << 20));
   ASSERT_TRUE(blob.ok());
+  ASSERT_GE(blob->height, 3u);
   const PosTree blob_tree(&store, ChunkType::kBlobLeaf, blob->root,
                           TreeConfig::ForBlob());
   ASSERT_TRUE(blob_tree.LeafIds(&leaves).ok());
   ASSERT_GT(leaves.size(), 500u);
   for (uint64_t offset : {uint64_t{1} << 20, (uint64_t{4} << 20) - 100}) {
     SCOPED_TRACE("bytes from " + std::to_string(offset));
-    const uint64_t before = store.stats().get_calls;
     std::string out;
-    ASSERT_TRUE(blob_tree.ReadBytes(offset, 100, &out).ok());
+    check(blob_tree, blob->height, LeafRange::Positions(offset, offset + 100),
+          [&] { return blob_tree.ReadBytes(offset, 100, &out); });
     EXPECT_EQ(out.size(), 100u);
-    EXPECT_LE(store.stats().get_calls - before, 2 * blob->height + 1);
   }
 }
 

@@ -14,7 +14,8 @@
 //
 // Covered contract points: scalar round trips, kNotFound for absent ids,
 // GetMany slot ordering and per-slot missing ids, idempotent PutMany with
-// in-batch duplicates, Contains, and a ForEach sweep that
+// in-batch duplicates, the base GetManyAsync's ready batch (its Take must
+// yield exactly what GetMany would), Contains, and a ForEach sweep that
 // visits every resident chunk exactly once.
 #include <gtest/gtest.h>
 
@@ -326,6 +327,35 @@ TYPED_TEST(StoreConformanceTest, ScalarAndBatchedGetAgree) {
       EXPECT_EQ(scalar->bytes().ToString(), slots[i]->bytes().ToString());
     } else {
       EXPECT_EQ(scalar.status().code(), slots[i].status().code()) << i;
+    }
+  }
+}
+
+// ---- async contract -------------------------------------------------------
+
+// No stack overrides GetManyAsync: every one returns the base default, a
+// ready batch of its GetMany, and reports SupportsAsyncGet() == false.
+TYPED_TEST(StoreConformanceTest, AsyncBatchMatchesSync) {
+  auto chunks = MakeChunks(32, 107);
+  ASSERT_TRUE(this->store().PutMany(chunks).ok());
+  std::vector<Hash256> ids;
+  for (const auto& chunk : chunks) ids.push_back(chunk.hash());
+  ids.insert(ids.begin() + 7, AbsentId(6));
+  ids.push_back(AbsentId(7));
+  EXPECT_FALSE(this->store().SupportsAsyncGet());
+
+  auto handle = this->store().GetManyAsync(ids);
+  ASSERT_TRUE(handle.valid());
+  auto sync_slots = this->store().GetMany(ids);
+  auto async_slots = handle.Take();
+  ASSERT_EQ(async_slots.size(), sync_slots.size());
+  for (size_t i = 0; i < sync_slots.size(); ++i) {
+    EXPECT_EQ(async_slots[i].ok(), sync_slots[i].ok()) << i;
+    if (async_slots[i].ok() && sync_slots[i].ok()) {
+      EXPECT_EQ(async_slots[i]->bytes().ToString(),
+                sync_slots[i]->bytes().ToString());
+    } else if (!async_slots[i].ok() && !sync_slots[i].ok()) {
+      EXPECT_EQ(async_slots[i].status().code(), sync_slots[i].status().code());
     }
   }
 }
