@@ -7,7 +7,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -396,8 +400,10 @@ BENCHMARK(BM_ForkBasePutGetString);
 //
 // The pairs below are the throughput baseline for FileChunkStore's batch
 // subsystem: scalar Put pays one record append + fflush per chunk, PutMany
-// one per batch; scalar Get opens its segment per call, GetMany opens each
-// touched segment once per batch. Chunk payloads are small (256 B) so the
+// one per batch. Reads pay one pread per record on a segment fd the store
+// keeps open, scalar or batched; both read pairs are gated against
+// BM_FileStoreGetReopen, a bench-local reference that reopens the segment
+// with stdio for every record. Chunk payloads are small (256 B) so the
 // per-call overhead, not the payload copy, dominates — the regime every
 // POS-Tree node write/read lives in.
 
@@ -517,6 +523,67 @@ void BM_FileStoreGetBatched(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_FileStoreGetBatched)->Arg(64)->Arg(256);
+
+// Reference for the read pairs: the same records as BM_FileStoreGetScalar
+// (same store contents, same id sequence), each read by opening segment-0
+// with stdio, seeking, reading and closing it again — the cost of a read
+// that keeps no segment fd open. The record offsets come from one walk of
+// the segment's FBC1 headers ([magic u32][id 32B][len u32][chunk bytes])
+// before timing starts.
+void BM_FileStoreGetReopen(benchmark::State& state) {
+  const size_t batch = static_cast<size_t>(state.range(0));
+  ScopedStoreDir dir("get_reopen");
+  auto store = FileChunkStore::Open(dir.path());
+  uint64_t counter = 0;
+  auto chunks = MakeUniqueChunks(4096, &counter);
+  (void)(*store)->PutMany(chunks);
+  const std::string segment = dir.path() + "/segment-0.fbc";
+  struct Record {
+    long offset;
+    uint32_t length;
+  };
+  std::unordered_map<Hash256, Record, Hash256Hasher> records;
+  {
+    std::ifstream in(segment, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    constexpr size_t kHeader = 4 + 32 + 4;
+    for (size_t at = 0; at + kHeader <= bytes.size();) {
+      Hash256 id;
+      std::memcpy(id.bytes.data(), bytes.data() + at + 4, 32);
+      uint32_t length = 0;
+      std::memcpy(&length, bytes.data() + at + 36, 4);
+      records[id] = Record{static_cast<long>(at + kHeader), length};
+      at += kHeader + length;
+    }
+  }
+  if (records.size() != chunks.size()) {
+    state.SkipWithError("segment-0 does not hold every record");
+    return;
+  }
+  Rng rng(21);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Hash256> ids;
+    ids.reserve(batch);
+    for (size_t i = 0; i < batch; ++i) {
+      ids.push_back(chunks[rng.Uniform(chunks.size())].hash());
+    }
+    state.ResumeTiming();
+    for (const auto& id : ids) {
+      const Record& rec = records.at(id);
+      std::string bytes(rec.length, '\0');
+      std::FILE* f = std::fopen(segment.c_str(), "rb");
+      bool ok = f != nullptr && std::fseek(f, rec.offset, SEEK_SET) == 0 &&
+                std::fread(bytes.data(), 1, rec.length, f) == rec.length;
+      if (f) std::fclose(f);
+      benchmark::DoNotOptimize(ok && Chunk::FromBytes(std::move(bytes)).valid());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_FileStoreGetReopen)->Arg(64)->Arg(256);
 
 // ---- scans: the parallel leaf walk against the serial reference --------
 //

@@ -1,5 +1,8 @@
 #include "chunk/file_chunk_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -319,18 +322,63 @@ void FileChunkStore::CachePut(const Hash256& id,
   }
 }
 
-// Reads record payloads out of one segment file, opened once. Every segment
-// read outside Recover's sequential replay goes through a SegmentReader.
+struct FileChunkStore::ReadFd {
+  explicit ReadFd(int fd) : fd(fd) {}
+  ~ReadFd() { ::close(fd); }
+  ReadFd(const ReadFd&) = delete;
+  ReadFd& operator=(const ReadFd&) = delete;
+  const int fd;
+};
+
+StatusOr<std::shared_ptr<const FileChunkStore::ReadFd>>
+FileChunkStore::AcquireReadFd(uint32_t segment) const {
+  {
+    std::lock_guard<std::mutex> lock(fd_mu_);
+    auto it = read_fds_.find(segment);
+    if (it != read_fds_.end()) {
+      it->second.last_use = ++fd_clock_;
+      return it->second.fd;
+    }
+  }
+  const std::string path = SegmentPath(segment);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
+  }
+  auto opened = std::make_shared<const ReadFd>(fd);
+  std::shared_ptr<const ReadFd> evicted;  // closed after the lock is released
+  std::lock_guard<std::mutex> lock(fd_mu_);
+  auto [it, fresh] = read_fds_.try_emplace(segment);
+  it->second.last_use = ++fd_clock_;
+  if (!fresh) return it->second.fd;  // a racing reader opened it first
+  it->second.fd = opened;
+  if (read_fds_.size() > kMaxReadFds) {
+    auto lru = read_fds_.begin();
+    for (auto slot = read_fds_.begin(); slot != read_fds_.end(); ++slot) {
+      if (slot->second.last_use < lru->second.last_use) lru = slot;
+    }
+    evicted = std::move(lru->second.fd);
+    read_fds_.erase(lru);
+  }
+  return opened;
+}
+
+void FileChunkStore::DropReadFd(uint32_t segment) {
+  std::shared_ptr<const ReadFd> dropped;  // closed after the lock is released
+  std::lock_guard<std::mutex> lock(fd_mu_);
+  auto it = read_fds_.find(segment);
+  if (it == read_fds_.end()) return;
+  dropped = std::move(it->second.fd);
+  read_fds_.erase(it);
+}
+
+// Reads record payloads out of one segment file through its read fd from
+// the store's fd table: one pread per payload. Every segment read outside
+// Recover's sequential replay goes through a SegmentReader.
 class FileChunkStore::SegmentReader {
  public:
   SegmentReader(const FileChunkStore& store, uint32_t segment)
-      : segment_(segment),
-        path_(store.SegmentPath(segment)),
-        file_(std::fopen(path_.c_str(), "rb")),
-        open_errno_(file_ ? 0 : errno) {}
-  ~SegmentReader() {
-    if (file_) std::fclose(file_);
-  }
+      : store_(store), segment_(segment), fd_(store.AcquireReadFd(segment)) {}
   SegmentReader(const SegmentReader&) = delete;
   SegmentReader& operator=(const SegmentReader&) = delete;
 
@@ -338,23 +386,23 @@ class FileChunkStore::SegmentReader {
 
   /// The physical payload at `loc`, which must lie in this segment.
   StatusOr<std::string> Read(const Location& loc) {
-    if (!file_) {
-      return Status::IOError("open " + path_ + ": " +
-                             std::strerror(open_errno_));
-    }
+    if (!fd_.ok()) return fd_.status();
     std::string payload(loc.length, '\0');
-    if (std::fseek(file_, static_cast<long>(loc.offset), SEEK_SET) != 0 ||
-        std::fread(payload.data(), 1, loc.length, file_) != loc.length) {
-      return Status::IOError("short read from " + path_);
+    ssize_t n = 0;
+    do {
+      n = ::pread((*fd_)->fd, payload.data(), loc.length,
+                  static_cast<off_t>(loc.offset));
+    } while (n < 0 && errno == EINTR);
+    if (n != static_cast<ssize_t>(loc.length)) {
+      return Status::IOError("short read from " + store_.SegmentPath(segment_));
     }
     return payload;
   }
 
  private:
+  const FileChunkStore& store_;
   const uint32_t segment_;
-  const std::string path_;
-  std::FILE* const file_;
-  const int open_errno_;
+  const StatusOr<std::shared_ptr<const ReadFd>> fd_;
 };
 
 template <typename Decode>
@@ -1269,6 +1317,7 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
   // scan still sees the file.
   std::error_code ec;
   std::filesystem::resize_file(SegmentPath(segment), 0, ec);
+  DropReadFd(segment);
   uint64_t reclaimed = 0;
   {
     std::lock_guard<std::mutex> lock(seg_mu_);

@@ -59,10 +59,18 @@
 // the stdio buffer, and every Put that returned OK survives a process crash
 // (though not a power failure — there is no fsync).
 //
+// Reads: every payload read outside Recover is one pread on the segment's
+// read fd, taken from a per-store fd table that opens segments lazily and
+// keeps at most kMaxReadFds of them open, closing the least recently used.
+// Readers share ownership of the fd they read through, so an evicted fd
+// closes after its last in-flight read. Cached fds stay valid because a
+// segment file is never unlinked or renamed (a rewrite truncates it to zero
+// and drops its fd) and segment numbers only grow.
+//
 // Lock order (where several are held): append_mu_ before any shard mutex
 // before seg_mu_ (the per-segment accounting lock is innermost and never
-// calls out). delta_mu_ and cache_mu_ are leaves: taken briefly, never held
-// while acquiring another store lock or doing I/O.
+// calls out). delta_mu_, cache_mu_ and fd_mu_ are leaves: taken briefly,
+// never held while acquiring another store lock or doing I/O.
 #ifndef FORKBASE_CHUNK_FILE_CHUNK_STORE_H_
 #define FORKBASE_CHUNK_FILE_CHUNK_STORE_H_
 
@@ -139,6 +147,9 @@ class FileChunkStore : public ChunkStore {
     /// copies in memory, so its cost is window * chunk size.
     uint32_t delta_window = 8;
   };
+
+  /// The most segment read fds one store keeps open (see "Reads" above).
+  static constexpr size_t kMaxReadFds = 64;
 
   /// Opens (creating if needed) a store rooted at `dir`.
   static StatusOr<std::unique_ptr<FileChunkStore>> Open(
@@ -245,6 +256,13 @@ class FileChunkStore : public ChunkStore {
   };
 
   class SegmentReader;
+  struct ReadFd;  ///< an open read-only segment fd, closed on destruction
+
+  /// One fd table slot: the shared fd and its last use (LRU order).
+  struct FdSlot {
+    std::shared_ptr<const ReadFd> fd;
+    uint64_t last_use = 0;
+  };
 
   struct Shard {
     mutable std::mutex mu;
@@ -309,6 +327,14 @@ class FileChunkStore : public ChunkStore {
   /// Delta-cache accessors (cache_mu_ inside).
   bool CacheGet(const Hash256& id, std::string* bytes) const;
   void CachePut(const Hash256& id, const std::string& bytes) const;
+  /// The fd table (fd_mu_ inside; open and close run outside it). Returns
+  /// `segment`'s read fd, opening it O_RDONLY|O_CLOEXEC on first use and
+  /// closing the least recently used fd past kMaxReadFds.
+  StatusOr<std::shared_ptr<const ReadFd>> AcquireReadFd(
+      uint32_t segment) const;
+  /// Forgets `segment`'s fd (a rewrite truncated the file); in-flight
+  /// readers keep theirs until they finish.
+  void DropReadFd(uint32_t segment);
 
   /// Appends `bytes` as a self-contained record of `id` to `buffer`: LZ
   /// when the store compresses and the block saves >= 1/16, else raw FBC1.
@@ -407,6 +433,11 @@ class FileChunkStore : public ChunkStore {
       Hash256Hasher>
       cache_map_;
   mutable uint64_t cache_bytes_ = 0;
+
+  /// The read fd table, keyed by segment number (see AcquireReadFd).
+  mutable std::mutex fd_mu_;
+  mutable std::unordered_map<uint32_t, FdSlot> read_fds_;
+  mutable uint64_t fd_clock_ = 0;  ///< last_use source, under fd_mu_
 
   // Runs segment rewrites; shut down before the append stream closes.
   WorkerPool compact_pool_;

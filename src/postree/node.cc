@@ -28,31 +28,46 @@ std::string EncodeIndexEntry(const IndexEntry& e) {
   return out;
 }
 
+Hash256 IndexEntryView::ChildId() const {
+  Hash256 id;
+  std::memcpy(id.bytes.data(), child.data(), 32);
+  return id;
+}
+
+bool NextLeafEntry(ChunkType type, Decoder* dec, EntryView* e) {
+  const size_t start = dec->position();
+  e->key = Slice();
+  e->value = Slice();
+  switch (type) {
+    case ChunkType::kMapLeaf:
+      if (!dec->GetLengthPrefixed(&e->key)) return false;
+      if (!dec->GetLengthPrefixed(&e->value)) return false;
+      break;
+    case ChunkType::kSetLeaf:
+      if (!dec->GetLengthPrefixed(&e->key)) return false;
+      break;
+    case ChunkType::kListLeaf:
+      if (!dec->GetLengthPrefixed(&e->value)) return false;
+      break;
+    default:
+      return false;  // blob leaves and non-leaves are not entry-parsed
+  }
+  e->raw = dec->input().substr(start, dec->position() - start);
+  return true;
+}
+
+bool NextIndexEntry(Decoder* dec, IndexEntryView* e) {
+  return dec->GetRaw(32, &e->child) && dec->GetVarint64(&e->count) &&
+         dec->GetLengthPrefixed(&e->key);
+}
+
 bool ParseLeafEntries(ChunkType type, Slice payload,
                       std::vector<EntryView>* out) {
   out->clear();
   Decoder dec(payload);
+  EntryView e;
   while (!dec.AtEnd()) {
-    size_t start = dec.position();
-    EntryView e;
-    switch (type) {
-      case ChunkType::kMapLeaf: {
-        if (!dec.GetLengthPrefixed(&e.key)) return false;
-        if (!dec.GetLengthPrefixed(&e.value)) return false;
-        break;
-      }
-      case ChunkType::kSetLeaf: {
-        if (!dec.GetLengthPrefixed(&e.key)) return false;
-        break;
-      }
-      case ChunkType::kListLeaf: {
-        if (!dec.GetLengthPrefixed(&e.value)) return false;
-        break;
-      }
-      default:
-        return false;  // blob leaves and non-leaves are not entry-parsed
-    }
-    e.raw = payload.substr(start, dec.position() - start);
+    if (!NextLeafEntry(type, &dec, &e)) return false;
     out->push_back(e);
   }
   return true;
@@ -61,16 +76,10 @@ bool ParseLeafEntries(ChunkType type, Slice payload,
 bool ParseIndexEntries(Slice payload, std::vector<IndexEntry>* out) {
   out->clear();
   Decoder dec(payload);
+  IndexEntryView e;
   while (!dec.AtEnd()) {
-    IndexEntry e;
-    Slice hash_bytes;
-    if (!dec.GetRaw(32, &hash_bytes)) return false;
-    std::memcpy(e.child.bytes.data(), hash_bytes.data(), 32);
-    if (!dec.GetVarint64(&e.count)) return false;
-    Slice key;
-    if (!dec.GetLengthPrefixed(&key)) return false;
-    e.key = key.ToString();
-    out->push_back(std::move(e));
+    if (!NextIndexEntry(&dec, &e)) return false;
+    out->push_back(IndexEntry{e.ChildId(), e.count, e.key.ToString()});
   }
   return true;
 }
@@ -78,11 +87,15 @@ bool ParseIndexEntries(Slice payload, std::vector<IndexEntry>* out) {
 StatusOr<uint64_t> LeafEntryCount(ChunkType type, Slice payload) {
   if (type == ChunkType::kBlobLeaf) return static_cast<uint64_t>(payload.size());
   if (IsLeafType(type)) {
-    std::vector<EntryView> entries;
-    if (!ParseLeafEntries(type, payload, &entries)) {
-      return Status::Corruption("malformed leaf payload");
+    Decoder dec(payload);
+    EntryView e;
+    uint64_t n = 0;
+    for (; !dec.AtEnd(); ++n) {
+      if (!NextLeafEntry(type, &dec, &e)) {
+        return Status::Corruption("malformed leaf payload");
+      }
     }
-    return static_cast<uint64_t>(entries.size());
+    return n;
   }
   return Status::InvalidArgument("not a leaf chunk type");
 }

@@ -39,6 +39,17 @@ struct IndexEntry {
   std::string key;     ///< max key in subtree ("" for positional trees)
 };
 
+/// One index entry read in place: the child id's bytes and the split key
+/// view the node payload. Point searches (PosTree::Lookup, Element, Count)
+/// decode with this instead of materializing IndexEntry vectors.
+struct IndexEntryView {
+  Slice child;  ///< the child's 32-byte id
+  uint64_t count = 0;
+  Slice key;
+
+  Hash256 ChildId() const;
+};
+
 /// Appends a map entry (len-prefixed key, len-prefixed value) to `out`.
 /// Bulk builders encode every entry into one reused buffer with these.
 void AppendMapEntry(std::string* out, Slice key, Slice value);
@@ -48,6 +59,13 @@ void AppendSetEntry(std::string* out, Slice key);
 void AppendListEntry(std::string* out, Slice element);
 /// Serializes an index entry.
 std::string EncodeIndexEntry(const IndexEntry& e);
+
+/// Reads the leaf entry at `dec`'s position (views into its input). False
+/// on malformed bytes, and for blob leaves and non-leaf types.
+bool NextLeafEntry(ChunkType type, Decoder* dec, EntryView* e);
+
+/// Reads the index entry at `dec`'s position. False on malformed bytes.
+bool NextIndexEntry(Decoder* dec, IndexEntryView* e);
 
 /// Parses all entries of a non-blob leaf payload. Returns false on malformed
 /// bytes. Views point into `payload`.

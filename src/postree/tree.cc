@@ -50,60 +50,61 @@ StatusOr<TreeInfo> PosTree::BuildBlob(ChunkStore* store, Slice bytes,
   return builder.Finish();
 }
 
+// Lookup, Element and Count search each node on the path in place: the
+// whole node is decoded, so malformed bytes anywhere in it still fail, but
+// only the child id and the returned value are copied out.
+
 StatusOr<uint64_t> PosTree::Count() const {
   FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(root_));
-  if (chunk.type() == ChunkType::kMeta) {
-    std::vector<IndexEntry> children;
-    if (!ParseIndexEntries(chunk.payload(), &children)) {
+  if (chunk.type() != ChunkType::kMeta) {
+    return LeafEntryCount(chunk.type(), chunk.payload());
+  }
+  Decoder dec(chunk.payload());
+  IndexEntryView child;
+  uint64_t total = 0;
+  while (!dec.AtEnd()) {
+    if (!NextIndexEntry(&dec, &child)) {
       return Status::Corruption("malformed index node");
     }
-    uint64_t total = 0;
-    for (const auto& c : children) total += c.count;
-    return total;
+    total += child.count;
   }
-  return LeafEntryCount(chunk.type(), chunk.payload());
+  return total;
 }
 
 StatusOr<std::optional<std::string>> PosTree::Lookup(Slice key) const {
   Hash256 current = root_;
   for (;;) {
     FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(current));
+    Decoder dec(chunk.payload());
+    bool found = false;
     if (chunk.type() == ChunkType::kMeta) {
-      std::vector<IndexEntry> children;
-      if (!ParseIndexEntries(chunk.payload(), &children)) {
-        return Status::Corruption("malformed index node");
-      }
       // First child whose split key (subtree max) is >= key.
-      size_t lo = 0, hi = children.size();
-      while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (Slice(children[mid].key) < key) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
+      IndexEntryView child;
+      while (!dec.AtEnd()) {
+        if (!NextIndexEntry(&dec, &child)) {
+          return Status::Corruption("malformed index node");
+        }
+        if (!found && !(child.key < key)) {
+          current = child.ChildId();
+          found = true;
         }
       }
-      if (lo == children.size()) return std::optional<std::string>{};
-      current = children[lo].child;
+      if (!found) return std::optional<std::string>{};
       continue;
     }
-    std::vector<EntryView> entries;
-    if (!ParseLeafEntries(chunk.type(), chunk.payload(), &entries)) {
-      return Status::Corruption("malformed leaf payload");
-    }
-    size_t lo = 0, hi = entries.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (entries[mid].key < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
+    // First entry whose key is >= key; a hit only if it is equal.
+    std::optional<std::string> value;
+    EntryView entry;
+    while (!dec.AtEnd()) {
+      if (!NextLeafEntry(chunk.type(), &dec, &entry)) {
+        return Status::Corruption("malformed leaf payload");
+      }
+      if (!found && !(entry.key < key)) {
+        found = true;
+        if (entry.key == key) value = entry.value.ToString();
       }
     }
-    if (lo < entries.size() && entries[lo].key == key) {
-      return std::optional<std::string>(entries[lo].value.ToString());
-    }
-    return std::optional<std::string>{};
+    return value;
   }
 }
 
@@ -112,21 +113,23 @@ StatusOr<std::string> PosTree::Element(uint64_t index) const {
   uint64_t offset = index;
   for (;;) {
     FB_ASSIGN_OR_RETURN(Chunk chunk, store_->Get(current));
+    Decoder dec(chunk.payload());
+    bool found = false;
     if (chunk.type() == ChunkType::kMeta) {
-      std::vector<IndexEntry> children;
-      if (!ParseIndexEntries(chunk.payload(), &children)) {
-        return Status::Corruption("malformed index node");
-      }
-      bool descended = false;
-      for (const auto& c : children) {
-        if (offset < c.count) {
-          current = c.child;
-          descended = true;
-          break;
+      IndexEntryView child;
+      while (!dec.AtEnd()) {
+        if (!NextIndexEntry(&dec, &child)) {
+          return Status::Corruption("malformed index node");
         }
-        offset -= c.count;
+        if (found) continue;
+        if (offset < child.count) {
+          current = child.ChildId();
+          found = true;
+        } else {
+          offset -= child.count;
+        }
       }
-      if (!descended) return Status::NotFound("index out of range");
+      if (!found) return Status::NotFound("index out of range");
       continue;
     }
     if (chunk.type() == ChunkType::kBlobLeaf) {
@@ -134,12 +137,19 @@ StatusOr<std::string> PosTree::Element(uint64_t index) const {
       if (offset >= payload.size()) return Status::NotFound("index out of range");
       return std::string(1, payload[offset]);
     }
-    std::vector<EntryView> entries;
-    if (!ParseLeafEntries(chunk.type(), chunk.payload(), &entries)) {
-      return Status::Corruption("malformed leaf payload");
+    std::string value;
+    EntryView entry;
+    for (uint64_t i = 0; !dec.AtEnd(); ++i) {
+      if (!NextLeafEntry(chunk.type(), &dec, &entry)) {
+        return Status::Corruption("malformed leaf payload");
+      }
+      if (i == offset) {
+        value = entry.value.ToString();
+        found = true;
+      }
     }
-    if (offset >= entries.size()) return Status::NotFound("index out of range");
-    return entries[offset].value.ToString();
+    if (!found) return Status::NotFound("index out of range");
+    return value;
   }
 }
 

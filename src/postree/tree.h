@@ -84,14 +84,23 @@ class PosTree {
   static StatusOr<TreeInfo> BuildBlob(
       ChunkStore* store, Slice bytes, TreeConfig config = TreeConfig::ForBlob());
 
-  /// Total leaf entries (blob: total bytes). O(1) chunk loads.
+  /// Total leaf entries (blob: total bytes). O(1) chunk loads: the root's
+  /// counts, summed in place.
   StatusOr<uint64_t> Count() const;
 
   /// Point lookup in a keyed tree. nullopt when the key is absent; for sets
-  /// the value is "" when present. O(log N).
+  /// the value is "" when present. O(log N) chunk loads, one per level.
+  /// Each node on the path is searched in place, with no per-entry
+  /// allocation: the first child whose split key is >= `key`, then the
+  /// leaf entry equal to it. Only the child id and the returned value are
+  /// copied. The whole node is still decoded, so a node that is malformed
+  /// anywhere fails Corruption ("malformed index node" / "malformed leaf
+  /// payload"), even past the entry searched for.
   StatusOr<std::optional<std::string>> Lookup(Slice key) const;
 
-  /// Element at `index` in a list tree. O(log N).
+  /// Element at `index` in a list tree (blob: the byte there), found by the
+  /// index entries' counts. O(log N) chunk loads, each node searched in
+  /// place and decoded whole, as for Lookup. NotFound past the end.
   StatusOr<std::string> Element(uint64_t index) const;
 
   /// Reads up to `len` bytes at `offset` from a blob tree: fewer when the

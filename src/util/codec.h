@@ -41,6 +41,7 @@ class Decoder {
   bool AtEnd() const { return pos_ == in_.size(); }
   size_t position() const { return pos_; }
   size_t remaining() const { return in_.size() - pos_; }
+  Slice input() const { return in_; }
 
  private:
   Slice in_;

@@ -513,19 +513,44 @@ void RunReadersSurviveRewrites(const std::string& dir, bool encoded) {
     ASSERT_GT(chained, 0u) << "no survivor is a delta against a victim";
   }
   std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    Rng reader_rng(79);
-    while (!stop.load()) {
+  // Two readers share the store's segment fd table while rewrites truncate
+  // segments under it. A survivor must read back bit-exact, at its old or
+  // its new home. A victim is either still read bit-exact or NotFound —
+  // "(erased mid-read)" when the erase overtook a read already under way.
+  std::atomic<size_t> victim_hits{0}, victim_misses{0};
+  std::atomic<int> reading{0};
+  auto read_loop = [&](uint64_t seed) {
+    Rng reader_rng(seed);
+    for (bool first = true; !stop.load(); first = false) {
+      if (first) ++reading;
       const Hash256& id = survivors[reader_rng.Uniform(survivors.size())];
       auto got = store.Get(id);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->hash(), id);
       std::vector<Hash256> batch(survivors.begin(), survivors.begin() + 8);
-      for (auto& slot : store.GetMany(batch)) ASSERT_TRUE(slot.ok());
+      batch.push_back(victims[reader_rng.Uniform(victims.size())]);
+      auto slots = store.GetMany(batch);
+      for (size_t i = 0; i + 1 < batch.size(); ++i) {
+        ASSERT_TRUE(slots[i].ok()) << slots[i].status().ToString();
+        ASSERT_EQ(slots[i]->hash(), batch[i]);
+      }
+      const auto& victim = slots.back();
+      if (victim.ok()) {
+        ASSERT_EQ(victim->hash(), batch.back());
+        ++victim_hits;
+      } else {
+        ASSERT_EQ(victim.status().code(), StatusCode::kNotFound)
+            << victim.status().ToString();
+        ++victim_misses;
+      }
       ChunkStore::PhysicalRecord rec;
       ASSERT_EQ(store.GetPhysicalRecord(id, &rec), encoded);
     }
-  });
-  // Erase in small slices so rewrites keep firing under the reader.
+  };
+  std::thread reader(read_loop, 79);
+  std::thread second_reader(read_loop, 80);
+  while (reading.load() < 2) std::this_thread::yield();
+  // Erase in small slices so rewrites keep firing under the readers.
   for (size_t start = 0; start < victims.size(); start += 16) {
     const size_t n = std::min<size_t>(16, victims.size() - start);
     ASSERT_TRUE(
@@ -534,8 +559,18 @@ void RunReadersSurviveRewrites(const std::string& dir, bool encoded) {
   store.WaitForMaintenance();
   stop.store(true);
   reader.join();
-  for (const auto& id : survivors) EXPECT_TRUE(store.Get(id).ok());
-  for (const auto& id : victims) EXPECT_FALSE(store.Contains(id));
+  second_reader.join();
+  EXPECT_GT(store.maintenance_stats().segments_rewritten, 0u);
+  for (const auto& id : survivors) {
+    auto got = store.Get(id);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->hash(), id);
+  }
+  for (const auto& id : victims) {
+    EXPECT_FALSE(store.Contains(id));
+    auto got = store.Get(id);
+    EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+  }
 }
 
 TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewrites) {
@@ -586,6 +621,99 @@ TEST_F(FileChunkStoreTest, TruncatedSegmentReadsFailAsIOError) {
   EXPECT_EQ(slots[2]->bytes().ToString(), intact[1].bytes().ToString());
   EXPECT_FALSE(store.GetPhysicalRecord(damaged.hash(), &rec));
   EXPECT_TRUE(store.Contains(damaged.hash()));
+}
+
+// Open entries of this process's fd table, or -1 where /proc is absent.
+long OpenFdCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/fd", ec);
+  if (ec) return -1;
+  return std::distance(it, std::filesystem::directory_iterator());
+}
+
+TEST_F(FileChunkStoreTest, ReadFdTableStaysBoundedUnderParallelReads) {
+  // More segments than the fd table may keep open, read from 4 threads in
+  // different orders, so the table keeps evicting fds that other threads
+  // may still be reading through. Every chunk must read back bit-exact
+  // through Get and GetMany, and the process's open fds stay within the
+  // cap plus a small slack (evicted fds of in-flight reads, the readers'
+  // /proc scans) — and drop back once the store is destroyed.
+  const long before_open = OpenFdCount();
+  if (before_open < 0) GTEST_SKIP() << "no /proc/self/fd";
+  constexpr long kSlack = 12;
+  FileChunkStore::Options options;
+  options.segment_bytes = 4096;
+  options.compact_live_ratio = 0;
+  std::vector<Chunk> chunks;
+  {
+    auto store_or = FileChunkStore::Open(dir_, options);
+    ASSERT_TRUE(store_or.ok());
+    auto& store = **store_or;
+    Rng rng(83);
+    for (int i = 0; i < 6 * static_cast<int>(FileChunkStore::kMaxReadFds);
+         ++i) {
+      chunks.push_back(MakeTestChunk(rng.NextBytes(900 + rng.Uniform(200))));
+    }
+    for (size_t start = 0; start < chunks.size(); start += 8) {
+      ASSERT_TRUE(store
+                      .PutMany(std::span<const Chunk>(chunks).subspan(
+                          start, std::min<size_t>(8, chunks.size() - start)))
+                      .ok());
+    }
+    size_t segments = 0;
+    while (std::filesystem::exists(dir_ + "/segment-" +
+                                   std::to_string(segments) + ".fbc")) {
+      ++segments;
+    }
+    ASSERT_GT(segments, FileChunkStore::kMaxReadFds + 8);
+    const long opened = OpenFdCount();
+
+    std::atomic<long> peak{0};
+    auto read_all = [&](uint64_t seed) {
+      Rng order_rng(seed);
+      std::vector<size_t> order(chunks.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[order_rng.Uniform(i)]);
+      }
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t k = 0; k < order.size(); ++k) {
+          const Chunk& want = chunks[order[k]];
+          auto got = store.Get(want.hash());
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got->bytes().ToString(), want.bytes().ToString());
+          if (k % 16 == 0) {
+            long now = OpenFdCount();
+            long seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+          }
+        }
+        for (size_t k = 0; k < order.size(); k += 16) {
+          std::vector<Hash256> ids;
+          for (size_t j = k; j < std::min(order.size(), k + 16); ++j) {
+            ids.push_back(chunks[order[j]].hash());
+          }
+          auto slots = store.GetMany(ids);
+          ASSERT_EQ(slots.size(), ids.size());
+          for (size_t j = 0; j < ids.size(); ++j) {
+            ASSERT_TRUE(slots[j].ok()) << slots[j].status().ToString();
+            ASSERT_EQ(slots[j]->bytes().ToString(),
+                      chunks[order[k + j]].bytes().ToString());
+          }
+        }
+      }
+    };
+    std::vector<std::thread> readers;
+    for (uint64_t t = 0; t < 4; ++t) readers.emplace_back(read_all, 90 + t);
+    for (auto& r : readers) r.join();
+    EXPECT_GT(peak.load(), opened);  // the table did open read fds
+    EXPECT_LE(peak.load(),
+              opened + static_cast<long>(FileChunkStore::kMaxReadFds) + kSlack);
+    EXPECT_LE(OpenFdCount(),
+              opened + static_cast<long>(FileChunkStore::kMaxReadFds) + 1);
+  }
+  EXPECT_LE(OpenFdCount(), before_open);
 }
 
 TEST_F(FileChunkStoreTest, ParallelCompactionReclaimsEverySegment) {

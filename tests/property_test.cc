@@ -650,5 +650,194 @@ TEST(IncrementalUpdate, SingleChildTailAloneRebuildsLikeScratch) {
   EXPECT_EQ(checked, 5) << "too few trees with a one-child tail node";
 }
 
+// ------------------------------------ Point reads against the scan oracle
+//
+// Lookup, Element and Count search each node in place instead of parsing
+// it into vectors; the leaf walk (Scan, ReadBytes) still parses whole
+// nodes, so it is the oracle.
+
+// Every split key of every index node of `tree`.
+std::vector<std::string> SplitKeys(const PosTree& tree) {
+  std::vector<std::string> keys;
+  EXPECT_TRUE(tree.WalkLevels(
+                      false,
+                      [&](uint32_t, const IndexEntry&, const Chunk&,
+                          const std::vector<IndexEntry>& children) {
+                        for (const auto& c : children) keys.push_back(c.key);
+                        return Status::OK();
+                      })
+                  .ok());
+  return keys;
+}
+
+TEST(PointReadParity, LookupMatchesScanForMapsAndSets) {
+  int trees = 0;
+  for (const ChunkType type : {ChunkType::kMapLeaf, ChunkType::kSetLeaf}) {
+    for (const bool small : {false, true}) {
+      for (const size_t n : {0, 1, 300, 5000}) {
+        const TreeConfig config =
+            small ? SmallNodes() : TreeConfig::ForEntries();
+        auto kvs = RandomKvs(n, 700 + n);
+        if (type == ChunkType::kSetLeaf) {
+          for (auto& kv : kvs) kv.second.clear();
+        }
+        MemChunkStore store;
+        auto built = PosTree::BuildKeyed(&store, type, kvs, config);
+        ASSERT_TRUE(built.ok());
+        PosTree tree(&store, type, built->root, config);
+        Model oracle;
+        ASSERT_TRUE(tree.Scan([&](const EntryView& e) {
+                          oracle[e.key.ToString()] = e.value.ToString();
+                          return Status::OK();
+                        })
+                        .ok());
+        ASSERT_EQ(oracle.size(), n);
+        auto count = tree.Count();
+        ASSERT_TRUE(count.ok());
+        EXPECT_EQ(*count, n);
+
+        std::vector<std::string> probes = SplitKeys(tree);
+        EXPECT_EQ(probes.empty(), built->height <= 1);
+        Rng rng(800 + n);
+        for (const auto& [k, v] : oracle) {
+          probes.push_back(k);                   // present
+          probes.push_back(k + '\0');            // absent, just above k
+          probes.push_back(k.substr(0, k.size() - 1));  // absent prefix
+          if (rng.Uniform(8) == 0) probes.push_back(rng.NextString(16));
+        }
+        probes.push_back("");  // below the minimum
+        probes.push_back(std::string(1, '\x01'));
+        probes.push_back(oracle.empty() ? "~" : oracle.rbegin()->first + "~");
+        probes.push_back("\xff\xff");  // above the maximum
+        for (const std::string& key : probes) {
+          auto got = tree.Lookup(key);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          auto it = oracle.find(key);
+          if (it == oracle.end()) {
+            EXPECT_FALSE(got->has_value()) << "absent key " << key;
+          } else {
+            ASSERT_TRUE(got->has_value()) << "present key " << key;
+            EXPECT_EQ(**got, it->second);
+          }
+        }
+        ++trees;
+      }
+    }
+  }
+  EXPECT_EQ(trees, 16);
+}
+
+TEST(PointReadParity, ElementMatchesScanForListsAndBlobs) {
+  for (const size_t n : {1, 50, 3000}) {
+    MemChunkStore store;
+    Rng rng(900 + n);
+    std::vector<std::string> elements;
+    for (size_t i = 0; i < n; ++i) {
+      elements.push_back(rng.NextString(rng.Uniform(40)));
+    }
+    auto built = PosTree::BuildList(&store, elements, SmallNodes());
+    ASSERT_TRUE(built.ok());
+    PosTree list(&store, ChunkType::kListLeaf, built->root, SmallNodes());
+    std::vector<std::string> scanned;
+    ASSERT_TRUE(list.Scan([&](const EntryView& e) {
+                      scanned.push_back(e.value.ToString());
+                      return Status::OK();
+                    })
+                    .ok());
+    ASSERT_EQ(scanned, elements);
+    for (size_t i = 0; i < n; ++i) {
+      auto got = list.Element(i);
+      ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+      ASSERT_EQ(*got, scanned[i]) << "element " << i;
+    }
+    EXPECT_EQ(list.Element(n).status().code(), StatusCode::kNotFound);
+    auto count = list.Count();
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, n);
+  }
+  for (const size_t n : {1, 5000, 40000}) {
+    MemChunkStore store;
+    auto built = PosTree::BuildBlob(&store, Rng(950 + n).NextBytes(n));
+    ASSERT_TRUE(built.ok());
+    PosTree blob(&store, ChunkType::kBlobLeaf, built->root,
+                 TreeConfig::ForBlob());
+    std::string scanned;
+    ASSERT_TRUE(blob.ReadBytes(0, n, &scanned).ok());
+    ASSERT_EQ(scanned.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      auto got = blob.Element(i);
+      ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+      ASSERT_EQ(*got, scanned.substr(i, 1)) << "byte " << i;
+    }
+    EXPECT_EQ(blob.Element(n).status().code(), StatusCode::kNotFound);
+    auto count = blob.Count();
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, n);
+  }
+}
+
+TEST(PointReadParity, MalformedTailAfterTheSearchedEntryIsCorruption) {
+  // A search finds its entry first in the node, but the node's tail does
+  // not decode: the point read must still fail, as a whole-node parse did.
+  MemChunkStore store;
+  std::string good_leaf;
+  AppendMapEntry(&good_leaf, "a", "1");
+  AppendMapEntry(&good_leaf, "b", "2");
+  const Chunk leaf = Chunk::Make(ChunkType::kMapLeaf, good_leaf);
+  ASSERT_TRUE(store.Put(leaf).ok());
+  const std::string index =
+      EncodeIndexEntry(IndexEntry{leaf.hash(), 2, "b"}) +
+      EncodeIndexEntry(IndexEntry{leaf.hash(), 2, "d"});
+  // Tails that cut the next entry short: a bare length prefix, and (index)
+  // a child id of 5 bytes.
+  for (const std::string& tail :
+       {std::string("\x05", 1), std::string("\x05zz", 3),
+        std::string(5, '\x07')}) {
+    const Chunk bad_index = Chunk::Make(ChunkType::kMeta, index + tail);
+    ASSERT_TRUE(store.Put(bad_index).ok());
+    PosTree via_index(&store, ChunkType::kMapLeaf, bad_index.hash());
+    for (const char* key : {"", "a", "b", "c", "z"}) {
+      auto got = via_index.Lookup(key);
+      ASSERT_FALSE(got.ok()) << key;
+      EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(got.status().ToString().find("malformed index node"),
+                std::string::npos)
+          << got.status().ToString();
+    }
+    EXPECT_EQ(via_index.Element(0).status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(via_index.Count().status().code(), StatusCode::kCorruption);
+
+    const Chunk bad_leaf = Chunk::Make(ChunkType::kMapLeaf, good_leaf + tail);
+    ASSERT_TRUE(store.Put(bad_leaf).ok());
+    PosTree direct(&store, ChunkType::kMapLeaf, bad_leaf.hash());
+    const Chunk parent = Chunk::Make(
+        ChunkType::kMeta, EncodeIndexEntry(IndexEntry{bad_leaf.hash(), 2, "b"}));
+    ASSERT_TRUE(store.Put(parent).ok());
+    PosTree via_parent(&store, ChunkType::kMapLeaf, parent.hash());
+    for (const PosTree* tree : {&direct, &via_parent}) {
+      for (const char* key : {"", "a", "b"}) {
+        auto got = tree->Lookup(key);
+        ASSERT_FALSE(got.ok()) << key;
+        EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+        EXPECT_NE(got.status().ToString().find("malformed leaf payload"),
+                  std::string::npos)
+            << got.status().ToString();
+      }
+      EXPECT_EQ(tree->Element(0).status().code(), StatusCode::kCorruption);
+    }
+    EXPECT_EQ(direct.Count().status().code(), StatusCode::kCorruption);
+  }
+  std::string list_leaf;
+  AppendListEntry(&list_leaf, "x");
+  const Chunk bad_list =
+      Chunk::Make(ChunkType::kListLeaf, list_leaf + std::string("\x09", 1));
+  ASSERT_TRUE(store.Put(bad_list).ok());
+  PosTree list(&store, ChunkType::kListLeaf, bad_list.hash());
+  auto got = list.Element(0);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().ToString().find("malformed leaf payload"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace forkbase
